@@ -13,15 +13,19 @@
 use proptest::prelude::*;
 use sram_highsigma::circuit::{
     transient_analysis, transient_analysis_dense, transient_analysis_lockstep, Circuit,
-    LockstepWorkspace, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig,
-    TransientKernel, GROUND,
+    CrossingDirection, LockstepWorkspace, MosfetParams, SimulationWorkspace, SourceWaveform,
+    TransientConfig, TransientKernel, GROUND,
 };
 use sram_highsigma::highsigma::{
-    standard_estimators, ConvergencePolicy, SramMetric, YieldAnalysis,
+    default_sram_variation_space, standard_estimators, ConvergencePolicy, Estimator,
+    FailureProblem, GisConfig, GradientImportanceSampling, ImportanceSamplingConfig, MpfpConfig,
+    Spec, SramMetric, SramTransientModel, YieldAnalysis,
 };
 use sram_highsigma::linalg::sparse::{PatternBuilder, SparseLu, SymbolicLu};
 use sram_highsigma::linalg::{LuDecomposition, Matrix, Vector};
-use sram_highsigma::sram::{build_6t_cell, SramCellConfig, SramTestbench};
+use sram_highsigma::sram::{build_6t_cell, CellNodes, SramCellConfig, SramTestbench};
+use sram_highsigma::stats::RngStream;
+use sram_highsigma::variation::PelgromModel;
 
 /// Asserts two transient results agree bit for bit on every node and step,
 /// including the Newton iteration count.
@@ -52,6 +56,12 @@ fn assert_transients_bit_identical(circuit: &Circuit, config: &TransientConfig, 
 
 /// The read testbench netlist (cell + precharged floating bitlines).
 fn read_circuit(vth_deltas: &[f64; 6]) -> (Circuit, TransientConfig) {
+    let (ckt, config, _) = read_netlist(vth_deltas);
+    (ckt, config)
+}
+
+/// [`read_circuit`], also returning the cell's nodes for measurement.
+fn read_netlist(vth_deltas: &[f64; 6]) -> (Circuit, TransientConfig, CellNodes) {
     let cell = SramCellConfig::typical_45nm();
     let vdd = cell.vdd;
     let mut ckt = Circuit::new();
@@ -73,7 +83,31 @@ fn read_circuit(vth_deltas: &[f64; 6]) -> (Circuit, TransientConfig) {
     ic[nodes.bitline_bar] = vdd;
     ic[nodes.q_bar] = vdd;
     let config = TransientConfig::new(2.5e-9, 5e-12).with_initial_conditions(ic);
-    (ckt, config)
+    (ckt, config, nodes)
+}
+
+/// The write testbench netlist (cell + bitlines driven to the opposite
+/// value), with the cell's nodes for measurement.
+fn write_netlist(vth_deltas: &[f64; 6]) -> (Circuit, TransientConfig, CellNodes) {
+    let cell = SramCellConfig::typical_45nm();
+    let vdd = cell.vdd;
+    let mut ckt = Circuit::new();
+    let nodes = build_6t_cell(&mut ckt, &cell, vth_deltas).unwrap();
+    ckt.add_voltage_source("V_VDD", nodes.vdd, GROUND, SourceWaveform::dc(vdd));
+    ckt.add_voltage_source(
+        "V_WL",
+        nodes.wordline,
+        GROUND,
+        SourceWaveform::pulse(0.0, vdd, 0.1e-9, 20e-12, 2.0e-9),
+    );
+    ckt.add_voltage_source("V_BL", nodes.bitline, GROUND, SourceWaveform::dc(0.0));
+    ckt.add_voltage_source("V_BLB", nodes.bitline_bar, GROUND, SourceWaveform::dc(vdd));
+    let mut ic = vec![0.0; ckt.num_nodes()];
+    ic[nodes.vdd] = vdd;
+    ic[nodes.bitline_bar] = vdd;
+    ic[nodes.q] = vdd;
+    let config = TransientConfig::new(2.5e-9, 5e-12).with_initial_conditions(ic);
+    (ckt, config, nodes)
 }
 
 #[test]
@@ -90,25 +124,134 @@ fn sram_read_netlist_golden_bit_identity() {
 
 #[test]
 fn sram_write_netlist_golden_bit_identity() {
-    let cell = SramCellConfig::typical_45nm();
-    let vdd = cell.vdd;
-    let mut ckt = Circuit::new();
-    let nodes = build_6t_cell(&mut ckt, &cell, &[0.02, -0.04, 0.0, 0.1, -0.06, 0.05]).unwrap();
-    ckt.add_voltage_source("V_VDD", nodes.vdd, GROUND, SourceWaveform::dc(vdd));
-    ckt.add_voltage_source(
-        "V_WL",
-        nodes.wordline,
-        GROUND,
-        SourceWaveform::pulse(0.0, vdd, 0.1e-9, 20e-12, 2.0e-9),
-    );
-    ckt.add_voltage_source("V_BL", nodes.bitline, GROUND, SourceWaveform::dc(0.0));
-    ckt.add_voltage_source("V_BLB", nodes.bitline_bar, GROUND, SourceWaveform::dc(vdd));
-    let mut ic = vec![0.0; ckt.num_nodes()];
-    ic[nodes.vdd] = vdd;
-    ic[nodes.bitline_bar] = vdd;
-    ic[nodes.q] = vdd;
-    let config = TransientConfig::new(2.5e-9, 5e-12).with_initial_conditions(ic);
+    let (ckt, config, _) = write_netlist(&[0.02, -0.04, 0.0, 0.1, -0.06, 0.05]);
     assert_transients_bit_identical(&ckt, &config, "6T write");
+}
+
+/// The ΔV_T vectors (canonical order, volts) whose metrics are pinned below:
+/// the nominal cell and three fixed skews.
+const GOLDEN_DELTAS: [[f64; 6]; 4] = [
+    [0.0; 6],
+    [0.12, -0.03, 0.05, 0.0, 0.08, -0.02],
+    [-0.15, 0.2, 0.1, -0.05, 0.0, 0.3],
+    [0.02, -0.04, 0.0, 0.1, -0.06, 0.05],
+];
+
+/// `(f64::to_bits(read access time), newton_iterations_total)` of
+/// [`read_netlist`] at each of [`GOLDEN_DELTAS`] on the sparse kernel.
+const READ_GOLDEN: [(u64, usize); 4] = [
+    (4449768041582671852, 647), // 30.47 ps
+    (4451777062223859376, 667), // 43.45 ps
+    (4449475969504896512, 665), // 28.84 ps
+    (4449904278969474888, 646), // 31.35 ps
+];
+
+/// `(f64::to_bits(write delay), newton_iterations_total)` of
+/// [`write_netlist`] at each of [`GOLDEN_DELTAS`] on the sparse kernel.
+const WRITE_GOLDEN: [(u64, usize); 4] = [
+    (4440646079429645056, 529), // 7.432 ps
+    (4441046345528994384, 527), // 8.079 ps
+    (4435109469291058144, 537), // 3.260 ps
+    (4440811044149455168, 529), // 7.699 ps
+];
+
+/// `(f64::to_bits(failure probability), evaluations)` of the fixed-seed,
+/// small-budget GIS run in [`golden_metrics_and_gis_estimate_are_pinned`].
+const GIS_GOLDEN: (u64, u64) = (4548044093173199153, 193); // p = 1.1405e-4
+
+/// Time from the wordline's half-rise to `node` crossing `level` in
+/// `direction`, censored at the window when it never does.
+fn delay_after_wordline(
+    ckt: &Circuit,
+    config: &TransientConfig,
+    nodes: &CellNodes,
+    node: usize,
+    level: f64,
+    direction: CrossingDirection,
+) -> (f64, usize) {
+    let vdd = SramCellConfig::typical_45nm().vdd;
+    let result = transient_analysis(ckt, config).expect("sparse transient");
+    let wl = result.waveform_view(nodes.wordline).unwrap();
+    let t_wl = wl
+        .crossing_time(vdd / 2.0, CrossingDirection::Rising, 0.0)
+        .unwrap();
+    let delay = result
+        .waveform_view(node)
+        .unwrap()
+        .crossing_time(level, direction, t_wl)
+        .map_or(config.stop_time, |t| t - t_wl);
+    (delay, result.newton_iterations_total())
+}
+
+#[test]
+fn golden_metrics_and_gis_estimate_are_pinned() {
+    // Absolute values, not a sparse-vs-dense comparison: a change to the
+    // shared MOSFET or MNA code would move both kernels together and pass
+    // every comparison test, but not this one.
+    let vdd = SramCellConfig::typical_45nm().vdd;
+    let mut read = Vec::new();
+    let mut write = Vec::new();
+    for deltas in &GOLDEN_DELTAS {
+        let (ckt, config, nodes) = read_netlist(deltas);
+        let (t, n) = delay_after_wordline(
+            &ckt,
+            &config,
+            &nodes,
+            nodes.bitline,
+            vdd - 0.1,
+            CrossingDirection::Falling,
+        );
+        read.push((t.to_bits(), n));
+        let (ckt, config, nodes) = write_netlist(deltas);
+        let (t, n) = delay_after_wordline(
+            &ckt,
+            &config,
+            &nodes,
+            nodes.q,
+            vdd / 2.0,
+            CrossingDirection::Falling,
+        );
+        write.push((t.to_bits(), n));
+    }
+
+    let cell = SramCellConfig::typical_45nm();
+    let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
+    let model = SramTransientModel::new(
+        SramTestbench::typical_45nm(),
+        space,
+        SramMetric::ReadAccessTime,
+    );
+    let nominal = model.nominal_metric();
+    let problem = FailureProblem::from_model(model, Spec::UpperLimit(1.6 * nominal));
+    let gis = GradientImportanceSampling::new(GisConfig {
+        mpfp: MpfpConfig {
+            max_evaluations: 200,
+            max_iterations: 15,
+            ..MpfpConfig::default()
+        },
+        sampling: ImportanceSamplingConfig {
+            corrected_stopping: true,
+            max_samples: 200,
+            batch_size: 50,
+            target_relative_error: 0.3,
+            min_failures: 10,
+        },
+        ..GisConfig::default()
+    });
+    let outcome = gis.estimate(&problem, &mut RngStream::from_seed(20180318));
+    let estimate = (
+        outcome.result.failure_probability.to_bits(),
+        outcome.result.evaluations,
+    );
+    assert_eq!(
+        nominal.to_bits(),
+        READ_GOLDEN[0].0,
+        "nominal read metric moved"
+    );
+
+    assert_eq!(read, READ_GOLDEN, "read metrics moved");
+    assert_eq!(write, WRITE_GOLDEN, "write metrics moved");
+    assert_eq!(estimate, GIS_GOLDEN, "GIS estimate moved");
 }
 
 #[test]
