@@ -12,19 +12,11 @@
 //! reference kernel** serially and asserts that every estimator's failure
 //! probability is bit-identical to the sparse production kernel — the
 //! end-to-end guarantee of the sparse/workspace solver — and records the
-//! kernel-vs-kernel speedup in the `*_dense` fields. The **lockstep** and
-//! **fast** kernels get rows of their own (`kernel` = "lockstep"/"fast")
-//! with `speedup_vs_sparse_kernel`/`bit_identical_vs_sparse_kernel` columns:
-//! the lockstep kernel must reproduce the sparse estimates bit for bit
-//! (asserted), while the fast lane is held to an estimate-agreement band and
-//! a nominal-waveform tolerance instead. The `kernel` field makes
-//! `BENCH_evaluation.json` a comparable perf trajectory across PRs.
+//! kernel-vs-kernel speedup in the `*_dense` fields.
 //!
 //! The workload per method is pinned (no early stopping), so all runs of one
 //! method perform exactly the same work and every speedup column is a clean
-//! wall-clock ratio. `speedup_vs_sparse_kernel` divides by a sparse baseline
-//! re-measured immediately before each alt-kernel run (not the minutes-old
-//! main-loop run), cancelling slow host drift out of the ratio.
+//! wall-clock ratio.
 //!
 //! Output: `BENCH_evaluation.json` at the workspace root.
 //!
@@ -76,14 +68,6 @@ struct BenchEntry {
     /// Whether the dense kernel reproduced the failure probability bit for
     /// bit (asserted; recorded for the artifact trail).
     bit_identical_vs_dense_kernel: Option<bool>,
-    /// Serial wall-clock ratio sparse kernel / this kernel, on the
-    /// "lockstep"/"fast" rows only: > 1 means this kernel is faster.
-    speedup_vs_sparse_kernel: Option<f64>,
-    /// Whether this kernel reproduced the sparse kernel's estimates bit for
-    /// bit ("lockstep"/"fast" rows only). Asserted `true` for the lockstep
-    /// kernel; expected `false` for the fast lane, which is instead held to
-    /// an estimate-agreement band.
-    bit_identical_vs_sparse_kernel: Option<bool>,
 }
 
 #[derive(Debug, Serialize)]
@@ -106,30 +90,13 @@ struct BenchProblem {
     dense_problem: Option<FailureProblem>,
     kernel: &'static str,
     budget: u64,
-    /// Additional kernels benchmarked as rows of their own, compared against
-    /// the production kernel's serial run. The flag says whether the kernel
-    /// must reproduce the production estimates bit for bit.
-    alt_kernels: Vec<(&'static str, FailureProblem, bool)>,
 }
 
-fn transient_bench(name: &'static str, metric: SramMetric, fast: bool) -> (BenchProblem, f64, f64) {
+fn transient_bench(name: &'static str, metric: SramMetric, fast: bool) -> BenchProblem {
     let sparse = transient_model_with_kernel(metric, TransientKernel::Sparse);
     let nominal = sparse.nominal_metric();
     let dense = transient_model_with_kernel(metric, TransientKernel::Dense);
-    let lockstep = transient_model_with_kernel(metric, TransientKernel::Lockstep);
-    let fast_lane = transient_model_with_kernel(metric, TransientKernel::Fast);
-    // Fast-lane waveform tolerance, checked before any row is recorded: the
-    // nominal metric of the fast kernel must track the exact kernel to within
-    // one part in 1e6 (the documented per-waveform contract is < 1e-7 V on
-    // node voltages, which translates to ~1e-6 relative on crossing-derived
-    // metrics at these slew rates).
-    let fast_nominal = fast_lane.nominal_metric();
-    let nominal_deviation = ((fast_nominal - nominal) / nominal).abs();
-    assert!(
-        nominal_deviation < 1e-6,
-        "{name}: fast-lane nominal metric deviates by {nominal_deviation:e}"
-    );
-    let problem = BenchProblem {
+    BenchProblem {
         name,
         // 1.3x the nominal metric: failures are reachable by every method
         // within a small simulation budget.
@@ -137,25 +104,10 @@ fn transient_bench(name: &'static str, metric: SramMetric, fast: bool) -> (Bench
         dense_problem: Some(problem_with_relative_spec(dense, nominal, 1.3)),
         kernel: "sparse",
         budget: if fast { 160 } else { 2_000 },
-        alt_kernels: vec![
-            (
-                "lockstep",
-                problem_with_relative_spec(lockstep, nominal, 1.3),
-                true,
-            ),
-            (
-                "fast",
-                problem_with_relative_spec(fast_lane, nominal, 1.3),
-                false,
-            ),
-        ],
-    };
-    (problem, nominal, nominal_deviation)
+    }
 }
 
 fn bench_problems(fast: bool) -> Vec<BenchProblem> {
-    let (read, _, _) = transient_bench("sram-transient-read", SramMetric::ReadAccessTime, fast);
-    let (write, _, _) = transient_bench("sram-transient-write", SramMetric::WriteDelay, fast);
     vec![
         BenchProblem {
             name: "linear-6d-4sigma",
@@ -166,7 +118,6 @@ fn bench_problems(fast: bool) -> Vec<BenchProblem> {
             dense_problem: None,
             kernel: "none",
             budget: if fast { 5_000 } else { 50_000 },
-            alt_kernels: Vec::new(),
         },
         BenchProblem {
             name: "quadratic-6d",
@@ -177,10 +128,9 @@ fn bench_problems(fast: bool) -> Vec<BenchProblem> {
             dense_problem: None,
             kernel: "none",
             budget: if fast { 5_000 } else { 50_000 },
-            alt_kernels: Vec::new(),
         },
-        read,
-        write,
+        transient_bench("sram-transient-read", SramMetric::ReadAccessTime, fast),
+        transient_bench("sram-transient-write", SramMetric::WriteDelay, fast),
     ]
 }
 
@@ -241,7 +191,7 @@ fn main() {
             .as_ref()
             .map(|p| run_all(bench.name, p, bench.budget, 1));
         for (index, ((method, outcome_1, wall_1), (_, outcome_n, wall_n))) in
-            serial.iter().cloned().zip(parallel).enumerate()
+            serial.into_iter().zip(parallel).enumerate()
         {
             let identical = outcome_1.result.failure_probability.to_bits()
                 == outcome_n.result.failure_probability.to_bits()
@@ -292,8 +242,6 @@ fn main() {
                 evaluations_per_second_dense: dense_rate,
                 speedup_vs_dense_kernel: dense_speedup,
                 bit_identical_vs_dense_kernel: dense_identical,
-                speedup_vs_sparse_kernel: None,
-                bit_identical_vs_sparse_kernel: None,
             };
             match entry.speedup_vs_dense_kernel {
                 Some(dense_speedup) => println!(
@@ -318,108 +266,6 @@ fn main() {
                 ),
             }
             entries.push(entry);
-        }
-
-        // The lockstep and fast kernels: same pinned workload, rows of their
-        // own, compared against the sparse serial run above. The *timing*
-        // baseline is a fresh sparse serial run taken immediately before each
-        // alt-kernel run: on a busy single-core host, wall-clock drifts by
-        // tens of percent over the minutes this binary runs, and a ratio of
-        // adjacent measurements cancels that drift where a ratio against the
-        // minutes-old sparse run would mostly measure the host. Correctness
-        // assertions still compare against the original sparse outcomes.
-        for (alt_kernel, alt_problem, must_match) in &bench.alt_kernels {
-            let sparse_adjacent = run_all(bench.name, &bench.problem, bench.budget, 1);
-            let alt_serial = run_all(bench.name, alt_problem, bench.budget, 1);
-            let alt_parallel = run_all(bench.name, alt_problem, bench.budget, threads);
-            for (index, ((method, outcome_1, wall_1), (_, outcome_n, wall_n))) in
-                alt_serial.into_iter().zip(alt_parallel).enumerate()
-            {
-                let identical = outcome_1.result.failure_probability.to_bits()
-                    == outcome_n.result.failure_probability.to_bits()
-                    && outcome_1.result.evaluations == outcome_n.result.evaluations
-                    && outcome_1.result.failures_observed == outcome_n.result.failures_observed;
-                assert!(
-                    identical,
-                    "{}/{method} [{alt_kernel}]: parallel run diverged from the serial run",
-                    bench.name
-                );
-                let (sparse_method, sparse_outcome, _) = &serial[index];
-                assert_eq!(*sparse_method, method, "kernel run ordering diverged");
-                let (adjacent_method, adjacent_outcome, sparse_wall) = &sparse_adjacent[index];
-                assert_eq!(*adjacent_method, method, "kernel run ordering diverged");
-                assert_eq!(
-                    adjacent_outcome.result.failure_probability.to_bits(),
-                    sparse_outcome.result.failure_probability.to_bits(),
-                    "{}/{method}: the re-measured sparse baseline diverged from the \
-                     original sparse run",
-                    bench.name
-                );
-                let evaluations = outcome_1.result.evaluations;
-                assert_eq!(
-                    evaluations, sparse_outcome.result.evaluations,
-                    "{}/{method} [{alt_kernel}]: the workload must stay budget-pinned",
-                    bench.name
-                );
-                let matches_sparse = outcome_1.result.failure_probability.to_bits()
-                    == sparse_outcome.result.failure_probability.to_bits();
-                if *must_match {
-                    assert!(
-                        matches_sparse,
-                        "{}/{method}: the {alt_kernel} kernel must reproduce the sparse \
-                         kernel bit for bit ({:e} vs {:e})",
-                        bench.name,
-                        outcome_1.result.failure_probability,
-                        sparse_outcome.result.failure_probability,
-                    );
-                } else {
-                    // Fast lane: deterministic but not bit-identical; the
-                    // estimate must stay inside a 5% agreement band (in
-                    // practice the estimates match exactly unless a sample
-                    // sits within the fast lane's ~1e-6 metric tolerance of
-                    // the spec threshold).
-                    let a = outcome_1.result.failure_probability;
-                    let b = sparse_outcome.result.failure_probability;
-                    let agree = a == b || (a - b).abs() <= 0.05 * b.abs().max(a.abs());
-                    assert!(
-                        agree,
-                        "{}/{method}: the {alt_kernel} kernel's estimate left the \
-                         agreement band ({a:e} vs {b:e})",
-                        bench.name
-                    );
-                }
-                let entry = BenchEntry {
-                    problem: bench.name.to_string(),
-                    method,
-                    kernel: alt_kernel.to_string(),
-                    threads,
-                    evaluations,
-                    failure_probability: outcome_1.result.failure_probability,
-                    wall_time_seconds_1thread: wall_1,
-                    wall_time_seconds: wall_n,
-                    evaluations_per_second_1thread: evaluations as f64 / wall_1.max(1e-12),
-                    evaluations_per_second: evaluations as f64 / wall_n.max(1e-12),
-                    speedup_vs_1thread: wall_1 / wall_n.max(1e-12),
-                    bit_identical_across_threads: identical,
-                    evaluations_per_second_dense: None,
-                    speedup_vs_dense_kernel: None,
-                    bit_identical_vs_dense_kernel: None,
-                    speedup_vs_sparse_kernel: Some(sparse_wall / wall_1.max(1e-12)),
-                    bit_identical_vs_sparse_kernel: Some(matches_sparse),
-                };
-                println!(
-                    "{:<22} {:<22} {:>8} evals | 1T {:>8.3}s | {}T {:>8.3}s | vs sparse {:>5.2}x [{}]",
-                    entry.problem,
-                    entry.method,
-                    entry.evaluations,
-                    entry.wall_time_seconds_1thread,
-                    entry.threads,
-                    entry.wall_time_seconds,
-                    sparse_wall / wall_1.max(1e-12),
-                    entry.kernel
-                );
-                entries.push(entry);
-            }
         }
     }
 

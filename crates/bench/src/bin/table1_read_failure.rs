@@ -13,8 +13,7 @@
 //! With `--connect HOST:PORT` the identical configuration is shipped to a
 //! running `gis-serve` daemon instead (the estimator configs below travel
 //! over the wire in full fidelity), and the returned rows are bit-identical
-//! to the local path — unless the local run opted into `GIS_FAST_LANE`,
-//! which the daemon deliberately does not honor.
+//! to the local path.
 
 // Experiment driver: abort-on-error is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -69,9 +69,7 @@ pub fn connect_addr() -> Option<String> {
 /// Thin-client mode shared by the experiment binaries: submits `job` to the
 /// `gis-serve` daemon at `addr`, streams per-cell progress to stdout and
 /// returns the receipt. The returned report is bit-identical to running the
-/// identical configuration locally (the daemon always integrates on the
-/// default sparse kernel, so a client running under `GIS_FAST_LANE=1`
-/// compares against the default lane, not the fast one).
+/// identical configuration locally.
 ///
 /// Submission is self-healing: a server that dies or drops the socket
 /// mid-stream is retried under the default [`gis_serve::RetryPolicy`]
@@ -126,43 +124,13 @@ pub fn surrogate_write_model() -> SramSurrogateModel {
     SramSurrogateModel::new(SramSurrogate::typical_45nm(), space, SramMetric::WriteDelay)
 }
 
-/// Environment variable that switches [`transient_model`] onto the
-/// calibration-gated fast-math kernel ([`gis_core::TransientKernel::Fast`]).
-/// Any non-empty value other than `0` enables it.
-///
-/// The fast lane is deterministic (bit-identical across runs and thread
-/// counts) but **not** bit-identical to the sparse kernel; it is admissible
-/// for experiments because the CI gate runs the calibration matrix and the
-/// evaluation harness with this variable set and asserts the fast-lane
-/// estimates agree with the exact kernel (see README "Performance &
-/// parallelism" for the tolerance contract).
-pub const FAST_LANE_ENV_VAR: &str = "GIS_FAST_LANE";
-
-/// Reads the `GIS_FAST_LANE` environment variable — `true` when the fast
-/// transcendental lane is requested. Single definition of the contract;
-/// reuse it instead of re-parsing the variable.
-pub fn fast_lane_enabled() -> bool {
-    std::env::var(FAST_LANE_ENV_VAR)
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-        .unwrap_or(false)
-}
-
-/// Builds the default transient-simulation-backed model for `metric`: the
-/// sparse kernel, or the fast lane when `GIS_FAST_LANE` is set (see
-/// [`FAST_LANE_ENV_VAR`]). Harness code that *compares* kernels must pin
-/// them explicitly via [`transient_model_with_kernel`] instead.
+/// Builds the default transient-simulation-backed model for `metric` on the
+/// sparse kernel. Harness code that *compares* kernels pins them explicitly
+/// via [`transient_model_with_kernel`].
 pub fn transient_model(metric: SramMetric) -> SramTransientModel {
     let cell = SramCellConfig::typical_45nm();
     let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
-    let model = SramTransientModel::new(SramTestbench::typical_45nm(), space, metric);
-    if fast_lane_enabled() {
-        model.with_kernel(gis_core::TransientKernel::Fast)
-    } else {
-        model
-    }
+    SramTransientModel::new(SramTestbench::typical_45nm(), space, metric)
 }
 
 /// Builds the default transient model on an explicit solver kernel — the

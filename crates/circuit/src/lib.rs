@@ -54,16 +54,13 @@ pub mod transient;
 pub mod waveform;
 
 pub use error::CircuitError;
-pub use mna::{
-    same_topology, DynamicState, LockstepDynamicState, LockstepWorkspace, MnaSystem,
-    SimulationWorkspace, MAX_LANES,
-};
+pub use mna::{DynamicState, MnaSystem, SimulationWorkspace};
 pub use mosfet::{MosfetOperatingPoint, MosfetParams, MosfetPolarity};
 pub use netlist::{Circuit, Device, NodeId, SourceWaveform, GROUND};
 pub use sweep::{dc_sweep, DcSweepResult};
 pub use transient::{
-    transient_analysis, transient_analysis_dense, transient_analysis_lockstep,
-    transient_analysis_with, TransientConfig, TransientKernel, TransientResult,
+    transient_analysis, transient_analysis_dense, transient_analysis_with, TransientConfig,
+    TransientKernel, TransientResult,
 };
 pub use waveform::{CrossingDirection, Waveform, WaveformView};
 

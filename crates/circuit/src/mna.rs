@@ -25,42 +25,9 @@
 //! regardless of the kernel.
 
 use crate::error::CircuitError;
-use crate::mosfet::{evaluate_normalized_fast_lanes, MosfetParams, THERMAL_VOLTAGE};
 use crate::netlist::{Circuit, Device, NodeId, GROUND};
-use gis_linalg::sparse::{LockstepLu, PatternBuilder, SparseLu, SymbolicLu};
+use gis_linalg::sparse::{PatternBuilder, SparseLu, SymbolicLu};
 use gis_linalg::{LuDecomposition, Matrix, Vector};
-
-pub use gis_linalg::sparse::MAX_LANES;
-
-/// Loads the `L` lane values starting at `base` into an array (lane-group
-/// load; the mirror of the helper in [`gis_linalg::sparse`]).
-#[inline]
-fn lane_group<const L: usize>(values: &[f64], base: usize) -> [f64; L] {
-    let mut out = [0.0; L];
-    out.copy_from_slice(&values[base..base + L]);
-    out
-}
-
-/// Dispatches a lane-generic free function to its const-lane-count
-/// monomorphization. The inner lane loops only unroll and vectorize when the
-/// trip count is a compile-time constant, so every hot lockstep path funnels
-/// through this match.
-macro_rules! lanes_dispatch {
-    ($lanes:expr, $func:ident ( $($arg:expr),* $(,)? )) => {
-        match $lanes {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            3 => $func::<3>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            5 => $func::<5>($($arg),*),
-            6 => $func::<6>($($arg),*),
-            7 => $func::<7>($($arg),*),
-            8 => $func::<8>($($arg),*),
-            // Unreachable: lane count is bounded by MAX_LANES at bind.
-            _ => unreachable!("lane count bounded by MAX_LANES"),
-        }
-    };
-}
 
 /// Minimum conductance tied from every non-ground node to ground. Prevents
 /// singular systems from floating nodes (e.g. the internal node of a stack of
@@ -384,256 +351,6 @@ impl SimulationWorkspace {
     pub fn symbolic(&self) -> Option<&SymbolicLu> {
         self.core.as_ref().map(|c| c.lu.symbolic())
     }
-}
-
-/// Lane-major dynamic state of the lockstep kernel. Node `n` of lane `l`
-/// lives at `previous_node_voltages[n * lanes + l]`; the time step is shared
-/// because every lane advances through the identical discretization.
-#[derive(Debug, Clone, Copy)]
-pub struct LockstepDynamicState<'a> {
-    /// Node voltages (full, including ground rows) at the previous accepted
-    /// time point, lane-major.
-    pub previous_node_voltages: &'a [f64],
-    /// Time step in seconds.
-    pub dt: f64,
-}
-
-/// Reusable, allocation-free state for the multi-sample lockstep kernel: the
-/// lane-batched counterpart of [`SimulationWorkspace`].
-///
-/// One workspace advances up to [`MAX_LANES`] independent Monte-Carlo samples
-/// — same netlist topology, different device values — through **one** compiled
-/// stamp program and **one** [`LockstepLu`] factorization plan. All numeric
-/// buffers are lane-strided (unknown `i` of lane `l` at `i * lanes + l`), so
-/// the per-lane arithmetic is the scalar kernel's arithmetic in the scalar
-/// kernel's order and every lane's trajectory is bit-identical to a scalar
-/// [`SimulationWorkspace`] run of the same circuit.
-#[derive(Debug, Clone, Default)]
-pub struct LockstepWorkspace {
-    core: Option<LockstepCore>,
-}
-
-/// Per-solve staged device values of the lockstep kernel (lane-major per
-/// program op of each kind): every value the stamp replay needs that does not
-/// depend on the Newton iterate, extracted once per solve by
-/// [`stage_lockstep_values`] so the per-iteration replay walks flat `f64`
-/// arrays instead of matching per-lane `Device` enums. All buffers are sized
-/// at bind time; staging only overwrites them.
-#[derive(Debug, Clone, Default)]
-struct LockstepStage {
-    /// Resistor conductances `g = 1/R` (program-resistor-major × lanes).
-    res_g: Vec<f64>,
-    /// Capacitor companion conductances `geq = C/dt`; untouched (and unread)
-    /// during DC solves, where capacitors are open circuits.
-    cap_geq: Vec<f64>,
-    /// Voltage-source drives `value_at(time)`.
-    vsrc_v: Vec<f64>,
-    /// Current-source drives `value_at(time)`.
-    isrc_i: Vec<f64>,
-    /// MOSFET model cards (eval-major × lanes), for the exact model path.
-    params: Vec<MosfetParams>,
-    /// Fast-lane structure-of-arrays model cards (eval-major × lanes), only
-    /// filled when the solve runs the fast model.
-    vth0: Vec<f64>,
-    /// Transconductance factors `k' · W/L`.
-    k_prime: Vec<f64>,
-    /// Channel-length modulation coefficients.
-    lambda: Vec<f64>,
-    /// Soft-plus scales `2 n φ_t`.
-    two_n_phi_t: Vec<f64>,
-    /// Linearized body-effect coefficients.
-    body_effect: Vec<f64>,
-    /// Per-eval polarity signs (polarity is part of the shared topology, so
-    /// one sign covers all lanes — asserted during staging).
-    sign: Vec<f64>,
-}
-
-#[derive(Debug, Clone)]
-struct LockstepCore {
-    num_nodes: usize,
-    dim: usize,
-    lanes: usize,
-    signature: Vec<DeviceSignature>,
-    program: Vec<StampOp>,
-    mosfet_evals: Vec<MosfetEvalSpec>,
-    /// Lane-major per-iteration MOSFET outputs: `scratch[eval * lanes + lane]`.
-    mosfet_scratch: Vec<MosfetScratch>,
-    /// Per-solve staged device values (see [`LockstepStage`]).
-    staged: LockstepStage,
-    lu: LockstepLu,
-    /// Lane-major right-hand side (`dim × lanes`).
-    z: Vec<f64>,
-    /// Lane-major Newton iterates.
-    x: Vec<f64>,
-    x_new: Vec<f64>,
-    /// Per-lane "still iterating" mask of the current Newton solve.
-    running: [bool; MAX_LANES],
-}
-
-impl LockstepWorkspace {
-    /// Creates an empty workspace; it binds to a topology on first use.
-    pub fn new() -> Self {
-        LockstepWorkspace::default()
-    }
-
-    /// Returns `true` if the workspace's plan matches `system`'s topology at
-    /// the given lane count.
-    fn matches(&self, system: &MnaSystem, lanes: usize) -> bool {
-        let Some(core) = &self.core else {
-            return false;
-        };
-        core.lanes == lanes
-            && core.dim == system.dim
-            && core.num_nodes == system.num_nodes
-            && core.signature.len() == system.circuit.num_devices()
-            && core
-                .signature
-                .iter()
-                .zip(system.circuit.devices())
-                .all(|(sig, dev)| *sig == device_signature(dev))
-    }
-
-    /// Binds the workspace to `system`'s topology for `lanes` lockstep
-    /// samples, rebuilding the symbolic plan only if the topology or the lane
-    /// count changed. Value-only changes (the Monte-Carlo hot path) are free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_LANES`].
-    pub fn bind(&mut self, system: &MnaSystem, lanes: usize) {
-        if self.matches(system, lanes) {
-            return;
-        }
-        let dim = system.dim;
-        let mut builder = PatternBuilder::new(dim);
-        // Identical symbolic pre-pass as the scalar workspace: all lanes share
-        // the connectivity, so one pattern covers every lane.
-        let zeros_x = vec![0.0; dim];
-        let zeros_nodes = vec![0.0; system.num_nodes];
-        let dynamic = DynamicState {
-            previous_node_voltages: &zeros_nodes,
-            dt: 1.0,
-        };
-        system.assemble_with(
-            &zeros_x,
-            0.0,
-            Some(&dynamic),
-            &mut PatternStamper {
-                pattern: &mut builder,
-            },
-        );
-        let symbolic = SymbolicLu::analyze(&builder.build());
-        let (program, mosfet_evals) = compile_program(system);
-        let mosfet_scratch = vec![MosfetScratch::default(); mosfet_evals.len() * lanes];
-        let count = |probe: fn(&StampOp) -> bool| program.iter().filter(|op| probe(op)).count();
-        let ne = mosfet_evals.len();
-        // All staging buffers are pre-sized here so the per-solve staging pass
-        // (and with it the whole steady-state solve) stays allocation-free.
-        // The model cards start as placeholder defaults; staging overwrites
-        // every entry before the first read.
-        let staged = LockstepStage {
-            res_g: vec![0.0; count(|op| matches!(op, StampOp::Resistor { .. })) * lanes],
-            cap_geq: vec![0.0; count(|op| matches!(op, StampOp::Capacitor { .. })) * lanes],
-            vsrc_v: vec![0.0; count(|op| matches!(op, StampOp::VoltageSource { .. })) * lanes],
-            isrc_i: vec![0.0; count(|op| matches!(op, StampOp::CurrentSource { .. })) * lanes],
-            params: vec![MosfetParams::nmos_45nm(); ne * lanes],
-            vth0: vec![0.0; ne * lanes],
-            k_prime: vec![0.0; ne * lanes],
-            lambda: vec![0.0; ne * lanes],
-            two_n_phi_t: vec![0.0; ne * lanes],
-            body_effect: vec![0.0; ne * lanes],
-            sign: vec![0.0; ne],
-        };
-        self.core = Some(LockstepCore {
-            num_nodes: system.num_nodes,
-            dim,
-            lanes,
-            signature: system
-                .circuit
-                .devices()
-                .iter()
-                .map(device_signature)
-                .collect(),
-            program,
-            mosfet_evals,
-            mosfet_scratch,
-            staged,
-            lu: LockstepLu::new(symbolic, lanes),
-            z: vec![0.0; dim * lanes],
-            x: vec![0.0; dim * lanes],
-            x_new: vec![0.0; dim * lanes],
-            running: [false; MAX_LANES],
-        });
-    }
-
-    /// The lane count the workspace is bound at, if bound.
-    pub fn lanes(&self) -> Option<usize> {
-        self.core.as_ref().map(|c| c.lanes)
-    }
-
-    /// The lane-major iterate/solution vector (`dim × lanes`, unknown `i` of
-    /// lane `l` at `i * lanes + l`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never been bound.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn state(&self) -> &[f64] {
-        &self.core.as_ref().expect("workspace is bound").x
-    }
-
-    /// Seeds every lane's Newton iterate with the same initial guess
-    /// (entries beyond `x0.len()` are zeroed), mirroring
-    /// [`SimulationWorkspace::set_state`] per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never been bound.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn set_state_broadcast(&mut self, x0: &[f64]) {
-        let core = self.core.as_mut().expect("workspace is bound");
-        for i in 0..core.dim {
-            let value = if i < x0.len() { x0[i] } else { 0.0 };
-            for lane in 0..core.lanes {
-                core.x[i * core.lanes + lane] = value;
-            }
-        }
-    }
-
-    /// Writes lane `lane`'s per-node voltages into the lane-major `out`
-    /// buffer (`out[node * lanes + lane]`, ground as 0.0), without
-    /// allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never been bound or `out` is shorter than
-    /// `num_nodes × lanes`.
-    /// gis-analyze: no_alloc
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn lane_node_voltages_into_strided(&self, lane: usize, out: &mut [f64]) {
-        let core = self.core.as_ref().expect("workspace is bound");
-        out[lane] = 0.0; // ground row
-        for node in 1..core.num_nodes {
-            out[node * core.lanes + lane] = core.x[(node - 1) * core.lanes + lane];
-        }
-    }
-
-    /// The symbolic plan, if the workspace is bound (for diagnostics/tests).
-    pub fn symbolic(&self) -> Option<&SymbolicLu> {
-        self.core.as_ref().map(|c| c.lu.symbolic())
-    }
-}
-
-/// `true` when `a` and `b` have the same node count and identical device
-/// connectivity (device *values* are free to differ) — the precondition for
-/// advancing them through one shared lockstep plan.
-pub fn same_topology(a: &Circuit, b: &Circuit) -> bool {
-    a.num_nodes() == b.num_nodes()
-        && a.num_devices() == b.num_devices()
-        && a.devices()
-            .iter()
-            .zip(b.devices())
-            .all(|(da, db)| device_signature(da) == device_signature(db))
 }
 
 /// An assembled view of a circuit ready for MNA analysis.
@@ -1130,200 +847,6 @@ impl<'a> MnaSystem<'a> {
         })
     }
 
-    /// Runs the damped Newton iteration for `circuits.len()` lockstep lanes
-    /// in place on `workspace`. `circuits[lane]` supplies lane `lane`'s
-    /// device values; every circuit must share `self`'s topology (the caller
-    /// checks via [`same_topology`], debug-asserted here).
-    ///
-    /// `alive[lane]` selects the lanes to solve. The method is infallible at
-    /// the batch level: a lane that hits a singular system or fails to
-    /// converge gets its error stored in `errors[lane]` and its `alive` flag
-    /// cleared, without perturbing the other lanes. A converged lane's spent
-    /// iterations are *added* to `newton_iterations[lane]` (the transient
-    /// driver accumulates across time steps).
-    ///
-    /// Each lane performs exactly the scalar [`MnaSystem::solve_newton_in`]
-    /// arithmetic in the scalar order, so surviving lanes are bit-identical
-    /// to scalar runs of the same circuit. In the steady state — bound
-    /// workspace, new values — the call is allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alive`/`errors`/`newton_iterations` are shorter than the
-    /// lane count, or if `circuits` is empty or longer than [`MAX_LANES`].
-    /// gis-analyze: no_alloc
-    #[allow(clippy::too_many_arguments)] // lane-batched mirror of solve_newton_in
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn solve_newton_lockstep_in(
-        &self,
-        workspace: &mut LockstepWorkspace,
-        circuits: &[&Circuit],
-        time: f64,
-        dynamic: Option<&LockstepDynamicState<'_>>,
-        analysis: &'static str,
-        max_iterations: usize,
-        fast: bool,
-        alive: &mut [bool],
-        errors: &mut [Option<CircuitError>],
-        newton_iterations: &mut [usize],
-    ) {
-        workspace.bind(self, circuits.len());
-        let core = workspace.core.as_mut().expect("workspace bound above");
-        self.solve_newton_lockstep_bound(
-            core,
-            circuits,
-            time,
-            dynamic,
-            analysis,
-            max_iterations,
-            fast,
-            alive,
-            errors,
-            newton_iterations,
-        );
-    }
-
-    /// Like [`MnaSystem::solve_newton_lockstep_in`] but assumes the workspace
-    /// is already bound to this system at `circuits.len()` lanes (used by the
-    /// lockstep transient driver, which binds once per analysis instead of
-    /// paying the per-step signature walk).
-    /// gis-analyze: no_alloc
-    #[allow(clippy::too_many_arguments)] // lane-batched mirror of solve_newton_prebound
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub(crate) fn solve_newton_lockstep_prebound(
-        &self,
-        workspace: &mut LockstepWorkspace,
-        circuits: &[&Circuit],
-        time: f64,
-        dynamic: Option<&LockstepDynamicState<'_>>,
-        analysis: &'static str,
-        max_iterations: usize,
-        fast: bool,
-        alive: &mut [bool],
-        errors: &mut [Option<CircuitError>],
-        newton_iterations: &mut [usize],
-    ) {
-        debug_assert!(
-            workspace.matches(self, circuits.len()),
-            "workspace not bound to system"
-        );
-        let core = workspace.core.as_mut().expect("caller bound the workspace");
-        self.solve_newton_lockstep_bound(
-            core,
-            circuits,
-            time,
-            dynamic,
-            analysis,
-            max_iterations,
-            fast,
-            alive,
-            errors,
-            newton_iterations,
-        );
-    }
-
-    /// The bound lockstep Newton loop (see [`MnaSystem::solve_newton_lockstep_in`]).
-    /// gis-analyze: no_alloc
-    #[allow(clippy::too_many_arguments)] // lane-batched mirror of solve_newton_bound
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    fn solve_newton_lockstep_bound(
-        &self,
-        core: &mut LockstepCore,
-        circuits: &[&Circuit],
-        time: f64,
-        dynamic: Option<&LockstepDynamicState<'_>>,
-        analysis: &'static str,
-        max_iterations: usize,
-        fast: bool,
-        alive: &mut [bool],
-        errors: &mut [Option<CircuitError>],
-        newton_iterations: &mut [usize],
-    ) {
-        let lanes = core.lanes;
-        debug_assert_eq!(circuits.len(), lanes, "one circuit per lane");
-        debug_assert!(circuits.iter().all(|c| same_topology(circuits[0], c)));
-        assert!(alive.len() >= lanes && errors.len() >= lanes && newton_iterations.len() >= lanes);
-        let node_unknowns = self.num_nodes - 1;
-        core.running[..lanes].copy_from_slice(&alive[..lanes]);
-        stage_lockstep_values(
-            &core.program,
-            &core.mosfet_evals,
-            circuits,
-            time,
-            dynamic.map(|d| d.dt),
-            fast,
-            &mut core.staged,
-        );
-        let mut last_delta = [f64::INFINITY; MAX_LANES];
-        for iteration in 0..max_iterations {
-            if !core.running[..lanes].iter().any(|&r| r) {
-                return;
-            }
-            core.lu.clear();
-            core.z.iter_mut().for_each(|v| *v = 0.0);
-            execute_program_lockstep(
-                &core.program,
-                &core.mosfet_evals,
-                &mut core.mosfet_scratch,
-                &core.staged,
-                &core.running[..lanes],
-                node_unknowns,
-                &core.x,
-                dynamic,
-                &mut core.lu,
-                &mut core.z,
-                fast,
-            );
-            core.lu.factorize(&core.running[..lanes]);
-            for lane in 0..lanes {
-                if core.running[lane] {
-                    if let Err(source) = core.lu.lane_result(lane) {
-                        errors[lane] = Some(CircuitError::SingularSystem { time, source });
-                        alive[lane] = false;
-                        core.running[lane] = false;
-                    }
-                }
-            }
-            if !core.running[..lanes].iter().any(|&r| r) {
-                return;
-            }
-            core.lu
-                .solve(&core.z, &mut core.x_new, &core.running[..lanes])
-                .expect("lockstep buffers are sized by bind");
-            for lane in 0..lanes {
-                if !core.running[lane] {
-                    continue;
-                }
-                let (max_delta, norm_inf) = newton_update_lane(
-                    &mut core.x,
-                    &core.x_new,
-                    lanes,
-                    lane,
-                    node_unknowns,
-                    iteration,
-                    max_iterations,
-                );
-                last_delta[lane] = max_delta;
-                if newton_converged(max_delta, norm_inf) {
-                    newton_iterations[lane] += iteration + 1;
-                    core.running[lane] = false;
-                }
-            }
-        }
-        for lane in 0..lanes {
-            if core.running[lane] {
-                errors[lane] = Some(CircuitError::NewtonDidNotConverge {
-                    analysis,
-                    time,
-                    iterations: max_iterations,
-                    residual: last_delta[lane],
-                });
-                alive[lane] = false;
-                core.running[lane] = false;
-            }
-        }
-    }
-
     /// Computes the DC operating point, optionally warm-started from
     /// `initial_node_voltages` (index = node id; ground entry ignored).
     ///
@@ -1387,44 +910,6 @@ fn newton_update(
 #[inline]
 fn newton_converged(max_delta: f64, norm_inf: f64) -> bool {
     max_delta < VOLTAGE_TOLERANCE + RELATIVE_TOLERANCE * norm_inf.min(1.0)
-}
-
-/// Per-lane damped Newton update of the lockstep kernel: the identical
-/// arithmetic as [`newton_update`], applied to lane `lane` of the lane-major
-/// iterate (`x[i * lanes + lane]`). The stride only changes *where* values
-/// live, not a single operation or its order, so the update is bit-identical
-/// to the scalar kernel's.
-#[inline]
-/// gis-analyze: no_alloc
-fn newton_update_lane(
-    x: &mut [f64],
-    x_new: &[f64],
-    lanes: usize,
-    lane: usize,
-    node_unknowns: usize,
-    iteration: usize,
-    max_iterations: usize,
-) -> (f64, f64) {
-    let relaxation = if iteration * 2 > max_iterations {
-        0.25
-    } else {
-        1.0
-    };
-    let dim = x.len() / lanes;
-    let mut max_delta: f64 = 0.0;
-    let mut norm_inf: f64 = 0.0;
-    for i in 0..dim {
-        let xi = i * lanes + lane;
-        let mut delta = x_new[xi] - x[xi];
-        if i < node_unknowns {
-            delta = relaxation * delta.clamp(-MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP);
-            max_delta = max_delta.max(delta.abs());
-        }
-        let updated = x[xi] + delta;
-        x[xi] = updated;
-        norm_inf = norm_inf.max(updated.abs());
-    }
-    (max_delta, norm_inf)
 }
 
 /// Compiles the netlist walk of `system` into a flat stamp program with every
@@ -1704,434 +1189,6 @@ fn execute_program(
                 }
                 rhs(z, rhs_rows[0], -result.ieq);
                 rhs(z, rhs_rows[1], result.ieq);
-            }
-        }
-    }
-}
-
-/// Stages every iterate-independent device value of one lockstep solve into
-/// `stage` (see [`LockstepStage`]): one netlist walk per solve instead of one
-/// per Newton iteration. Every staged value is the identical deterministic
-/// expression the scalar kernel re-evaluates inside its per-iteration walk
-/// (`1/R`, `C/dt`, `value_at(time)`, plain model-card reads), so reusing the
-/// staged copy across iterations is floating-point exact.
-/// gis-analyze: no_alloc
-fn stage_lockstep_values(
-    program: &[StampOp],
-    mosfet_evals: &[MosfetEvalSpec],
-    circuits: &[&Circuit],
-    time: f64,
-    dt: Option<f64>,
-    fast: bool,
-    stage: &mut LockstepStage,
-) {
-    let lanes = circuits.len();
-    let (mut ri, mut ci, mut vi, mut ii) = (0usize, 0usize, 0usize, 0usize);
-    for op in program {
-        match op {
-            StampOp::Resistor { dev, .. } => {
-                for (lane, circuit) in circuits.iter().enumerate() {
-                    let Device::Resistor { resistance, .. } = &circuit.devices()[*dev as usize]
-                    else {
-                        unreachable!("program op desynchronized from netlist");
-                    };
-                    stage.res_g[ri * lanes + lane] = 1.0 / resistance;
-                }
-                ri += 1;
-            }
-            StampOp::Capacitor { dev, .. } => {
-                if let Some(dt) = dt {
-                    for (lane, circuit) in circuits.iter().enumerate() {
-                        let Device::Capacitor { capacitance, .. } =
-                            &circuit.devices()[*dev as usize]
-                        else {
-                            unreachable!("program op desynchronized from netlist");
-                        };
-                        stage.cap_geq[ci * lanes + lane] = capacitance / dt;
-                    }
-                }
-                ci += 1;
-            }
-            StampOp::VoltageSource { dev, .. } => {
-                for (lane, circuit) in circuits.iter().enumerate() {
-                    let Device::VoltageSource { waveform, .. } = &circuit.devices()[*dev as usize]
-                    else {
-                        unreachable!("program op desynchronized from netlist");
-                    };
-                    stage.vsrc_v[vi * lanes + lane] = waveform.value_at(time);
-                }
-                vi += 1;
-            }
-            StampOp::CurrentSource { dev, .. } => {
-                for (lane, circuit) in circuits.iter().enumerate() {
-                    let Device::CurrentSource { waveform, .. } = &circuit.devices()[*dev as usize]
-                    else {
-                        unreachable!("program op desynchronized from netlist");
-                    };
-                    stage.isrc_i[ii * lanes + lane] = waveform.value_at(time);
-                }
-                ii += 1;
-            }
-            StampOp::Mosfet { eval, .. } => {
-                let e = *eval as usize;
-                let spec = &mosfet_evals[e];
-                for (lane, circuit) in circuits.iter().enumerate() {
-                    let Device::Mosfet { params, .. } = &circuit.devices()[spec.dev as usize]
-                    else {
-                        unreachable!("program op desynchronized from netlist");
-                    };
-                    stage.params[e * lanes + lane] = *params;
-                    debug_assert_eq!(
-                        params.polarity,
-                        stage.params[e * lanes].polarity,
-                        "lockstep lanes share device polarity (topology contract)"
-                    );
-                    if fast {
-                        stage.vth0[e * lanes + lane] = params.vth0;
-                        stage.k_prime[e * lanes + lane] = params.k_prime;
-                        stage.lambda[e * lanes + lane] = params.lambda;
-                        // Same association as the scalar model:
-                        // `2.0 * (n · φ_t)`.
-                        stage.two_n_phi_t[e * lanes + lane] =
-                            2.0 * (params.subthreshold_slope * THERMAL_VOLTAGE);
-                        stage.body_effect[e * lanes + lane] = params.body_effect;
-                    }
-                }
-                stage.sign[e] = stage.params[e * lanes].polarity.sign();
-            }
-        }
-    }
-}
-
-/// The lane-batched exact MOSFET evaluation pass of the lockstep kernel: runs
-/// every transistor of every running lane against the lane's iterate, reading
-/// the staged model cards instead of the per-lane `Device` enums. The
-/// per-lane arithmetic is exactly [`evaluate_mosfets`]'s (same normalization,
-/// same model call, same `ieq`), evaluated in the same per-lane device order —
-/// lanes never mix, so each lane's scratch is bit-identical to a scalar pass
-/// over that lane's circuit.
-#[inline]
-/// gis-analyze: no_alloc
-fn evaluate_mosfets_lockstep_exact(
-    evals: &[MosfetEvalSpec],
-    staged: &LockstepStage,
-    x: &[f64],
-    running: &[bool],
-    scratch: &mut [MosfetScratch],
-    lanes: usize,
-) {
-    for (e, spec) in evals.iter().enumerate() {
-        for (lane, &run) in running.iter().enumerate() {
-            if !run {
-                continue;
-            }
-            let params = &staged.params[e * lanes + lane];
-            let volt = |i: u32| {
-                if i == NONE_SLOT {
-                    0.0
-                } else {
-                    x[i as usize * lanes + lane]
-                }
-            };
-            let sign = params.polarity.sign();
-            let vd = volt(spec.d);
-            let vg = volt(spec.g);
-            let vs = volt(spec.s);
-            let vb = volt(spec.b);
-
-            let (nvd, nvg, nvs, nvb) = (sign * vd, sign * vg, sign * vs, sign * vb);
-            let swapped = nvd < nvs;
-            let (evd, evs) = if swapped { (nvs, nvd) } else { (nvd, nvs) };
-            let vgs = nvg - evs;
-            let vds = evd - evs;
-            let vbs = nvb - evs;
-            let op_point = params.evaluate_normalized(vgs, vds, vbs);
-            let ieq =
-                sign * (op_point.id - op_point.gm * vgs - op_point.gds * vds - op_point.gmb * vbs);
-
-            let total = op_point.gm + op_point.gds + op_point.gmb;
-            let out = &mut scratch[e * lanes + lane];
-            out.values = [
-                op_point.gm,
-                op_point.gds,
-                op_point.gmb,
-                -total,
-                -op_point.gm,
-                -op_point.gds,
-                -op_point.gmb,
-                total,
-            ];
-            out.ieq = ieq;
-            out.swapped = swapped;
-        }
-    }
-}
-
-/// The fast-lane MOSFET evaluation pass: every transistor of *all* lanes
-/// evaluated through the branch-free lane-group model
-/// ([`evaluate_normalized_fast_lanes`]) in one straight-line pass whose
-/// transcendentals vectorize across lanes. Deliberately not bit-identical to
-/// the exact path; only reachable through the opt-in
-/// [`crate::TransientKernel::Fast`], which is calibration-gated at the bench
-/// layer.
-#[inline]
-/// gis-analyze: no_alloc
-fn evaluate_mosfets_lockstep_fast<const L: usize>(
-    evals: &[MosfetEvalSpec],
-    staged: &LockstepStage,
-    x: &[f64],
-    scratch: &mut [MosfetScratch],
-) {
-    for (e, spec) in evals.iter().enumerate() {
-        let volt = |i: u32| {
-            if i == NONE_SLOT {
-                [0.0; L]
-            } else {
-                lane_group::<L>(x, i as usize * L)
-            }
-        };
-        let sign = staged.sign[e];
-        let vd = volt(spec.d);
-        let vg = volt(spec.g);
-        let vs = volt(spec.s);
-        let vb = volt(spec.b);
-
-        let mut swapped = [false; L];
-        let mut vgs = [0.0; L];
-        let mut vds = [0.0; L];
-        let mut vbs = [0.0; L];
-        for lane in 0..L {
-            let (nvd, nvg, nvs, nvb) = (
-                sign * vd[lane],
-                sign * vg[lane],
-                sign * vs[lane],
-                sign * vb[lane],
-            );
-            let sw = nvd < nvs;
-            swapped[lane] = sw;
-            let evd = if sw { nvs } else { nvd };
-            let evs = if sw { nvd } else { nvs };
-            vgs[lane] = nvg - evs;
-            vds[lane] = evd - evs;
-            vbs[lane] = nvb - evs;
-        }
-        let op = evaluate_normalized_fast_lanes::<L>(
-            lane_group::<L>(&staged.vth0, e * L),
-            lane_group::<L>(&staged.k_prime, e * L),
-            lane_group::<L>(&staged.lambda, e * L),
-            lane_group::<L>(&staged.two_n_phi_t, e * L),
-            lane_group::<L>(&staged.body_effect, e * L),
-            vgs,
-            vds,
-            vbs,
-        );
-        for lane in 0..L {
-            let ieq = sign
-                * (op.id[lane]
-                    - op.gm[lane] * vgs[lane]
-                    - op.gds[lane] * vds[lane]
-                    - op.gmb[lane] * vbs[lane]);
-            let total = op.gm[lane] + op.gds[lane] + op.gmb[lane];
-            let out = &mut scratch[e * L + lane];
-            out.values = [
-                op.gm[lane],
-                op.gds[lane],
-                op.gmb[lane],
-                -total,
-                -op.gm[lane],
-                -op.gds[lane],
-                -op.gmb[lane],
-                total,
-            ];
-            out.ieq = ieq;
-            out.swapped = swapped[lane];
-        }
-    }
-}
-
-/// Replays a compiled stamp program for the lockstep kernel from the staged
-/// device values — dispatching to the const-lane-count monomorphization so
-/// every lane-group load/add vectorizes.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-/// gis-analyze: no_alloc
-fn execute_program_lockstep(
-    program: &[StampOp],
-    mosfet_evals: &[MosfetEvalSpec],
-    mosfet_scratch: &mut [MosfetScratch],
-    staged: &LockstepStage,
-    running: &[bool],
-    num_node_unknowns: usize,
-    x: &[f64],
-    dynamic: Option<&LockstepDynamicState<'_>>,
-    lu: &mut LockstepLu,
-    z: &mut [f64],
-    fast: bool,
-) {
-    lanes_dispatch!(
-        running.len(),
-        execute_program_lockstep_const(
-            program,
-            mosfet_evals,
-            mosfet_scratch,
-            staged,
-            running,
-            num_node_unknowns,
-            x,
-            dynamic,
-            lu,
-            z,
-            fast,
-        )
-    )
-}
-
-/// The const-lane-count stamp replay of the lockstep kernel. Every lane of
-/// every device is stamped unconditionally from the staged values — the
-/// factorization ignores non-running lanes, and stamping all lanes as
-/// lane-wide vector adds is cheaper than branching per lane. Per running lane
-/// this performs exactly [`execute_program`]'s floating-point operations in
-/// exactly its order — lane-group adds are elementwise and never mix or
-/// reorder a lane's additions — so the assembled lane systems are
-/// bit-identical to scalar assembly of each lane's circuit.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-/// gis-analyze: no_alloc
-fn execute_program_lockstep_const<const L: usize>(
-    program: &[StampOp],
-    mosfet_evals: &[MosfetEvalSpec],
-    mosfet_scratch: &mut [MosfetScratch],
-    staged: &LockstepStage,
-    running: &[bool],
-    num_node_unknowns: usize,
-    x: &[f64],
-    dynamic: Option<&LockstepDynamicState<'_>>,
-    lu: &mut LockstepLu,
-    z: &mut [f64],
-    fast: bool,
-) {
-    if fast {
-        evaluate_mosfets_lockstep_fast::<L>(mosfet_evals, staged, x, mosfet_scratch);
-    } else {
-        evaluate_mosfets_lockstep_exact(mosfet_evals, staged, x, running, mosfet_scratch, L);
-    }
-    let n = (z.len() / L) as u32;
-    // GMIN from every non-ground node to ground, all lanes at once.
-    for i in 0..num_node_unknowns as u32 {
-        lu.add_group_to_slot::<L>(i * n + i, [GMIN; L]);
-    }
-    let stamp = |lu: &mut LockstepLu, slot: u32, v: [f64; L]| {
-        if slot != NONE_SLOT {
-            lu.add_group_to_slot::<L>(slot, v);
-        }
-    };
-    let rhs = |z: &mut [f64], row: u32, v: [f64; L]| {
-        if row != NONE_SLOT {
-            let base = row as usize * L;
-            for lane in 0..L {
-                z[base + lane] += v[lane];
-            }
-        }
-    };
-    let neg = |v: [f64; L]| {
-        let mut out = v;
-        for slot in &mut out {
-            *slot = -*slot;
-        }
-        out
-    };
-    let (mut ri, mut ci, mut vi, mut ii) = (0usize, 0usize, 0usize, 0usize);
-    for op in program {
-        match op {
-            StampOp::Resistor { diag, cross, .. } => {
-                let g = lane_group::<L>(&staged.res_g, ri * L);
-                ri += 1;
-                stamp(lu, diag[0], g);
-                stamp(lu, diag[1], g);
-                let ng = neg(g);
-                stamp(lu, cross[0], ng);
-                stamp(lu, cross[1], ng);
-            }
-            StampOp::Capacitor {
-                node_a,
-                node_b,
-                diag,
-                cross,
-                rhs_into,
-                rhs_from,
-                ..
-            } => {
-                let k = ci;
-                ci += 1;
-                if let Some(state) = dynamic {
-                    // Backward-Euler companion model.
-                    let geq = lane_group::<L>(&staged.cap_geq, k * L);
-                    let va = lane_group::<L>(state.previous_node_voltages, *node_a as usize * L);
-                    let vb = lane_group::<L>(state.previous_node_voltages, *node_b as usize * L);
-                    stamp(lu, diag[0], geq);
-                    stamp(lu, diag[1], geq);
-                    let ngeq = neg(geq);
-                    stamp(lu, cross[0], ngeq);
-                    stamp(lu, cross[1], ngeq);
-                    let mut current = [0.0; L];
-                    for lane in 0..L {
-                        current[lane] = geq[lane] * (va[lane] - vb[lane]);
-                    }
-                    rhs(z, *rhs_into, current);
-                    rhs(z, *rhs_from, neg(current));
-                }
-                // DC: capacitor is an open circuit — nothing to stamp.
-            }
-            StampOp::VoltageSource {
-                row, plus, minus, ..
-            } => {
-                let v = lane_group::<L>(&staged.vsrc_v, vi * L);
-                vi += 1;
-                stamp(lu, plus[0], [1.0; L]);
-                stamp(lu, plus[1], [1.0; L]);
-                stamp(lu, minus[0], [-1.0; L]);
-                stamp(lu, minus[1], [-1.0; L]);
-                let base = *row as usize * L;
-                z[base..base + L].copy_from_slice(&v);
-            }
-            StampOp::CurrentSource {
-                rhs_into, rhs_from, ..
-            } => {
-                let current = lane_group::<L>(&staged.isrc_i, ii * L);
-                ii += 1;
-                rhs(z, *rhs_into, current);
-                rhs(z, *rhs_from, neg(current));
-            }
-            StampOp::Mosfet {
-                eval,
-                slots_normal,
-                slots_swapped,
-                rhs_normal,
-                rhs_swapped,
-            } => {
-                // Per-lane scatter: the swapped orientation differs per lane,
-                // so the 8-slot Jacobian stamp stays a lane loop. Non-running
-                // lanes stamp their (finite, possibly stale) scratch — never
-                // factored, so harmless.
-                for lane in 0..L {
-                    let result = &mosfet_scratch[*eval as usize * L + lane];
-                    let (slots, rhs_rows) = if result.swapped {
-                        (slots_swapped, rhs_swapped)
-                    } else {
-                        (slots_normal, rhs_normal)
-                    };
-                    for (&slot_id, &v) in slots.iter().zip(&result.values) {
-                        if slot_id != NONE_SLOT {
-                            lu.add_to_slot(slot_id, lane, v);
-                        }
-                    }
-                    if rhs_rows[0] != NONE_SLOT {
-                        z[rhs_rows[0] as usize * L + lane] -= result.ieq;
-                    }
-                    if rhs_rows[1] != NONE_SLOT {
-                        z[rhs_rows[1] as usize * L + lane] += result.ieq;
-                    }
-                }
             }
         }
     }

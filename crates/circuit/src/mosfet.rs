@@ -186,294 +186,6 @@ fn softplus(x: f64, s: f64) -> (f64, f64) {
     }
 }
 
-/// Polynomial `exp(x)` for the opt-in fast lane: `x = k·ln2 + r` with
-/// `|r| ≤ ln2/2`, a degree-6 minimax-style polynomial on `r`, and the `2^k`
-/// scale assembled directly in the exponent bits. Max relative error is
-/// ~1e-13 over the biases the MOSFET model produces — far below the
-/// waveform tolerance the fast lane is gated on, but *not* bit-identical to
-/// libm, which is why [`crate::TransientKernel::Fast`] is opt-in.
-#[inline]
-fn fast_exp(x: f64) -> f64 {
-    if x < -708.0 {
-        return 0.0;
-    }
-    if x > 709.0 {
-        return f64::INFINITY;
-    }
-    // Round-to-nearest-even via the 1.5·2⁵² magic constant: unlike
-    // `f64::round` (half-away-from-zero, which has no vector instruction on
-    // x86) this is two adds, so the lane-group variant vectorizes. Any
-    // nearest integer is a valid exponent split — only |r| ≤ ln2/2 + 1 ulp
-    // matters.
-    const SHIFT: f64 = 6_755_399_441_055_744.0;
-    let k = (x * std::f64::consts::LOG2_E + SHIFT) - SHIFT;
-    // Cody–Waite split of ln2 keeps the reduced argument accurate.
-    const LN2_HI: f64 = 6.931_471_803_691_238_164_9e-1;
-    const LN2_LO: f64 = 1.908_214_929_270_587_700_2e-10;
-    const P1: f64 = 1.666_666_666_666_660_190_37e-1;
-    const P2: f64 = -2.777_777_777_015_593_384_2e-3;
-    const P3: f64 = 6.613_756_321_437_934_361_17e-5;
-    const P4: f64 = -1.653_390_220_546_525_153_9e-6;
-    const P5: f64 = 4.138_136_797_057_238_460_39e-8;
-    let hi = x - k * LN2_HI;
-    let lo = k * LN2_LO;
-    let r = hi - lo;
-    let rr = r * r;
-    // FDLIBM-style rational kernel on the reduced argument (< 1 ulp).
-    let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
-    let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-    // k is integral and inside [-1022, 1023] thanks to the range guards above, so both casts are exact.
-    let scale = f64::from_bits(((k as i64 + 1023) as u64) << 52);
-    y * scale
-}
-
-/// Polynomial `ln(x)` for the opt-in fast lane: exponent/mantissa split with
-/// the mantissa normalized into `[√½, √2)`, then the atanh series
-/// `ln(m) = 2·(s + s³/3 + s⁵/5 + …)` with `s = (m−1)/(m+1)`. Max relative
-/// error ~1e-14 for the positive finite arguments the model produces.
-#[inline]
-fn fast_ln(x: f64) -> f64 {
-    debug_assert!(
-        x > 0.0 && x.is_finite(),
-        "fast_ln requires positive finite x"
-    );
-    let bits = x.to_bits();
-    // Unbiased exponent of a positive finite f64 is in [-1022, 1023] and exact as f64.
-    let mut e = ((bits >> 52) as i64 - 1023) as f64;
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1.0;
-    }
-    // FDLIBM log kernel on m ∈ [√2/2, √2]: ln(m) = f − (hfsq − s·(hfsq+R)).
-    const LG1: f64 = 6.666_666_666_666_735_13e-1;
-    const LG2: f64 = 3.999_999_999_940_941_908e-1;
-    const LG3: f64 = 2.857_142_874_366_239_149e-1;
-    const LG4: f64 = 2.222_219_843_214_978_396e-1;
-    const LG5: f64 = 1.818_357_216_161_805_012e-1;
-    const LG6: f64 = 1.531_383_769_920_937_332e-1;
-    const LG7: f64 = 1.479_819_860_511_658_591e-1;
-    const LN2_HI: f64 = 6.931_471_803_691_238_164_9e-1;
-    const LN2_LO: f64 = 1.908_214_929_270_587_700_2e-10;
-    let f = m - 1.0;
-    let hfsq = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let t1 = w * (LG2 + w * (LG4 + w * LG6));
-    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    let r = t2 + t1;
-    e * LN2_HI + (f - (hfsq - s * (hfsq + r)) + e * LN2_LO)
-}
-
-/// Fast-lane counterpart of [`softplus`]: identical branch structure, with
-/// the transcendentals replaced by [`fast_exp`]/[`fast_ln`].
-#[inline]
-fn softplus_fast(x: f64, s: f64) -> (f64, f64) {
-    let t = x / s;
-    if t > 40.0 {
-        (x, 1.0)
-    } else if t < -40.0 {
-        let e = fast_exp(t);
-        (s * e, e)
-    } else {
-        let e = fast_exp(t);
-        (s * fast_ln(1.0 + e), e / (1.0 + e))
-    }
-}
-
-/// Lane-group operating point of the lane-batched fast model: the
-/// structure-of-arrays mirror of [`MosfetOperatingPoint`] for `L` lockstep
-/// lanes.
-pub(crate) struct LaneOperatingPoint<const L: usize> {
-    /// Drain currents.
-    pub id: [f64; L],
-    /// Transconductances.
-    pub gm: [f64; L],
-    /// Output conductances.
-    pub gds: [f64; L],
-    /// Body transconductances.
-    pub gmb: [f64; L],
-}
-
-/// Branch-free lane-group `exp`: the identical Cody–Waite reduction and
-/// rational kernel as [`fast_exp`], with the overflow/underflow early returns
-/// replaced by an input clamp so every lane follows one straight-line path
-/// (which lets the whole group compile to lane-wide vector operations). For
-/// arguments inside `(-708, 709)` the result is bit-identical to
-/// [`fast_exp`]; outside, the clamp saturates instead of snapping to 0/∞,
-/// which is far below the fast lane's calibration tolerance either way.
-#[inline]
-fn fast_exp_lanes<const L: usize>(x: [f64; L]) -> [f64; L] {
-    const LN2_HI: f64 = 6.931_471_803_691_238_164_9e-1;
-    const LN2_LO: f64 = 1.908_214_929_270_587_700_2e-10;
-    const P1: f64 = 1.666_666_666_666_660_190_37e-1;
-    const P2: f64 = -2.777_777_777_015_593_384_2e-3;
-    const P3: f64 = 6.613_756_321_437_934_361_17e-5;
-    const P4: f64 = -1.653_390_220_546_525_153_9e-6;
-    const P5: f64 = 4.138_136_797_057_238_460_39e-8;
-    const SHIFT: f64 = 6_755_399_441_055_744.0;
-    let mut out = [0.0; L];
-    for lane in 0..L {
-        let xc = x[lane].clamp(-708.0, 709.0);
-        // Same magic-constant round-to-nearest-even as the scalar kernel.
-        let k = (xc * std::f64::consts::LOG2_E + SHIFT) - SHIFT;
-        let hi = xc - k * LN2_HI;
-        let lo = k * LN2_LO;
-        let r = hi - lo;
-        let rr = r * r;
-        let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
-        let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-        // k is integral and inside [-1022, 1023] thanks to the clamp above, so both casts are exact.
-        let scale = f64::from_bits(((k as i64 + 1023) as u64) << 52);
-        out[lane] = y * scale;
-    }
-    out
-}
-
-/// Branch-free lane-group `ln`: the identical exponent/mantissa split and
-/// FDLIBM kernel as [`fast_ln`], with the `m > √2` renormalization turned
-/// into a per-lane select. Bit-identical to [`fast_ln`] for every positive
-/// finite argument.
-#[inline]
-fn fast_ln_lanes<const L: usize>(x: [f64; L]) -> [f64; L] {
-    const LG1: f64 = 6.666_666_666_666_735_13e-1;
-    const LG2: f64 = 3.999_999_999_940_941_908e-1;
-    const LG3: f64 = 2.857_142_874_366_239_149e-1;
-    const LG4: f64 = 2.222_219_843_214_978_396e-1;
-    const LG5: f64 = 1.818_357_216_161_805_012e-1;
-    const LG6: f64 = 1.531_383_769_920_937_332e-1;
-    const LG7: f64 = 1.479_819_860_511_658_591e-1;
-    const LN2_HI: f64 = 6.931_471_803_691_238_164_9e-1;
-    const LN2_LO: f64 = 1.908_214_929_270_587_700_2e-10;
-    let mut out = [0.0; L];
-    for lane in 0..L {
-        let v = x[lane];
-        debug_assert!(
-            v > 0.0 && v.is_finite(),
-            "fast_ln requires positive finite x"
-        );
-        let bits = v.to_bits();
-        // Unbiased exponent of a positive finite f64 is in [-1022, 1023] and exact as f64.
-        let e_raw = ((bits >> 52) as i64 - 1023) as f64;
-        let m_raw = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-        let shrink = m_raw > std::f64::consts::SQRT_2;
-        let m = if shrink { m_raw * 0.5 } else { m_raw };
-        let e = if shrink { e_raw + 1.0 } else { e_raw };
-        let f = m - 1.0;
-        let hfsq = 0.5 * f * f;
-        let s = f / (2.0 + f);
-        let z = s * s;
-        let w = z * z;
-        let t1 = w * (LG2 + w * (LG4 + w * LG6));
-        let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-        let r = t2 + t1;
-        out[lane] = e * LN2_HI + (f - (hfsq - s * (hfsq + r)) + e * LN2_LO);
-    }
-    out
-}
-
-/// Branch-free lane-group soft-plus of the fast lane: the mid-range branch of
-/// [`softplus_fast`] computed unconditionally for all lanes, with the two
-/// asymptotic branches applied as per-lane selects on the identical `±40`
-/// thresholds. Inside the mid range (every bias the SRAM waveforms produce)
-/// the values are [`softplus_fast`]'s bit for bit.
-#[inline]
-fn softplus_fast_lanes<const L: usize>(x: [f64; L], s: [f64; L]) -> ([f64; L], [f64; L]) {
-    let mut t = [0.0; L];
-    let mut tc = [0.0; L];
-    for lane in 0..L {
-        t[lane] = x[lane] / s[lane];
-        tc[lane] = t[lane].min(40.0);
-    }
-    let e = fast_exp_lanes::<L>(tc);
-    let mut one_e = [0.0; L];
-    for lane in 0..L {
-        one_e[lane] = 1.0 + e[lane];
-    }
-    let ln1e = fast_ln_lanes::<L>(one_e);
-    let mut val = [0.0; L];
-    let mut der = [0.0; L];
-    for lane in 0..L {
-        let v = if t[lane] < -40.0 {
-            s[lane] * e[lane]
-        } else {
-            s[lane] * ln1e[lane]
-        };
-        let d = if t[lane] < -40.0 {
-            e[lane]
-        } else {
-            e[lane] / one_e[lane]
-        };
-        val[lane] = if t[lane] > 40.0 { x[lane] } else { v };
-        der[lane] = if t[lane] > 40.0 { 1.0 } else { d };
-    }
-    (val, der)
-}
-
-/// Lane-batched fast-lane model evaluation: the identical device equations as
-/// [`MosfetParams::evaluate_normalized_fast`] with the soft-plus computed by
-/// the branch-free lane-group kernels and the triode/saturation split turned
-/// into a per-lane blend (both regions evaluated, selected on the scalar
-/// model's `vds < vov_eff` test). One straight-line pass over `L` lanes, so
-/// the transcendentals and the polynomial tail vectorize across lanes.
-/// Model-card fields arrive as per-lane arrays because Monte-Carlo samples
-/// perturb each lane's thresholds independently.
-#[allow(clippy::too_many_arguments)] // structure-of-arrays batch call
-#[inline]
-pub(crate) fn evaluate_normalized_fast_lanes<const L: usize>(
-    vth0: [f64; L],
-    k_prime: [f64; L],
-    lambda: [f64; L],
-    two_n_phi_t: [f64; L],
-    body_effect: [f64; L],
-    vgs: [f64; L],
-    vds: [f64; L],
-    vbs: [f64; L],
-) -> LaneOperatingPoint<L> {
-    let mut vov = [0.0; L];
-    for lane in 0..L {
-        let vt = vth0[lane] - body_effect[lane] * vbs[lane];
-        vov[lane] = vgs[lane] - vt;
-    }
-    let (vov_eff_raw, dsp) = softplus_fast_lanes::<L>(vov, two_n_phi_t);
-    let mut id = [0.0; L];
-    let mut gm = [0.0; L];
-    let mut gds = [0.0; L];
-    let mut gmb = [0.0; L];
-    for lane in 0..L {
-        let vov_eff = vov_eff_raw[lane].max(1e-30);
-        let vd = vds[lane];
-        let clm = 1.0 + lambda[lane] * vd;
-        let k = k_prime[lane];
-        let core_t = vov_eff * vd - 0.5 * vd * vd;
-        let core_s = 0.5 * vov_eff * vov_eff;
-        let triode = vd < vov_eff;
-        let core = if triode { core_t } else { core_s };
-        let id_l = k * core * clm;
-        let dvov = if triode {
-            k * vd * clm
-        } else {
-            k * vov_eff * clm
-        };
-        let dvds = if triode {
-            k * (vov_eff - vd) * clm + k * core_t * lambda[lane]
-        } else {
-            k * core_s * lambda[lane]
-        };
-        // `gmb = -∂I/∂Vov,eff · ∂Vov,eff/∂Vov · ∂VT/∂VBS` with
-        // `∂VT/∂VBS = -γ` — the two sign flips cancel exactly, so this is the
-        // scalar expression's value bit for bit.
-        let gm_l = dvov * dsp[lane];
-        let gmb_l = gm_l * body_effect[lane];
-        id[lane] = id_l.max(0.0);
-        gm[lane] = gm_l.max(0.0);
-        gds[lane] = dvds.max(0.0);
-        gmb[lane] = gmb_l.max(0.0);
-    }
-    LaneOperatingPoint { id, gm, gds, gmb }
-}
-
 impl MosfetParams {
     /// Evaluates the drain current and conductances for the *normalized* bias
     /// voltages of an N-type device: `vgs`, `vds ≥ 0`, `vbs ≤ 0` (for a PMOS
@@ -483,28 +195,6 @@ impl MosfetParams {
     /// The returned current is guaranteed finite for finite inputs.
     #[inline]
     pub fn evaluate_normalized(&self, vgs: f64, vds: f64, vbs: f64) -> MosfetOperatingPoint {
-        self.evaluate_with(vgs, vds, vbs, softplus)
-    }
-
-    /// Fast-lane evaluation: the identical device equations with the
-    /// soft-plus transcendentals computed by [`fast_exp`]/[`fast_ln`]. Not
-    /// bit-identical to [`MosfetParams::evaluate_normalized`]; only reachable
-    /// through the opt-in [`crate::TransientKernel::Fast`], whose acceptance
-    /// is gated on the calibration harness and a documented waveform
-    /// tolerance.
-    #[inline]
-    pub fn evaluate_normalized_fast(&self, vgs: f64, vds: f64, vbs: f64) -> MosfetOperatingPoint {
-        self.evaluate_with(vgs, vds, vbs, softplus_fast)
-    }
-
-    #[inline]
-    fn evaluate_with(
-        &self,
-        vgs: f64,
-        vds: f64,
-        vbs: f64,
-        softplus_fn: fn(f64, f64) -> (f64, f64),
-    ) -> MosfetOperatingPoint {
         debug_assert!(vds >= 0.0, "evaluate_normalized requires vds >= 0");
         let n_phi_t = self.subthreshold_slope * THERMAL_VOLTAGE;
         // Linearized body effect: VT rises as the source rises above the body
@@ -513,7 +203,7 @@ impl MosfetParams {
         let dvt_dvbs = -self.body_effect;
 
         let vov = vgs - vt;
-        let (vov_eff, dvov_eff_dvov) = softplus_fn(vov, 2.0 * n_phi_t);
+        let (vov_eff, dvov_eff_dvov) = softplus(vov, 2.0 * n_phi_t);
         // Guard against a zero effective overdrive deep in subthreshold.
         let vov_eff = vov_eff.max(1e-30);
 
@@ -691,55 +381,6 @@ mod tests {
     fn polarity_sign() {
         assert_eq!(MosfetPolarity::Nmos.sign(), 1.0);
         assert_eq!(MosfetPolarity::Pmos.sign(), -1.0);
-    }
-
-    #[test]
-    fn fast_exp_and_ln_track_libm_closely() {
-        let mut x: f64 = -80.0;
-        while x <= 80.0 {
-            let exact = x.exp();
-            let fast = fast_exp(x);
-            let scale = exact.abs().max(1e-300);
-            assert!(
-                (fast - exact).abs() / scale < 1e-12,
-                "fast_exp({x}) = {fast} vs {exact}"
-            );
-            x += 0.0173;
-        }
-        let mut y: f64 = 1e-12;
-        while y < 1e6 {
-            let exact = y.ln();
-            let fast = fast_ln(y);
-            assert!(
-                (fast - exact).abs() <= exact.abs().max(1.0) * 1e-13,
-                "fast_ln({y}) = {fast} vs {exact}"
-            );
-            y *= 1.37;
-        }
-        assert_eq!(fast_exp(-1000.0), 0.0);
-        assert_eq!(fast_exp(1000.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn fast_evaluation_tracks_exact_model() {
-        let devices = [MosfetParams::nmos_45nm(), MosfetParams::pmos_45nm()];
-        for p in devices {
-            let mut vgs = -0.2;
-            while vgs <= 1.2 {
-                let mut vds = 0.0;
-                while vds <= 1.1 {
-                    let exact = p.evaluate_normalized(vgs, vds, -0.1);
-                    let fast = p.evaluate_normalized_fast(vgs, vds, -0.1);
-                    let tol = |a: f64, b: f64| (a - b).abs() <= a.abs().max(1e-15) * 1e-9;
-                    assert!(tol(exact.id, fast.id), "id: {} vs {}", exact.id, fast.id);
-                    assert!(tol(exact.gm, fast.gm), "gm: {} vs {}", exact.gm, fast.gm);
-                    assert!(tol(exact.gds, fast.gds));
-                    assert!(tol(exact.gmb, fast.gmb));
-                    vds += 0.11;
-                }
-                vgs += 0.07;
-            }
-        }
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! tests; all paths produce bit-identical results.
 
 use crate::error::CircuitError;
-use crate::mna::{
-    same_topology, DynamicState, LockstepDynamicState, LockstepWorkspace, MnaSystem,
-    SimulationWorkspace, MAX_LANES, MAX_NEWTON_ITERATIONS,
-};
+use crate::mna::{DynamicState, MnaSystem, SimulationWorkspace, MAX_NEWTON_ITERATIONS};
 use crate::netlist::{Circuit, NodeId};
 use crate::waveform::{Waveform, WaveformView};
 use gis_linalg::Vector;
@@ -28,42 +25,23 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which solver kernel a transient runs on. [`TransientKernel::Sparse`] is
-/// the scalar production default, [`TransientKernel::Dense`] the
-/// allocation-heavy reference kept for end-to-end verification, and
-/// [`TransientKernel::Lockstep`] the multi-sample batched kernel — all three
-/// produce bit-identical results per sample. [`TransientKernel::Fast`] is the
-/// lockstep kernel on approximate transcendentals: deliberately *not*
-/// bit-identical, opt-in, and accepted only through the calibration gate (see
-/// the bench crate).
+/// the production kernel; [`TransientKernel::Dense`] is the allocation-heavy
+/// reference the sparse kernel is verified against, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TransientKernel {
-    /// Sparse, workspace-reusing scalar kernel (default).
+    /// Sparse, workspace-reusing kernel (default).
     Sparse,
     /// Dense reference kernel.
     Dense,
-    /// Multi-sample lockstep sparse kernel (bit-identical per lane).
-    Lockstep,
-    /// Lockstep kernel with fast exp/ln approximations (NOT bit-identical;
-    /// calibration-gated).
-    Fast,
 }
 
 impl TransientKernel {
-    /// Stable name used in benchmark artifacts
-    /// ("sparse"/"dense"/"lockstep"/"fast").
+    /// Stable name used in benchmark artifacts ("sparse"/"dense").
     pub fn name(self) -> &'static str {
         match self {
             TransientKernel::Sparse => "sparse",
             TransientKernel::Dense => "dense",
-            TransientKernel::Lockstep => "lockstep",
-            TransientKernel::Fast => "fast",
         }
-    }
-
-    /// `true` for the kernels whose waveforms are bit-identical to the
-    /// sparse reference ([`TransientKernel::Fast`] is the only exception).
-    pub fn bit_identical(self) -> bool {
-        !matches!(self, TransientKernel::Fast)
     }
 }
 
@@ -333,170 +311,6 @@ pub fn transient_analysis_with(
     })
 }
 
-/// Runs the same backward-Euler transient over up to [`MAX_LANES`]
-/// topology-sharing circuits in lockstep on the multi-sample sparse kernel.
-///
-/// Every lane advances through one shared symbolic plan, one compiled stamp
-/// program and one recorded elimination program; per-lane arithmetic is the
-/// scalar kernel's arithmetic in the scalar kernel's order, so each lane's
-/// waveforms are **bit-identical** to [`transient_analysis_with`] run on that
-/// lane's circuit alone (with `fast = false`; the fast lane trades
-/// bit-identity for vectorizable exp/ln approximations and is gated at the
-/// bench layer). Failures are per-lane: a lane whose system goes singular or
-/// whose Newton iteration stalls gets an `Err` in its slot of the returned
-/// vector while the remaining lanes finish normally — exactly the outcome of
-/// running the scalar kernel per sample.
-///
-/// The returned results share one time axis allocation across lanes.
-///
-/// # Errors
-///
-/// The outer `Err` covers batch-level misuse: an invalid configuration, an
-/// empty or over-[`MAX_LANES`] batch, an invalid lane-0 circuit, or lanes
-/// that do not share a netlist topology. Per-lane simulation failures land in
-/// the inner results.
-pub fn transient_analysis_lockstep(
-    circuits: &[&Circuit],
-    config: &TransientConfig,
-    workspace: &mut LockstepWorkspace,
-    fast: bool,
-) -> Result<Vec<Result<TransientResult, CircuitError>>, CircuitError> {
-    config.validate()?;
-    let lanes = circuits.len();
-    if lanes == 0 || lanes > MAX_LANES {
-        return Err(CircuitError::InvalidAnalysis(format!(
-            "lockstep lane count must be 1..={MAX_LANES}, got {lanes}"
-        )));
-    }
-    let system = MnaSystem::new(circuits[0])?;
-    for (lane, circuit) in circuits.iter().enumerate().skip(1) {
-        if !same_topology(circuits[0], circuit) {
-            return Err(CircuitError::InvalidAnalysis(format!(
-                "lockstep lane {lane} does not share the lane-0 netlist topology"
-            )));
-        }
-    }
-    let num_nodes = circuits[0].num_nodes();
-    workspace.bind(&system, lanes);
-
-    let mut alive = vec![true; lanes];
-    let mut errors: Vec<Option<CircuitError>> = vec![None; lanes];
-    let mut newton_totals = vec![0usize; lanes];
-
-    // Initial state, mirroring the scalar driver lane by lane. The DC
-    // iterations are not counted towards the per-lane Newton totals, matching
-    // the scalar driver (which discards the DC solve's count).
-    match &config.initial_conditions {
-        Some(ic) => {
-            let mut x0 = vec![0.0; system.dim()];
-            for node in 1..num_nodes {
-                if node < ic.len() {
-                    x0[node - 1] = ic[node];
-                }
-            }
-            workspace.set_state_broadcast(&x0);
-        }
-        None => {
-            workspace.set_state_broadcast(&[]);
-            let mut dc_iterations = vec![0usize; lanes];
-            system.solve_newton_lockstep_prebound(
-                workspace,
-                circuits,
-                0.0,
-                None,
-                "dc",
-                MAX_NEWTON_ITERATIONS,
-                fast,
-                &mut alive,
-                &mut errors,
-                &mut dc_iterations,
-            );
-        }
-    }
-
-    let num_steps = (config.stop_time / config.time_step).ceil() as usize; // gis-analyze: allow(float-cast, step count from ceil of validated positive durations)
-    let mut times: Vec<f64> = Vec::with_capacity(num_steps + 1);
-    let mut store: Vec<Vec<Vec<f64>>> = (0..lanes)
-        .map(|_| vec![Vec::with_capacity(num_steps + 1); num_nodes])
-        .collect();
-    // Lane-major previous node voltages: `previous[node * lanes + lane]`.
-    let mut previous = vec![0.0; num_nodes * lanes];
-    for (lane, &live) in alive.iter().enumerate().take(lanes) {
-        if live {
-            workspace.lane_node_voltages_into_strided(lane, &mut previous);
-        }
-    }
-    // Explicit initial conditions take precedence over the solution vector
-    // for the recorded t = 0 point (same rule as the scalar driver).
-    if let Some(ic) = &config.initial_conditions {
-        for node in 0..num_nodes.min(ic.len()) {
-            for lane in 0..lanes {
-                previous[node * lanes + lane] = ic[node];
-            }
-        }
-    }
-    times.push(0.0);
-    for lane in 0..lanes {
-        if alive[lane] {
-            for node in 0..num_nodes {
-                store[lane][node].push(previous[node * lanes + lane]);
-            }
-        }
-    }
-
-    for step in 1..=num_steps {
-        if !alive.iter().any(|&a| a) {
-            break;
-        }
-        let t = (step as f64 * config.time_step).min(config.stop_time);
-        let dynamic = LockstepDynamicState {
-            previous_node_voltages: &previous,
-            dt: config.time_step,
-        };
-        system.solve_newton_lockstep_prebound(
-            workspace,
-            circuits,
-            t,
-            Some(&dynamic),
-            "transient",
-            config.max_newton_iterations,
-            fast,
-            &mut alive,
-            &mut errors,
-            &mut newton_totals,
-        );
-        times.push(t);
-        for lane in 0..lanes {
-            if alive[lane] {
-                workspace.lane_node_voltages_into_strided(lane, &mut previous);
-                for node in 0..num_nodes {
-                    store[lane][node].push(previous[node * lanes + lane]);
-                }
-            }
-        }
-        if t >= config.stop_time {
-            break;
-        }
-    }
-
-    let times: Arc<[f64]> = times.into();
-    Ok(store
-        .into_iter()
-        .zip(errors.iter_mut())
-        .zip(newton_totals)
-        .map(
-            |((node_voltages, error), newton_iterations_total)| match error.take() {
-                Some(e) => Err(e),
-                None => Ok(TransientResult {
-                    times: Arc::clone(&times),
-                    node_voltages,
-                    newton_iterations_total,
-                }),
-            },
-        )
-        .collect())
-}
-
 /// Runs a transient analysis on the dense reference kernel.
 ///
 /// Allocates fresh dense systems every Newton iteration; kept as the golden
@@ -742,130 +556,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The inverter netlist of the kernel-equivalence tests with a
-    /// per-sample load capacitance (value-only variation, same topology).
-    fn inverter_with_load(cl: f64) -> Circuit {
-        let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let input = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add_voltage_source("VDD", vdd, GROUND, SourceWaveform::dc(1.0));
-        ckt.add_voltage_source(
-            "VIN",
-            input,
-            GROUND,
-            SourceWaveform::pulse(0.0, 1.0, 0.2e-9, 20e-12, 2e-9),
-        );
-        ckt.add_mosfet("MP", out, input, vdd, vdd, MosfetParams::pmos_45nm())
-            .unwrap();
-        ckt.add_mosfet("MN", out, input, GROUND, GROUND, MosfetParams::nmos_45nm())
-            .unwrap();
-        ckt.add_capacitor("CL", out, GROUND, cl).unwrap();
-        ckt
-    }
-
-    #[test]
-    fn lockstep_transient_matches_scalar_bit_for_bit() {
-        let caps = [2e-15, 3.1e-15, 1.4e-15, 2.6e-15];
-        let ckts: Vec<Circuit> = caps.iter().map(|&c| inverter_with_load(c)).collect();
-        let refs: Vec<&Circuit> = ckts.iter().collect();
-        let cfg =
-            TransientConfig::new(1e-9, 2e-12).with_initial_conditions(vec![0.0, 1.0, 0.0, 1.0]);
-        let mut ws = LockstepWorkspace::new();
-        // Two rounds: cold (records the elimination program) and warm
-        // (replays it); both must be bit-identical to the scalar kernel.
-        for round in 0..2 {
-            let results = transient_analysis_lockstep(&refs, &cfg, &mut ws, false).unwrap();
-            assert_eq!(results.len(), caps.len());
-            for (lane, result) in results.iter().enumerate() {
-                let lock = result.as_ref().unwrap();
-                let scalar = transient_analysis(&ckts[lane], &cfg).unwrap();
-                assert_eq!(
-                    lock.newton_iterations_total(),
-                    scalar.newton_iterations_total(),
-                    "round {round} lane {lane}"
-                );
-                assert_eq!(lock.times(), scalar.times());
-                for node in 0..ckts[lane].num_nodes() {
-                    let a = lock.node_voltage_samples(node).unwrap();
-                    let b = scalar.node_voltage_samples(node).unwrap();
-                    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "round {round} lane {lane} node {node} step {i}: {x:e} vs {y:e}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_dc_initial_state_matches_scalar() {
-        // No initial conditions: every lane starts from its own DC operating
-        // point, still bit-identical to the scalar kernel.
-        let build = |r: f64| {
-            let mut ckt = Circuit::new();
-            let vin = ckt.node("in");
-            let out = ckt.node("out");
-            ckt.add_voltage_source("V1", vin, GROUND, SourceWaveform::dc(1.0));
-            ckt.add_resistor("R1", vin, out, r).unwrap();
-            ckt.add_capacitor("C1", out, GROUND, 1e-9).unwrap();
-            ckt
-        };
-        let ckts: Vec<Circuit> = [1e3, 3.3e3, 470.0].iter().map(|&r| build(r)).collect();
-        let refs: Vec<&Circuit> = ckts.iter().collect();
-        let cfg = TransientConfig::new(2e-6, 2e-8);
-        let mut ws = LockstepWorkspace::new();
-        let results = transient_analysis_lockstep(&refs, &cfg, &mut ws, false).unwrap();
-        for (lane, result) in results.iter().enumerate() {
-            let lock = result.as_ref().unwrap();
-            let scalar = transient_analysis(&ckts[lane], &cfg).unwrap();
-            assert_eq!(lock, &scalar, "lane {lane} diverged from scalar");
-        }
-    }
-
-    #[test]
-    fn fast_lane_tracks_the_exact_kernel_closely() {
-        let ckt = inverter_with_load(2e-15);
-        let cfg =
-            TransientConfig::new(1e-9, 2e-12).with_initial_conditions(vec![0.0, 1.0, 0.0, 1.0]);
-        let exact = transient_analysis(&ckt, &cfg).unwrap();
-        let mut ws = LockstepWorkspace::new();
-        let fast = transient_analysis_lockstep(&[&ckt], &cfg, &mut ws, true)
-            .unwrap()
-            .remove(0)
-            .unwrap();
-        assert_eq!(exact.times(), fast.times());
-        let mut worst: f64 = 0.0;
-        for node in 0..ckt.num_nodes() {
-            let a = exact.node_voltage_samples(node).unwrap();
-            let b = fast.node_voltage_samples(node).unwrap();
-            for (x, y) in a.iter().zip(b) {
-                worst = worst.max((x - y).abs());
-            }
-        }
-        // The fast lane's <1e-12-relative exp/ln error stays far below a
-        // nanovolt on volt-scale waveforms once Newton re-converges each step.
-        assert!(worst < 1e-7, "fast lane deviates by {worst:e} V");
-    }
-
-    #[test]
-    fn lockstep_rejects_topology_mismatch_and_oversize_batches() {
-        let a = inverter_with_load(2e-15);
-        let mut b = inverter_with_load(2e-15);
-        let extra = b.node("extra");
-        b.add_resistor("RX", extra, GROUND, 1e3).unwrap();
-        let cfg =
-            TransientConfig::new(1e-9, 2e-12).with_initial_conditions(vec![0.0, 1.0, 0.0, 1.0]);
-        let mut ws = LockstepWorkspace::new();
-        assert!(transient_analysis_lockstep(&[&a, &b], &cfg, &mut ws, false).is_err());
-        assert!(transient_analysis_lockstep(&[], &cfg, &mut ws, false).is_err());
-        let nine: Vec<&Circuit> = std::iter::repeat_n(&a, 9).collect();
-        assert!(transient_analysis_lockstep(&nine, &cfg, &mut ws, false).is_err());
     }
 
     #[test]

@@ -176,11 +176,8 @@ impl SramTransientModel {
     }
 
     /// Selects the solver kernel (default [`TransientKernel::Sparse`]). The
-    /// dense reference and lockstep kernels produce bit-identical metrics
-    /// (see [`TransientKernel::bit_identical`]); the benchmark harness uses
-    /// them to assert end-to-end kernel equivalence. [`TransientKernel::Fast`]
-    /// trades bit-identity for vectorizable transcendentals and is gated by
-    /// the calibration suite.
+    /// dense reference kernel produces bit-identical metrics; the tests and
+    /// the benchmark harness use it to assert end-to-end kernel equivalence.
     pub fn with_kernel(mut self, kernel: TransientKernel) -> Self {
         self.kernel = kernel;
         self
@@ -247,14 +244,11 @@ impl PerformanceModel for SramTransientModel {
     /// Batched transient evaluation: one [`gis_sram::ReadSession`] /
     /// [`gis_sram::WriteSession`] is built per batch, hoisting the netlist
     /// construction and solver setup out of the per-point loop; each point then
-    /// only injects its six threshold shifts and solves the transient. On the
-    /// lockstep kernels the session additionally advances up to
-    /// [`gis_sram::LANE_GROUP`] points per solver call through one shared
-    /// elimination program. The executor calls this once per work chunk, so
-    /// batches evaluate concurrently on worker threads while each
-    /// [`TransientKernel::Lockstep`] (and scalar-kernel) metric stays
-    /// bit-identical to the scalar path; failed points — rejected shifts or
-    /// non-converging lanes — evaluate to `f64::INFINITY` individually.
+    /// only injects its six threshold shifts and solves the transient. The
+    /// executor calls this once per work chunk, so batches evaluate
+    /// concurrently on worker threads while every metric stays bit-identical
+    /// to the scalar path; failed points — rejected shifts or non-converging
+    /// transients — evaluate to `f64::INFINITY` individually.
     fn evaluate_batch(&self, points: &[Vector]) -> Vec<f64> {
         let deltas: Vec<Vector> = points
             .iter()
@@ -430,57 +424,6 @@ mod tests {
             for (a, b) in s.iter().zip(&d) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{metric:?} kernels diverged");
             }
-        }
-    }
-
-    #[test]
-    fn lockstep_kernel_model_is_bit_identical() {
-        let tb = SramTestbench::typical_45nm();
-        for metric in [
-            SramMetric::ReadAccessTime,
-            SramMetric::WriteDelay,
-            SramMetric::ReadDisturb,
-        ] {
-            let sparse = SramTransientModel::new(tb.clone(), space(), metric);
-            let lockstep = SramTransientModel::new(tb.clone(), space(), metric)
-                .with_kernel(TransientKernel::Lockstep);
-            assert!(lockstep.kernel().bit_identical());
-            // Five points: one full lane group of four plus a ragged tail.
-            let points = vec![
-                Vector::zeros(6),
-                Vector::from_slice(&[2.0, -1.0, 0.5, 0.0, 1.5, -0.5]),
-                Vector::from_slice(&[-1.0, 0.5, 1.0, -0.5, 0.0, 2.0]),
-                Vector::from_slice(&[0.5, 0.5, -0.5, 1.0, -1.0, 0.0]),
-                Vector::from_slice(&[3.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-            ];
-            let s = sparse.evaluate_batch(&points);
-            let l = lockstep.evaluate_batch(&points);
-            for (z, (a, b)) in points.iter().zip(s.iter().zip(&l)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{metric:?} kernels diverged");
-                // The batched lockstep path also matches its own scalar entry.
-                assert_eq!(b.to_bits(), lockstep.evaluate(z).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fast_kernel_model_tracks_the_exact_metrics() {
-        let tb = SramTestbench::typical_45nm();
-        let exact = SramTransientModel::new(tb.clone(), space(), SramMetric::ReadAccessTime);
-        let fast = SramTransientModel::new(tb, space(), SramMetric::ReadAccessTime)
-            .with_kernel(TransientKernel::Fast);
-        assert!(!fast.kernel().bit_identical());
-        let points = vec![
-            Vector::zeros(6),
-            Vector::from_slice(&[2.0, -1.0, 0.5, 0.0, 1.5, -0.5]),
-        ];
-        for (a, b) in exact
-            .evaluate_batch(&points)
-            .iter()
-            .zip(fast.evaluate_batch(&points))
-        {
-            let rel = (a - b).abs() / a;
-            assert!(rel < 1e-3, "fast kernel deviates by {rel:e}");
         }
     }
 

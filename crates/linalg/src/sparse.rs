@@ -205,7 +205,7 @@ pub struct SymbolicLu {
     stamp_slots: Vec<u32>,
     /// Fill pattern: sorted column list per row (superset of the stamp row).
     fill_cols: Vec<Vec<u32>>,
-    /// Fill membership bitmasks, kept in lockstep with `fill_cols`.
+    /// Fill membership bitmasks, kept in sync with `fill_cols`.
     fill_mask: Vec<u64>,
     /// Flat `row * n + col` indices of the whole fill pattern — the
     /// workspace-reset loop walks this single list.
@@ -985,932 +985,6 @@ impl SparseLu {
     }
 }
 
-/// Maximum number of lanes a [`LockstepLu`] can advance in lockstep. Eight
-/// lanes saturate the division/transcendental latency-hiding this kernel is
-/// built for while keeping the per-step lane accumulators in registers.
-pub const MAX_LANES: usize = 8;
-
-/// Multi-sample lockstep sparse LU: `L` independent factorizations advanced
-/// through **one** shared [`SymbolicLu`] plan and **one** recorded
-/// [`EliminationProgram`].
-///
-/// All lanes share the netlist topology, so the symbolic plan, the recorded
-/// slot schedule and the pivot-scan windows are identical across lanes; only
-/// the numeric values differ. The factor workspace is lane-strided
-/// (`work[slot * lanes + lane]`), so each recorded operation is applied to
-/// all lanes back-to-back — the divisions and dependent update chains of
-/// different lanes overlap in the pipeline instead of serializing, which is
-/// where the speedup over running [`SparseLu`] per sample comes from.
-///
-/// # Per-lane bit-identity
-///
-/// Each lane performs *exactly* the scalar kernel's arithmetic in the scalar
-/// kernel's order: the same pivot scans, the same multiplier divisions, the
-/// same structural-zero skips (`multiplier != 0.0`), the same substitution
-/// order. Lanes are arithmetically independent — no value ever crosses a
-/// lane boundary — so every lane's factors, singularity verdicts and
-/// solutions are bit-identical to a [`SparseLu`] fed the same values
-/// (asserted by this module's tests and the circuit-level lockstep goldens).
-///
-/// When a lane's pivot choice deviates from the recorded program (its values
-/// moved enough to change a pivot), only that lane leaves the program: it
-/// finishes elimination and solves through the generic (non-recorded) path
-/// with its own row permutation, while the remaining lanes keep replaying.
-/// A singular lane is likewise marked failed individually and frozen without
-/// disturbing its neighbours.
-#[derive(Debug, Clone)]
-pub struct LockstepLu {
-    symbolic: SymbolicLu,
-    lanes: usize,
-    /// Lane-strided factor workspace: value of `(row, col)` for `lane` lives
-    /// at `(row * n + col) * lanes + lane`.
-    work: Vec<f64>,
-    /// Shared permutation walk of the recorded program (all replaying lanes
-    /// pivot identically by definition).
-    row_at: Vec<u32>,
-    /// Per-lane permutation for lanes that left the program (`lanes × n`).
-    lane_row_at: Vec<u32>,
-    /// Per-lane singularity scale (same 4-chain max fold as the scalar kernel).
-    scale: Vec<f64>,
-    /// Per-lane outcome of the last `factorize`; `None` = success.
-    lane_status: Vec<Option<LinalgError>>,
-    /// Lanes whose pivot sequence matched the recorded program end to end.
-    on_program: Vec<bool>,
-    factored: Vec<bool>,
-    /// Scratch mask for the generic per-lane elimination paths.
-    upper: Vec<u64>,
-    program: EliminationProgram,
-    has_program: bool,
-}
-
-/// Copies the `L` contiguous lane values at `base` into a fixed-size array.
-///
-/// The const length lets every caller's per-lane loop fully unroll, which is
-/// what turns the lockstep inner loops into straight-line vector code — the
-/// dynamic-`lanes` loops they replace defeated both unrolling and
-/// vectorization and measured *slower* per lane than the scalar kernel.
-#[inline]
-fn lane_group<const L: usize>(values: &[f64], base: usize) -> [f64; L] {
-    let mut out = [0.0; L];
-    out.copy_from_slice(&values[base..base + L]);
-    out
-}
-
-/// Monomorphizes a lockstep method over every legal lane count so the inner
-/// per-lane loops have a compile-time trip count.
-macro_rules! lane_dispatch {
-    ($self:ident, $method:ident, $($arg:expr),*) => {
-        match $self.lanes {
-            1 => $self.$method::<1>($($arg),*),
-            2 => $self.$method::<2>($($arg),*),
-            3 => $self.$method::<3>($($arg),*),
-            4 => $self.$method::<4>($($arg),*),
-            5 => $self.$method::<5>($($arg),*),
-            6 => $self.$method::<6>($($arg),*),
-            7 => $self.$method::<7>($($arg),*),
-            8 => $self.$method::<8>($($arg),*),
-            // Unreachable: the constructor asserts 1..=MAX_LANES.
-            _ => unreachable!("lane count bounded by MAX_LANES"),
-        }
-    };
-}
-
-impl LockstepLu {
-    /// Creates a lockstep workspace for `lanes` samples over `symbolic`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_LANES`].
-    pub fn new(symbolic: SymbolicLu, lanes: usize) -> Self {
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lane count {lanes} outside 1..={MAX_LANES}"
-        );
-        let n = symbolic.n();
-        let words = symbolic.words_per_row;
-        LockstepLu {
-            symbolic,
-            lanes,
-            work: vec![0.0; n * n * lanes],
-            row_at: (0..n as u32).collect(),
-            lane_row_at: vec![0; lanes * n],
-            scale: vec![1.0; lanes],
-            lane_status: vec![None; lanes],
-            on_program: vec![false; lanes],
-            factored: vec![false; lanes],
-            upper: vec![0u64; words],
-            program: EliminationProgram::default(),
-            has_program: false,
-        }
-    }
-
-    /// The symbolic plan backing this workspace.
-    pub fn symbolic(&self) -> &SymbolicLu {
-        &self.symbolic
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.symbolic.n
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Resets every fill-pattern slot of every lane to `+0.0`.
-    /// gis-analyze: no_alloc
-    pub fn clear(&mut self) {
-        let lanes = self.lanes;
-        for &slot in &self.symbolic.fill_slots {
-            let base = slot as usize * lanes;
-            for v in &mut self.work[base..base + lanes] {
-                *v = 0.0;
-            }
-        }
-        for f in &mut self.factored {
-            *f = false;
-        }
-    }
-
-    /// Flat slot handle of `(row, col)`, shared by all lanes (same contract
-    /// as [`SparseLu::slot`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(row, col)` is outside the assembly pattern.
-    pub fn slot(&self, row: usize, col: usize) -> u32 {
-        assert!(
-            self.symbolic.in_stamp(row, col),
-            "slot ({row}, {col}) is outside the analyzed pattern"
-        );
-        (row * self.symbolic.n + col) as u32
-    }
-
-    /// Adds `value` at `(row, col)` of `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `(row, col)` is outside the assembly
-    /// pattern (same contract as [`SparseLu::add_at`]).
-    #[inline]
-    /// gis-analyze: no_alloc
-    pub fn add_at(&mut self, row: usize, col: usize, lane: usize, value: f64) {
-        debug_assert!(
-            self.symbolic.in_stamp(row, col),
-            "stamp at ({row}, {col}) is outside the analyzed pattern"
-        );
-        self.work[(row * self.symbolic.n + col) * self.lanes + lane] += value;
-    }
-
-    /// Adds `value` at a slot previously obtained from [`LockstepLu::slot`],
-    /// for `lane`.
-    #[inline]
-    /// gis-analyze: no_alloc
-    pub fn add_to_slot(&mut self, slot: u32, lane: usize, value: f64) {
-        self.work[slot as usize * self.lanes + lane] += value;
-    }
-
-    /// Adds `values[lane]` at `slot` for every lane in one lane-group
-    /// operation — the batched counterpart of [`LockstepLu::add_to_slot`].
-    /// Per lane this is the identical single `+=`; the group form exists so
-    /// the stamp replay compiles to lane-wide vector adds.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `L` differs from the lane count.
-    #[inline]
-    /// gis-analyze: no_alloc
-    pub fn add_group_to_slot<const L: usize>(&mut self, slot: u32, values: [f64; L]) {
-        debug_assert_eq!(L, self.lanes, "lane-group width must match lane count");
-        let base = slot as usize * L;
-        let mut cur = lane_group::<L>(&self.work, base);
-        for lane in 0..L {
-            cur[lane] += values[lane];
-        }
-        self.work[base..base + L].copy_from_slice(&cur);
-    }
-
-    /// Outcome of the last [`LockstepLu::factorize`] for `lane`: `Ok` when
-    /// the lane's factors are usable, the lane's own singularity error
-    /// otherwise (bit-identical pivot/value to the scalar kernel's verdict).
-    pub fn lane_result(&self, lane: usize) -> Result<()> {
-        match &self.lane_status[lane] {
-            None => Ok(()),
-            Some(e) => Err(e.clone()),
-        }
-    }
-
-    /// Factors every `active` lane in lockstep, reusing (and growing, on
-    /// pivot deviation) the shared symbolic plan and recorded program.
-    ///
-    /// Per-lane failures (singular systems) are recorded in
-    /// [`LockstepLu::lane_result`] and never disturb other lanes, so this
-    /// method itself is infallible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len() != lanes`.
-    /// gis-analyze: no_alloc
-    pub fn factorize(&mut self, active: &[bool]) {
-        assert_eq!(active.len(), self.lanes, "active mask length");
-        lane_dispatch!(self, factorize_const, active)
-    }
-
-    /// gis-analyze: no_alloc
-    fn factorize_const<const L: usize>(&mut self, active: &[bool]) {
-        let lanes = self.lanes;
-        for (lane, &run) in active.iter().enumerate().take(lanes) {
-            self.on_program[lane] = false;
-            if run {
-                self.lane_status[lane] = None;
-                self.factored[lane] = false;
-            }
-        }
-
-        // Per-lane singularity scale: the same four interleaved `f64::max`
-        // chains over the stamp slots as the scalar kernel, walked once with
-        // all lanes side by side (max is a pure selection, so any fold order
-        // yields the identical value; the chains are mirrored anyway so the
-        // comparison sequence matches).
-        {
-            let mut m0 = [0.0f64; L];
-            let mut m1 = [0.0f64; L];
-            let mut m2 = [0.0f64; L];
-            let mut m3 = [0.0f64; L];
-            let mut chunks = self.symbolic.stamp_slots.chunks_exact(4);
-            for c in &mut chunks {
-                let v0 = lane_group::<L>(&self.work, c[0] as usize * L);
-                let v1 = lane_group::<L>(&self.work, c[1] as usize * L);
-                let v2 = lane_group::<L>(&self.work, c[2] as usize * L);
-                let v3 = lane_group::<L>(&self.work, c[3] as usize * L);
-                for lane in 0..L {
-                    m0[lane] = m0[lane].max(v0[lane].abs());
-                    m1[lane] = m1[lane].max(v1[lane].abs());
-                    m2[lane] = m2[lane].max(v2[lane].abs());
-                    m3[lane] = m3[lane].max(v3[lane].abs());
-                }
-            }
-            for &slot in chunks.remainder() {
-                let v = lane_group::<L>(&self.work, slot as usize * L);
-                for lane in 0..L {
-                    m0[lane] = m0[lane].max(v[lane].abs());
-                }
-            }
-            for lane in 0..L {
-                if active[lane] {
-                    self.scale[lane] = m0[lane].max(m1[lane]).max(m2[lane]).max(m3[lane]).max(1.0);
-                }
-            }
-        }
-
-        if self.symbolic.words_per_row != 1 {
-            // Multi-word masks (n > 64): no recorded program exists on this
-            // path in the scalar kernel either; run each lane generically.
-            for (lane, &run) in active.iter().enumerate().take(lanes) {
-                if !run {
-                    continue;
-                }
-                for pos in 0..self.symbolic.n {
-                    self.lane_row_at[lane * self.symbolic.n + pos] = pos as u32;
-                }
-                match self.eliminate_lane_general(lane, 0) {
-                    Ok(()) => self.factored[lane] = true,
-                    Err(e) => self.lane_status[lane] = Some(e),
-                }
-            }
-            return;
-        }
-
-        if !self.has_program {
-            // Cold start: the lowest active lane records the shared program
-            // (performing its own elimination as it goes); the other lanes
-            // run the generic path this once and replay from the next
-            // factorization on.
-            let Some(driver) = (0..lanes).find(|&l| active[l]) else {
-                return;
-            };
-            for (pos, r) in self.row_at.iter_mut().enumerate() {
-                *r = pos as u32;
-            }
-            self.program.clear();
-            let outcome = self.record_from_lane(driver, 0);
-            self.has_program = outcome.is_ok();
-            match outcome {
-                Ok(()) => {
-                    self.factored[driver] = true;
-                    self.on_program[driver] = true;
-                }
-                Err(e) => self.lane_status[driver] = Some(e),
-            }
-            for (lane, &run) in active.iter().enumerate().take(lanes).skip(driver + 1) {
-                if !run {
-                    continue;
-                }
-                for pos in 0..self.symbolic.n {
-                    self.lane_row_at[lane * self.symbolic.n + pos] = pos as u32;
-                }
-                match self.eliminate_lane_generic(lane, 0) {
-                    Ok(()) => self.factored[lane] = true,
-                    Err(e) => self.lane_status[lane] = Some(e),
-                }
-            }
-            return;
-        }
-
-        self.replay_lockstep::<L>(active);
-    }
-
-    /// Lockstep replay of the recorded program across all active lanes, with
-    /// the scalar kernel's per-step pivot guard applied per lane: a lane
-    /// whose scan disagrees with the recorded pivot leaves the program and
-    /// finishes through the generic path; the rest keep replaying.
-    ///
-    /// Every inner loop runs over the const lane count, so the scan, the
-    /// multiplier divisions, and the rank-1 updates all compile to lane-wide
-    /// vector operations. Per lane the arithmetic and its order are exactly
-    /// the scalar replay's — vector elementwise ops never mix lanes, and the
-    /// structural-zero skip is a per-lane blend of "updated" vs "untouched",
-    /// which is the identical value the branch produced.
-    /// gis-analyze: no_alloc
-    fn replay_lockstep<const L: usize>(&mut self, active: &[bool]) {
-        let n = self.symbolic.n;
-        for (pos, r) in self.row_at.iter_mut().enumerate() {
-            *r = pos as u32;
-        }
-        self.on_program[..L].copy_from_slice(&active[..L]);
-        let mut live = active.iter().filter(|&&a| a).count();
-        let mut mult = [0.0f64; L];
-
-        for k in 0..n {
-            if live == 0 {
-                break;
-            }
-            let scan_start = self.program.scan_off[k] as usize;
-            let window = &self.program.scan_slots[scan_start..scan_start + (n - k)];
-            // Lane-parallel pivot scan: one walk of the shared window; per
-            // lane the identical strictly-greater comparison sequence as the
-            // scalar replay. Off-program lanes are scanned too (their result
-            // is ignored below) — cheaper than masking inside the hot loop.
-            let mut pivot_value = lane_group::<L>(&self.work, window[0] as usize * L);
-            for v in &mut pivot_value {
-                *v = v.abs();
-            }
-            let mut rel = [0u32; L];
-            for (i, &slot) in window.iter().enumerate().skip(1) {
-                let vals = lane_group::<L>(&self.work, slot as usize * L);
-                for lane in 0..L {
-                    let v = vals[lane].abs();
-                    if v > pivot_value[lane] {
-                        pivot_value[lane] = v;
-                        rel[lane] = i as u32;
-                    }
-                }
-            }
-            for lane in 0..L {
-                if !self.on_program[lane] {
-                    continue;
-                }
-                if pivot_value[lane] < SINGULARITY_TOLERANCE * self.scale[lane] {
-                    // The scalar kernel resets its program here; the shared
-                    // program stays (its prefix is still the right schedule
-                    // for the surviving lanes) — value-equivalence is
-                    // unaffected because the guard re-verifies every replay.
-                    self.lane_status[lane] = Some(LinalgError::Singular {
-                        pivot: k,
-                        value: pivot_value[lane],
-                    });
-                    self.on_program[lane] = false;
-                    live -= 1;
-                } else if rel[lane] != self.program.expected_rel[k] {
-                    // Pivot deviation: only this lane leaves the program.
-                    // Its elimination history equals the recorded prefix, so
-                    // the shared permutation state at step k seeds its
-                    // private one and the generic path finishes from here.
-                    for pos in 0..n {
-                        self.lane_row_at[lane * n + pos] = self.row_at[pos];
-                    }
-                    self.on_program[lane] = false;
-                    live -= 1;
-                    match self.eliminate_lane_generic(lane, k) {
-                        Ok(()) => self.factored[lane] = true,
-                        Err(e) => self.lane_status[lane] = Some(e),
-                    }
-                }
-            }
-            if live == 0 {
-                break;
-            }
-            let relk = self.program.expected_rel[k] as usize;
-            if relk != 0 {
-                self.row_at.swap(k, k + relk);
-            }
-            let pivot_slot = self.program.scan_slots[scan_start + relk] as usize;
-            let pivot = lane_group::<L>(&self.work, pivot_slot * L);
-            let mut on = [false; L];
-            on.copy_from_slice(&self.on_program[..L]);
-
-            // Lane-batched factor-op replay: one shared program decode, with
-            // the multiplier divisions and rank-1 updates of all lanes
-            // issued as single lane-wide vector operations.
-            let mut cursor = self.program.factor_off[k] as usize;
-            let ops = &self.program.factor_ops;
-            let ncand = ops[cursor] as usize;
-            cursor += 1;
-            for _ in 0..ncand {
-                let mbase = ops[cursor] as usize * L;
-                let npairs = ops[cursor + 1] as usize;
-                cursor += 2;
-                let mrow = lane_group::<L>(&self.work, mbase);
-                let mut stored = [0.0f64; L];
-                for lane in 0..L {
-                    // Off-program lanes keep their values and get a zero
-                    // multiplier (their elimination already finished); the
-                    // wasted division is cheaper than a branch per lane.
-                    let m = mrow[lane] / pivot[lane];
-                    mult[lane] = if on[lane] { m } else { 0.0 };
-                    stored[lane] = if on[lane] { m } else { mrow[lane] };
-                }
-                self.work[mbase..mbase + L].copy_from_slice(&stored);
-                for _ in 0..npairs {
-                    let dst = ops[cursor] as usize * L;
-                    let src = ops[cursor + 1] as usize * L;
-                    cursor += 2;
-                    let s = lane_group::<L>(&self.work, src);
-                    let mut d = lane_group::<L>(&self.work, dst);
-                    for lane in 0..L {
-                        // gis-analyze: allow(float-eq, per-lane structural-zero skip mirrors the scalar replay exactly)
-                        if mult[lane] != 0.0 {
-                            d[lane] -= mult[lane] * s[lane];
-                        }
-                    }
-                    self.work[dst..dst + L].copy_from_slice(&d);
-                }
-            }
-        }
-        for lane in 0..L {
-            if self.on_program[lane] {
-                self.factored[lane] = true;
-            }
-        }
-    }
-
-    /// Records the shared elimination program while performing `lane`'s
-    /// elimination — the lane-strided mirror of [`SparseLu::record_from`]
-    /// (single-word masks), using the *shared* `row_at` walk.
-    fn record_from_lane(&mut self, lane: usize, k0: usize) -> Result<()> {
-        let n = self.symbolic.n;
-        let lanes = self.lanes;
-        for k in k0..n {
-            self.program
-                .scan_off
-                .push(self.program.scan_slots.len() as u32);
-            let first_slot = (self.row_at[k] as usize * n + k) as u32;
-            self.program.scan_slots.push(first_slot);
-            let mut pivot_pos = k;
-            let mut pivot_value = self.work[first_slot as usize * lanes + lane].abs();
-            for pos in (k + 1)..n {
-                let slot = (self.row_at[pos] as usize * n + k) as u32;
-                self.program.scan_slots.push(slot);
-                let v = self.work[slot as usize * lanes + lane].abs();
-                if v > pivot_value {
-                    pivot_value = v;
-                    pivot_pos = pos;
-                }
-            }
-            self.program.expected_rel.push((pivot_pos - k) as u32);
-            if pivot_value < SINGULARITY_TOLERANCE * self.scale[lane] {
-                return Err(LinalgError::Singular {
-                    pivot: k,
-                    value: pivot_value,
-                });
-            }
-            if pivot_pos != k {
-                self.row_at.swap(k, pivot_pos);
-            }
-            let pr = self.row_at[k] as usize;
-            let pr_off = pr * n;
-            let pivot = self.work[(pr_off + k) * lanes + lane];
-            let upper: u64 = self.symbolic.fill_mask[pr] & !(u64::MAX >> (63 - k));
-            let col_k_bit: u64 = 1u64 << k;
-
-            self.program
-                .factor_off
-                .push(self.program.factor_ops.len() as u32);
-            let ncand_index = self.program.factor_ops.len();
-            self.program.factor_ops.push(0);
-            let mut ncand = 0u32;
-            for pos in (k + 1)..n {
-                let r = self.row_at[pos] as usize;
-                if self.symbolic.fill_mask[r] & col_k_bit == 0 {
-                    continue;
-                }
-                ncand += 1;
-                let r_off = r * n;
-                let multiplier = self.work[(r_off + k) * lanes + lane] / pivot;
-                self.work[(r_off + k) * lanes + lane] = multiplier;
-                self.program.factor_ops.push((r_off + k) as u32);
-                let npairs_index = self.program.factor_ops.len();
-                self.program.factor_ops.push(0);
-                if upper & !self.symbolic.fill_mask[r] != 0 {
-                    self.upper[0] = upper;
-                    let upper_buf = std::mem::take(&mut self.upper);
-                    self.symbolic.absorb(r, &upper_buf);
-                    self.upper = upper_buf;
-                }
-                let mut npairs = 0u32;
-                // gis-analyze: allow(float-eq, structural-zero skip keeps the lane bit-identical to the scalar kernel)
-                if multiplier != 0.0 {
-                    for &j in &self.symbolic.fill_cols[pr] {
-                        let j = j as usize;
-                        if j <= k {
-                            continue;
-                        }
-                        let delta = multiplier * self.work[(pr_off + j) * lanes + lane];
-                        self.work[(r_off + j) * lanes + lane] -= delta;
-                        self.program.factor_ops.push((r_off + j) as u32);
-                        self.program.factor_ops.push((pr_off + j) as u32);
-                        npairs += 1;
-                    }
-                } else {
-                    for &j in &self.symbolic.fill_cols[pr] {
-                        let j = j as usize;
-                        if j <= k {
-                            continue;
-                        }
-                        self.program.factor_ops.push((r_off + j) as u32);
-                        self.program.factor_ops.push((pr_off + j) as u32);
-                        npairs += 1;
-                    }
-                }
-                self.program.factor_ops[npairs_index] = npairs;
-            }
-            self.program.factor_ops[ncand_index] = ncand;
-        }
-
-        // Solve schedule of this pivot sequence (shared by replaying lanes).
-        self.program.perm.clear();
-        self.program.perm.extend_from_slice(&self.row_at);
-        self.program.fwd_ops.clear();
-        for i in 1..n {
-            let r = self.row_at[i] as usize;
-            let cnt_index = self.program.fwd_ops.len();
-            self.program.fwd_ops.push(0);
-            let mut cnt = 0u32;
-            for &j in &self.symbolic.fill_cols[r] {
-                let j = j as usize;
-                if j >= i {
-                    break;
-                }
-                self.program.fwd_ops.push((r * n + j) as u32);
-                self.program.fwd_ops.push(j as u32);
-                cnt += 1;
-            }
-            self.program.fwd_ops[cnt_index] = cnt;
-        }
-        self.program.bwd_ops.clear();
-        for i in (0..n).rev() {
-            let r = self.row_at[i] as usize;
-            self.program.bwd_ops.push((r * n + i) as u32);
-            let cnt_index = self.program.bwd_ops.len();
-            self.program.bwd_ops.push(0);
-            let mut cnt = 0u32;
-            for &j in &self.symbolic.fill_cols[r] {
-                let j = j as usize;
-                if j <= i {
-                    continue;
-                }
-                self.program.bwd_ops.push((r * n + j) as u32);
-                self.program.bwd_ops.push(j as u32);
-                cnt += 1;
-            }
-            self.program.bwd_ops[cnt_index] = cnt;
-        }
-        Ok(())
-    }
-
-    /// Generic single-word elimination of one lane from step `k0`, using the
-    /// lane's private permutation — the lane-strided mirror of the scalar
-    /// recording path's arithmetic (including the structural absorb), minus
-    /// the recording. Values are bit-identical to the scalar kernel because
-    /// re-recording and not recording perform the same operations.
-    /// gis-analyze: no_alloc
-    fn eliminate_lane_generic(&mut self, lane: usize, k0: usize) -> Result<()> {
-        let n = self.symbolic.n;
-        let lanes = self.lanes;
-        let ra = lane * n;
-        for k in k0..n {
-            let mut pivot_pos = k;
-            let mut pivot_value =
-                self.work[(self.lane_row_at[ra + k] as usize * n + k) * lanes + lane].abs();
-            for pos in (k + 1)..n {
-                let v =
-                    self.work[(self.lane_row_at[ra + pos] as usize * n + k) * lanes + lane].abs();
-                if v > pivot_value {
-                    pivot_value = v;
-                    pivot_pos = pos;
-                }
-            }
-            if pivot_value < SINGULARITY_TOLERANCE * self.scale[lane] {
-                return Err(LinalgError::Singular {
-                    pivot: k,
-                    value: pivot_value,
-                });
-            }
-            if pivot_pos != k {
-                self.lane_row_at.swap(ra + k, ra + pivot_pos);
-            }
-            let pr = self.lane_row_at[ra + k] as usize;
-            let pr_off = pr * n;
-            let pivot = self.work[(pr_off + k) * lanes + lane];
-            let upper: u64 = self.symbolic.fill_mask[pr] & !(u64::MAX >> (63 - k));
-            let col_k_bit: u64 = 1u64 << k;
-            for pos in (k + 1)..n {
-                let r = self.lane_row_at[ra + pos] as usize;
-                if self.symbolic.fill_mask[r] & col_k_bit == 0 {
-                    continue;
-                }
-                let r_off = r * n;
-                let multiplier = self.work[(r_off + k) * lanes + lane] / pivot;
-                self.work[(r_off + k) * lanes + lane] = multiplier;
-                if upper & !self.symbolic.fill_mask[r] != 0 {
-                    // Structural growth, mirroring the recording path: the
-                    // new slots hold exact zeros for every other lane, so
-                    // the superset pattern stays bit-exact for them.
-                    self.upper[0] = upper;
-                    let upper_buf = std::mem::take(&mut self.upper);
-                    self.symbolic.absorb(r, &upper_buf);
-                    self.upper = upper_buf;
-                }
-                // gis-analyze: allow(float-eq, structural-zero skip keeps the lane bit-identical to the scalar kernel)
-                if multiplier != 0.0 {
-                    for &j in &self.symbolic.fill_cols[pr] {
-                        let j = j as usize;
-                        if j <= k {
-                            continue;
-                        }
-                        let delta = multiplier * self.work[(pr_off + j) * lanes + lane];
-                        self.work[(r_off + j) * lanes + lane] -= delta;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Generic multi-word (`n > 64`) elimination of one lane — the
-    /// lane-strided mirror of [`SparseLu::factorize_general`].
-    fn eliminate_lane_general(&mut self, lane: usize, k0: usize) -> Result<()> {
-        let n = self.symbolic.n;
-        let lanes = self.lanes;
-        let ra = lane * n;
-        for k in k0..n {
-            let mut pivot_pos = k;
-            let mut pivot_value =
-                self.work[(self.lane_row_at[ra + k] as usize * n + k) * lanes + lane].abs();
-            for pos in (k + 1)..n {
-                let v =
-                    self.work[(self.lane_row_at[ra + pos] as usize * n + k) * lanes + lane].abs();
-                if v > pivot_value {
-                    pivot_value = v;
-                    pivot_pos = pos;
-                }
-            }
-            if pivot_value < SINGULARITY_TOLERANCE * self.scale[lane] {
-                return Err(LinalgError::Singular {
-                    pivot: k,
-                    value: pivot_value,
-                });
-            }
-            if pivot_pos != k {
-                self.lane_row_at.swap(ra + k, ra + pivot_pos);
-            }
-            let pr = self.lane_row_at[ra + k] as usize;
-            let pivot = self.work[(pr * n + k) * lanes + lane];
-
-            self.upper.copy_from_slice(self.symbolic.fill_row_mask(pr));
-            for (word_index, word) in self.upper.iter_mut().enumerate() {
-                let base = word_index * 64;
-                if base + 63 <= k {
-                    *word = 0;
-                } else if base <= k {
-                    let keep_from = k - base + 1; // 1..=63
-                    *word &= !((1u64 << keep_from) - 1);
-                }
-            }
-
-            for pos in (k + 1)..n {
-                let r = self.lane_row_at[ra + pos] as usize;
-                if !bit_is_set(self.symbolic.fill_row_mask(r), k) {
-                    continue;
-                }
-                let multiplier = self.work[(r * n + k) * lanes + lane] / pivot;
-                self.work[(r * n + k) * lanes + lane] = multiplier;
-                // gis-analyze: allow(float-eq, structural-zero skip keeps the lane bit-identical to the scalar kernel)
-                if multiplier != 0.0 {
-                    let upper_buf = std::mem::take(&mut self.upper);
-                    self.symbolic.absorb(r, &upper_buf);
-                    self.upper = upper_buf;
-                    let pivot_cols = &self.symbolic.fill_cols[pr];
-                    let start = pivot_cols.partition_point(|&c| (c as usize) <= k);
-                    for &j in &pivot_cols[start..] {
-                        let j = j as usize;
-                        let delta = multiplier * self.work[(pr * n + j) * lanes + lane];
-                        self.work[(r * n + j) * lanes + lane] -= delta;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `A_lane x_lane = b_lane` for every `active`, successfully
-    /// factored lane. `b` and `x` are lane-strided (`value[i * lanes +
-    /// lane]`). Lanes replaying the shared program substitute in lockstep
-    /// (hiding the back-substitution division latency across lanes); lanes
-    /// that left the program substitute generically through their private
-    /// permutation. Both paths perform the scalar kernel's arithmetic in the
-    /// scalar kernel's order, so every lane's solution is bit-identical to
-    /// [`SparseLu::solve`].
-    ///
-    /// Lanes whose factorization failed are skipped (their `x` entries are
-    /// left untouched); callers gate on [`LockstepLu::lane_result`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b`/`x` are not
-    /// `n × lanes` long.
-    /// gis-analyze: no_alloc
-    pub fn solve(&self, b: &[f64], x: &mut [f64], active: &[bool]) -> Result<()> {
-        let n = self.symbolic.n;
-        let lanes = self.lanes;
-        if b.len() != n * lanes || x.len() != n * lanes {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "lockstep_lu_solve",
-                left: (n, lanes),
-                right: (b.len(), 1),
-            });
-        }
-        // Lanes sharing the recorded program, substituted in lockstep.
-        let mut prog_lanes = [0usize; MAX_LANES];
-        let mut np = 0usize;
-        for (lane, &run) in active.iter().enumerate().take(lanes) {
-            if run && self.factored[lane] && self.on_program[lane] && self.has_program {
-                prog_lanes[np] = lane;
-                np += 1;
-            }
-        }
-        if np == lanes {
-            // Full-width hot path: every lane replays the program, so the
-            // substitution runs on whole contiguous lane groups with a const
-            // trip count (vectorizes; per-lane order unchanged).
-            lane_dispatch!(self, solve_programmed_full, b, x);
-            return Ok(());
-        }
-        if np > 0 {
-            let mut acc = [0.0f64; MAX_LANES];
-            for (pos, &r) in self.program.perm.iter().enumerate() {
-                for &lane in &prog_lanes[..np] {
-                    x[pos * lanes + lane] = b[r as usize * lanes + lane];
-                }
-            }
-            let mut cursor = 0usize;
-            let ops = &self.program.fwd_ops;
-            for xi in 1..n {
-                let cnt = ops[cursor] as usize;
-                cursor += 1;
-                for (a, &lane) in acc.iter_mut().zip(&prog_lanes[..np]) {
-                    *a = x[xi * lanes + lane];
-                }
-                for _ in 0..cnt {
-                    let slot = ops[cursor] as usize * lanes;
-                    let j = ops[cursor + 1] as usize * lanes;
-                    cursor += 2;
-                    for (a, &lane) in acc.iter_mut().zip(&prog_lanes[..np]) {
-                        *a -= self.work[slot + lane] * x[j + lane];
-                    }
-                }
-                for (a, &lane) in acc.iter().zip(&prog_lanes[..np]) {
-                    x[xi * lanes + lane] = *a;
-                }
-            }
-            let mut cursor = 0usize;
-            let ops = &self.program.bwd_ops;
-            for xi in (0..n).rev() {
-                let diag = ops[cursor] as usize * lanes;
-                let cnt = ops[cursor + 1] as usize;
-                cursor += 2;
-                for (a, &lane) in acc.iter_mut().zip(&prog_lanes[..np]) {
-                    *a = x[xi * lanes + lane];
-                }
-                for _ in 0..cnt {
-                    let slot = ops[cursor] as usize * lanes;
-                    let j = ops[cursor + 1] as usize * lanes;
-                    cursor += 2;
-                    for (a, &lane) in acc.iter_mut().zip(&prog_lanes[..np]) {
-                        *a -= self.work[slot + lane] * x[j + lane];
-                    }
-                }
-                // The per-lane divisions issue back-to-back and overlap.
-                for (a, &lane) in acc.iter().zip(&prog_lanes[..np]) {
-                    x[xi * lanes + lane] = *a / self.work[diag + lane];
-                }
-            }
-        }
-        // Off-program lanes: generic substitution through the private
-        // permutation (identical arithmetic order; see `SparseLu::solve`).
-        for lane in 0..lanes {
-            if !active[lane] || !self.factored[lane] || (self.on_program[lane] && self.has_program)
-            {
-                continue;
-            }
-            let ra = lane * n;
-            for pos in 0..n {
-                x[pos * lanes + lane] = b[self.lane_row_at[ra + pos] as usize * lanes + lane];
-            }
-            for i in 1..n {
-                let r = self.lane_row_at[ra + i] as usize;
-                let mut acc = x[i * lanes + lane];
-                for &j in &self.symbolic.fill_cols[r] {
-                    let j = j as usize;
-                    if j >= i {
-                        break;
-                    }
-                    acc -= self.work[(r * n + j) * lanes + lane] * x[j * lanes + lane];
-                }
-                x[i * lanes + lane] = acc;
-            }
-            for i in (0..n).rev() {
-                let r = self.lane_row_at[ra + i] as usize;
-                let mut acc = x[i * lanes + lane];
-                for &j in &self.symbolic.fill_cols[r] {
-                    let j = j as usize;
-                    if j <= i {
-                        continue;
-                    }
-                    acc -= self.work[(r * n + j) * lanes + lane] * x[j * lanes + lane];
-                }
-                x[i * lanes + lane] = acc / self.work[(r * n + i) * lanes + lane];
-            }
-        }
-        Ok(())
-    }
-
-    /// Forward/backward substitution of the recorded program with every lane
-    /// participating: whole lane groups, const trip counts, bit-identical
-    /// per-lane arithmetic (see [`LockstepLu::solve`]).
-    /// gis-analyze: no_alloc
-    fn solve_programmed_full<const L: usize>(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.symbolic.n;
-        for (pos, &r) in self.program.perm.iter().enumerate() {
-            let src = r as usize * L;
-            x[pos * L..pos * L + L].copy_from_slice(&b[src..src + L]);
-        }
-        let mut cursor = 0usize;
-        let ops = &self.program.fwd_ops;
-        for xi in 1..n {
-            let cnt = ops[cursor] as usize;
-            cursor += 1;
-            let mut acc = lane_group::<L>(x, xi * L);
-            for _ in 0..cnt {
-                let slot = ops[cursor] as usize * L;
-                let j = ops[cursor + 1] as usize * L;
-                cursor += 2;
-                let w = lane_group::<L>(&self.work, slot);
-                let xv = lane_group::<L>(x, j);
-                for lane in 0..L {
-                    acc[lane] -= w[lane] * xv[lane];
-                }
-            }
-            x[xi * L..xi * L + L].copy_from_slice(&acc);
-        }
-        let mut cursor = 0usize;
-        let ops = &self.program.bwd_ops;
-        for xi in (0..n).rev() {
-            let diag = ops[cursor] as usize * L;
-            let cnt = ops[cursor + 1] as usize;
-            cursor += 2;
-            let mut acc = lane_group::<L>(x, xi * L);
-            for _ in 0..cnt {
-                let slot = ops[cursor] as usize * L;
-                let j = ops[cursor + 1] as usize * L;
-                cursor += 2;
-                let w = lane_group::<L>(&self.work, slot);
-                let xv = lane_group::<L>(x, j);
-                for lane in 0..L {
-                    acc[lane] -= w[lane] * xv[lane];
-                }
-            }
-            let d = lane_group::<L>(&self.work, diag);
-            for lane in 0..L {
-                acc[lane] /= d[lane];
-            }
-            x[xi * L..xi * L + L].copy_from_slice(&acc);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2174,165 +1248,6 @@ mod tests {
         // clear() invalidates the factors.
         sparse.clear();
         assert!(sparse.solve(&[0.0; 4], &mut x).is_err());
-    }
-
-    /// Stamps `dense` into `lane` of a lockstep workspace.
-    fn stamp_lane(lu: &mut LockstepLu, pattern: &SparsityPattern, dense: &Matrix, lane: usize) {
-        for r in 0..pattern.n() {
-            for &c in pattern.row_cols(r) {
-                lu.add_at(r, c as usize, lane, dense[(r, c as usize)]);
-            }
-        }
-    }
-
-    /// Factors + solves every lane of `lockstep` against a fresh scalar
-    /// kernel per lane and asserts bit-identical solutions.
-    fn assert_lockstep_matches_scalar(
-        pattern: &SparsityPattern,
-        matrices: &[Matrix],
-        lockstep: &mut LockstepLu,
-        b: &[f64],
-    ) {
-        let n = pattern.n();
-        let lanes = lockstep.lanes();
-        let active: Vec<bool> = (0..lanes).map(|l| l < matrices.len()).collect();
-        lockstep.clear();
-        for (lane, m) in matrices.iter().enumerate() {
-            stamp_lane(lockstep, pattern, m, lane);
-        }
-        lockstep.factorize(&active);
-        let mut rhs = vec![0.0; n * lanes];
-        for i in 0..n {
-            for lane in 0..matrices.len() {
-                rhs[i * lanes + lane] = b[i];
-            }
-        }
-        let mut x = vec![0.0; n * lanes];
-        lockstep.solve(&rhs, &mut x, &active).unwrap();
-        for (lane, m) in matrices.iter().enumerate() {
-            let mut scalar = sparse_from_dense(pattern, m);
-            match scalar.factorize() {
-                Ok(()) => {
-                    lockstep.lane_result(lane).unwrap();
-                    let mut xs = vec![0.0; n];
-                    scalar.solve(b, &mut xs).unwrap();
-                    for i in 0..n {
-                        assert_eq!(
-                            xs[i].to_bits(),
-                            x[i * lanes + lane].to_bits(),
-                            "lane {lane} differs from scalar at {i}"
-                        );
-                    }
-                }
-                Err(LinalgError::Singular { pivot, value }) => {
-                    match lockstep.lane_result(lane).unwrap_err() {
-                        LinalgError::Singular {
-                            pivot: pl,
-                            value: vl,
-                        } => {
-                            assert_eq!(pivot, pl);
-                            assert_eq!(value.to_bits(), vl.to_bits());
-                        }
-                        other => panic!("lane {lane}: expected Singular, got {other:?}"),
-                    }
-                }
-                Err(other) => panic!("unexpected scalar error {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_lanes_match_scalar_bit_for_bit() {
-        for lanes in [1usize, 2, 4, 8] {
-            for (n, p, seed) in [
-                (1usize, 1.0, 3u64),
-                (6, 0.4, 11),
-                (11, 0.3, 42),
-                (16, 0.2, 5),
-            ] {
-                let (pattern, base) = random_system(n, p, seed);
-                let matrices: Vec<Matrix> = (0..lanes)
-                    .map(|l| base.scaled(1.0 + 0.37 * l as f64))
-                    .collect();
-                let mut lockstep = LockstepLu::new(SymbolicLu::analyze(&pattern), lanes);
-                let b: Vec<f64> = (0..n).map(|i| (i as f64).cos() * 2.0 + 0.5).collect();
-                // Twice: cold (record + generic lanes) then warm (replay).
-                assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
-                assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_ragged_tail_and_idle_lanes() {
-        let (pattern, base) = random_system(9, 0.35, 19);
-        let mut lockstep = LockstepLu::new(SymbolicLu::analyze(&pattern), 4);
-        let b: Vec<f64> = (0..9).map(|i| 0.3 * i as f64 - 1.0).collect();
-        // Full group, then a ragged tail of 2, then 1.
-        for count in [4usize, 2, 1, 3] {
-            let matrices: Vec<Matrix> = (0..count)
-                .map(|l| base.scaled(0.8 + 0.29 * l as f64))
-                .collect();
-            assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
-        }
-    }
-
-    #[test]
-    fn lockstep_pivot_deviation_isolates_the_lane() {
-        // One lane's values flip the column-0 pivot to a different row while
-        // the others keep the recorded order: only that lane may leave the
-        // program, and every lane must stay bit-identical to scalar.
-        let mut bld = PatternBuilder::new(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                bld.insert(i, j);
-            }
-        }
-        let pattern = bld.build();
-        let stable =
-            Matrix::from_rows(&[&[9.0, 1.0, 2.0], &[1.0, 7.0, 0.5], &[2.0, 0.5, 8.0]]).unwrap();
-        let flipped = Matrix::from_rows(&[
-            &[1.0, 1.0, 2.0],
-            &[9.0, 7.0, 0.5], // column 0 now pivots to row 1
-            &[2.0, 0.5, 8.0],
-        ])
-        .unwrap();
-        let b = [1.0, -2.0, 0.5];
-        let mut lockstep = LockstepLu::new(SymbolicLu::analyze(&pattern), 4);
-        let warm = vec![stable.clone(); 4];
-        assert_lockstep_matches_scalar(&pattern, &warm, &mut lockstep, &b);
-        let mixed = vec![stable.clone(), flipped.clone(), stable.clone(), flipped];
-        assert_lockstep_matches_scalar(&pattern, &mixed, &mut lockstep, &b);
-        // And the warm program still replays for conforming lanes.
-        assert_lockstep_matches_scalar(&pattern, &warm, &mut lockstep, &b);
-    }
-
-    #[test]
-    fn lockstep_singular_lane_does_not_poison_neighbours() {
-        let mut bld = PatternBuilder::new(2);
-        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            bld.insert(i, j);
-        }
-        let pattern = bld.build();
-        let good = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        let b = [1.0, 2.0];
-        let mut lockstep = LockstepLu::new(SymbolicLu::analyze(&pattern), 3);
-        let matrices = vec![good.clone(), singular, good];
-        // Cold and warm rounds: the singular middle lane fails with the
-        // scalar kernel's exact verdict, lanes 0/2 stay bit-identical.
-        assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
-        assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
-    }
-
-    #[test]
-    fn lockstep_multiword_masks_match_scalar() {
-        // n > 64 exercises the per-lane general path (multi-word row masks).
-        let (pattern, base) = random_system(70, 0.15, 21);
-        let matrices: Vec<Matrix> = (0..2).map(|l| base.scaled(1.0 + l as f64)).collect();
-        let mut lockstep = LockstepLu::new(SymbolicLu::analyze(&pattern), 2);
-        let b: Vec<f64> = (0..70).map(|i| (i as f64 * 0.11).sin()).collect();
-        assert_lockstep_matches_scalar(&pattern, &matrices, &mut lockstep, &b);
     }
 
     #[test]

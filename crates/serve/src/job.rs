@@ -64,10 +64,8 @@ pub enum ProblemSpec {
         /// the dimensionality-scaling experiments. 0 = bare 6T cell.
         padded_dimensions: usize,
     },
-    /// A single problem on the transient 6T testbench. The daemon always
-    /// integrates with the default sparse kernel; the `GIS_FAST_LANE`
-    /// fast-math lane is a client-local concern and deliberately does not
-    /// travel over the wire.
+    /// A single problem on the transient 6T testbench, integrated on the
+    /// sparse kernel.
     TransientSram {
         /// Dynamic characteristic under test.
         metric: SramMetric,

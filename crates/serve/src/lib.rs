@@ -32,9 +32,7 @@
 //! A job's rows are bit-identical whether the plan runs batch
 //! (`SweepRunner::run`), is served fresh, is served from cache, or is
 //! resumed after a kill — the integration tests assert all four paths
-//! against each other. The daemon always evaluates transient problems on
-//! the default sparse kernel; the opt-in `GIS_FAST_LANE` fast-math lane
-//! is a client-local concern that does not travel over the wire.
+//! against each other.
 
 // The workspace has zero unsafe code; lock that in per crate.
 #![forbid(unsafe_code)]

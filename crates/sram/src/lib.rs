@@ -51,7 +51,6 @@ pub use static_analysis::{StaticAnalysis, StaticCondition};
 pub use surrogate::SramSurrogate;
 pub use testbench::{
     ReadResult, ReadSession, SramTestbench, TestbenchTiming, WriteResult, WriteSession,
-    FAST_LANE_GROUP, LANE_GROUP,
 };
 // The kernel selector travels with the sessions so downstream layers can
 // request the dense reference kernel for verification runs.

@@ -27,56 +27,17 @@
 //! ΔV_T values into the prebuilt netlist before solving the transient. The
 //! scalar [`SramTestbench::read`]/[`SramTestbench::write`] entry points are
 //! thin wrappers over a fresh session, so both paths produce bit-identical
-//! metrics.
-//!
-//! On the [`TransientKernel::Lockstep`] and [`TransientKernel::Fast`] kernels,
-//! [`ReadSession::run_batch`]/[`WriteSession::run_batch`] additionally advance
-//! up to [`LANE_GROUP`] samples through one shared elimination program per
-//! solver call; the lockstep kernel's per-lane arithmetic is bit-identical to
-//! the scalar sparse kernel, so batching changes throughput, never metrics.
+//! metrics. [`ReadSession::run_batch`]/[`WriteSession::run_batch`] run the
+//! samples one after another on the session's workspace.
 
 use crate::cell::{build_6t_cell, CellNodes, CellTransistor, SramCellConfig};
 use crate::error::SramError;
 use gis_circuit::{
-    transient_analysis_dense, transient_analysis_lockstep, transient_analysis_with, Circuit,
-    CircuitError, CrossingDirection, Device, LockstepWorkspace, MosfetParams, SimulationWorkspace,
-    SourceWaveform, TransientConfig, TransientKernel, TransientResult, MAX_LANES,
+    transient_analysis_dense, transient_analysis_with, Circuit, CircuitError, CrossingDirection,
+    Device, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel,
+    TransientResult,
 };
 use serde::{Deserialize, Serialize};
-
-/// Number of samples a session advances together per lockstep solver call on
-/// the bit-identical [`TransientKernel::Lockstep`] kernel.
-///
-/// Four lanes already amortize the recorded-program walk and expose enough
-/// independent divisions to hide their latency, while keeping each lane-major
-/// working row within a cache line; the exact kernel's per-lane libm
-/// transcendentals don't vectorize, so throughput on the benchmark cell
-/// flattens beyond four. Batches that are not a multiple of this size simply
-/// run a ragged final group.
-pub const LANE_GROUP: usize = 4;
-
-/// Lane-group width of the opt-in [`TransientKernel::Fast`] kernel.
-///
-/// The fast lane's branch-free compact model evaluates all lanes in one
-/// straight-line pass, so wider groups keep vectorizing: eight lanes map a
-/// lane-major row onto one 512-bit vector (or two 256-bit halves) and
-/// measurably outrun four on AVX-capable hosts.
-pub const FAST_LANE_GROUP: usize = 8;
-
-const _: () = assert!(LANE_GROUP <= MAX_LANES, "lane group exceeds solver lanes");
-const _: () = assert!(
-    FAST_LANE_GROUP <= MAX_LANES,
-    "lane group exceeds solver lanes"
-);
-
-/// The lane-group width a session uses for `kernel` (see [`LANE_GROUP`] and
-/// [`FAST_LANE_GROUP`]).
-fn lane_group_for(kernel: TransientKernel) -> usize {
-    match kernel {
-        TransientKernel::Fast => FAST_LANE_GROUP,
-        _ => LANE_GROUP,
-    }
-}
 
 /// Timing and sensing parameters shared by the testbenches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -299,8 +260,6 @@ impl SramTestbench {
             sense_level: vdd - self.timing.sense_margin,
             kernel: TransientKernel::Sparse,
             workspace: SimulationWorkspace::new(),
-            lockstep: LockstepWorkspace::new(),
-            lane_circuits: Vec::new(),
         })
     }
 
@@ -360,8 +319,6 @@ impl SramTestbench {
             vdd,
             kernel: TransientKernel::Sparse,
             workspace: SimulationWorkspace::new(),
-            lockstep: LockstepWorkspace::new(),
-            lane_circuits: Vec::new(),
         })
     }
 }
@@ -440,8 +397,6 @@ pub struct ReadSession {
     sense_level: f64,
     kernel: TransientKernel,
     workspace: SimulationWorkspace,
-    lockstep: LockstepWorkspace,
-    lane_circuits: Vec<Circuit>,
 }
 
 impl ReadSession {
@@ -472,93 +427,16 @@ impl ReadSession {
             &self.config,
             self.kernel,
             &mut self.workspace,
-            &mut self.lockstep,
         )?;
         self.measure(&result)
     }
 
-    /// Runs one read transient per ΔV_T sample.
-    ///
-    /// On the [`TransientKernel::Lockstep`] and [`TransientKernel::Fast`]
-    /// kernels, up to [`LANE_GROUP`] (respectively [`FAST_LANE_GROUP`])
-    /// samples advance together through one shared elimination program per
-    /// solver call; the per-lane arithmetic is bit-identical to running each
-    /// sample through [`ReadSession::run`] on the lockstep kernel, and — for
-    /// `Lockstep` — bit-identical to the scalar sparse kernel. A singleton
-    /// group (a batch of one, or a ragged tail of one) is solved on the
-    /// scalar sparse kernel directly: identical bits for `Lockstep`, exact
-    /// (rather than approximate) metrics for `Fast`. Other kernels evaluate
-    /// the samples sequentially. Each sample's result slot is independent: a
-    /// rejected shift vector or a non-converging lane yields an `Err` in its
-    /// own slot without disturbing its neighbours.
+    /// Runs one read transient per ΔV_T sample, in order. Each sample's
+    /// result slot is independent: a rejected shift vector or a
+    /// non-converging transient yields an `Err` in its own slot without
+    /// disturbing its neighbours.
     pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<ReadResult, SramError>> {
-        if !matches!(
-            self.kernel,
-            TransientKernel::Lockstep | TransientKernel::Fast
-        ) {
-            return samples.iter().map(|deltas| self.run(deltas)).collect();
-        }
-        let fast = matches!(self.kernel, TransientKernel::Fast);
-        let mut out: Vec<Result<ReadResult, SramError>> = samples
-            .iter()
-            .map(|_| Err(SramError::InvalidConfig("sample not evaluated".into())))
-            .collect();
-        let width = lane_group_for(self.kernel);
-        for (chunk_index, group) in samples.chunks(width).enumerate() {
-            let offset = chunk_index * width;
-            if group.len() == 1 {
-                // A singleton group (batch of one, or a ragged tail of one)
-                // gains nothing from the lane machinery and would pay its
-                // per-lane overhead — and, on the fast lane, the approximate
-                // model's scalar cost — for no vector width. Solve it on the
-                // scalar sparse kernel: bit-identical for `Lockstep`, and for
-                // `Fast` an exact singleton only tightens the documented
-                // metric tolerance.
-                out[offset] = self.run_single_sparse(group[0]);
-                continue;
-            }
-            let lane_of = inject_group(
-                &self.cell,
-                &self.circuit,
-                &mut self.lane_circuits,
-                group,
-                offset,
-                &mut out,
-            );
-            if lane_of.is_empty() {
-                continue;
-            }
-            let circuits: Vec<&Circuit> = self.lane_circuits[..lane_of.len()].iter().collect();
-            match transient_analysis_lockstep(&circuits, &self.config, &mut self.lockstep, fast) {
-                Err(e) => {
-                    for &i in &lane_of {
-                        out[i] = Err(SramError::Circuit(e.clone()));
-                    }
-                }
-                Ok(lane_results) => {
-                    for (lane, result) in lane_results.into_iter().enumerate() {
-                        out[lane_of[lane]] = result
-                            .map_err(SramError::Circuit)
-                            .and_then(|r| self.measure(&r));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// One sample on the scalar sparse kernel (the singleton-group fallback
-    /// of [`ReadSession::run_batch`]).
-    fn run_single_sparse(&mut self, vth_deltas: &[f64]) -> Result<ReadResult, SramError> {
-        self.cell.inject(&mut self.circuit, vth_deltas)?;
-        let result = run_transient(
-            &self.circuit,
-            &self.config,
-            TransientKernel::Sparse,
-            &mut self.workspace,
-            &mut self.lockstep,
-        )?;
-        self.measure(&result)
+        samples.iter().map(|deltas| self.run(deltas)).collect()
     }
 
     /// Extracts the read metrics from a solved transient.
@@ -597,8 +475,6 @@ pub struct WriteSession {
     vdd: f64,
     kernel: TransientKernel,
     workspace: SimulationWorkspace,
-    lockstep: LockstepWorkspace,
-    lane_circuits: Vec<Circuit>,
 }
 
 impl WriteSession {
@@ -629,75 +505,14 @@ impl WriteSession {
             &self.config,
             self.kernel,
             &mut self.workspace,
-            &mut self.lockstep,
         )?;
         self.measure(&result)
     }
 
     /// Runs one write transient per ΔV_T sample; see
-    /// [`ReadSession::run_batch`] for the lane-group semantics.
+    /// [`ReadSession::run_batch`].
     pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<WriteResult, SramError>> {
-        if !matches!(
-            self.kernel,
-            TransientKernel::Lockstep | TransientKernel::Fast
-        ) {
-            return samples.iter().map(|deltas| self.run(deltas)).collect();
-        }
-        let fast = matches!(self.kernel, TransientKernel::Fast);
-        let mut out: Vec<Result<WriteResult, SramError>> = samples
-            .iter()
-            .map(|_| Err(SramError::InvalidConfig("sample not evaluated".into())))
-            .collect();
-        let width = lane_group_for(self.kernel);
-        for (chunk_index, group) in samples.chunks(width).enumerate() {
-            let offset = chunk_index * width;
-            if group.len() == 1 {
-                // Singleton-group fallback; see [`ReadSession::run_batch`].
-                out[offset] = self.run_single_sparse(group[0]);
-                continue;
-            }
-            let lane_of = inject_group(
-                &self.cell,
-                &self.circuit,
-                &mut self.lane_circuits,
-                group,
-                offset,
-                &mut out,
-            );
-            if lane_of.is_empty() {
-                continue;
-            }
-            let circuits: Vec<&Circuit> = self.lane_circuits[..lane_of.len()].iter().collect();
-            match transient_analysis_lockstep(&circuits, &self.config, &mut self.lockstep, fast) {
-                Err(e) => {
-                    for &i in &lane_of {
-                        out[i] = Err(SramError::Circuit(e.clone()));
-                    }
-                }
-                Ok(lane_results) => {
-                    for (lane, result) in lane_results.into_iter().enumerate() {
-                        out[lane_of[lane]] = result
-                            .map_err(SramError::Circuit)
-                            .and_then(|r| self.measure(&r));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// One sample on the scalar sparse kernel (the singleton-group fallback
-    /// of [`WriteSession::run_batch`]).
-    fn run_single_sparse(&mut self, vth_deltas: &[f64]) -> Result<WriteResult, SramError> {
-        self.cell.inject(&mut self.circuit, vth_deltas)?;
-        let result = run_transient(
-            &self.circuit,
-            &self.config,
-            TransientKernel::Sparse,
-            &mut self.workspace,
-            &mut self.lockstep,
-        )?;
-        self.measure(&result)
+        samples.iter().map(|deltas| self.run(deltas)).collect()
     }
 
     /// Extracts the write metrics from a solved transient.
@@ -724,56 +539,16 @@ impl WriteSession {
     }
 }
 
-/// Injects each sample of `group` into its own prebuilt lane netlist,
-/// compacting to the lanes whose shift vector was accepted. Rejected samples
-/// get their error written straight into `out[offset + j]`; the returned
-/// vector maps lane index → sample index for the lanes that will run. Lane
-/// netlists are cloned from `nominal` on first use and reused afterwards, so
-/// a warm session allocates nothing here.
-fn inject_group<R>(
-    cell: &CellParameterInjector,
-    nominal: &Circuit,
-    lane_circuits: &mut Vec<Circuit>,
-    group: &[&[f64]],
-    offset: usize,
-    out: &mut [Result<R, SramError>],
-) -> Vec<usize> {
-    let mut lane_of = Vec::with_capacity(group.len());
-    for (j, deltas) in group.iter().enumerate() {
-        let lane = lane_of.len();
-        if lane_circuits.len() == lane {
-            lane_circuits.push(nominal.clone());
-        }
-        match cell.inject(&mut lane_circuits[lane], deltas) {
-            Ok(()) => lane_of.push(offset + j),
-            Err(e) => out[offset + j] = Err(e),
-        }
-    }
-    lane_of
-}
-
-/// Dispatches one transient to the selected kernel. The lockstep kernels run
-/// single-lane here — the lane-group batching lives in
-/// [`ReadSession::run_batch`]/[`WriteSession::run_batch`] — so every kernel
-/// is usable through the scalar `run` entry points.
-#[allow(clippy::expect_used)] // invariant stated in the expect message
+/// Dispatches one transient to the selected kernel.
 fn run_transient(
     circuit: &Circuit,
     config: &TransientConfig,
     kernel: TransientKernel,
     workspace: &mut SimulationWorkspace,
-    lockstep: &mut LockstepWorkspace,
 ) -> Result<TransientResult, CircuitError> {
     match kernel {
         TransientKernel::Sparse => transient_analysis_with(circuit, config, workspace),
         TransientKernel::Dense => transient_analysis_dense(circuit, config),
-        TransientKernel::Lockstep | TransientKernel::Fast => {
-            let fast = matches!(kernel, TransientKernel::Fast);
-            transient_analysis_lockstep(&[circuit], config, lockstep, fast)?
-                .pop()
-                // A one-circuit lockstep call returns exactly one lane result.
-                .expect("one lane in, one lane result out")
-        }
     }
 }
 
@@ -965,69 +740,9 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_batches_match_scalar_sparse_bit_for_bit() {
-        let tb = SramTestbench::typical_45nm();
-        let samples: [[f64; 6]; 5] = [
-            [0.0; 6],
-            [0.12, -0.03, 0.05, 0.0, 0.08, -0.02],
-            [-0.08, 0.15, -0.05, 0.1, 0.0, 0.07],
-            [0.3, 0.0, -0.1, 0.05, -0.06, 0.12],
-            [0.02, 0.02, 0.02, 0.02, 0.02, 0.02], // ragged final group of one
-        ];
-        let refs: Vec<&[f64]> = samples.iter().map(|s| &s[..]).collect();
-
-        let mut lockstep_read = tb
-            .read_session()
-            .unwrap()
-            .with_kernel(TransientKernel::Lockstep);
-        let batch = lockstep_read.run_batch(&refs);
-        assert_eq!(batch.len(), samples.len());
-        for (deltas, result) in samples.iter().zip(&batch) {
-            let scalar = tb.read(deltas).unwrap();
-            let lane = result.as_ref().unwrap();
-            assert_eq!(scalar.access_time.to_bits(), lane.access_time.to_bits());
-            assert_eq!(scalar.disturb_peak.to_bits(), lane.disturb_peak.to_bits());
-            assert_eq!(scalar.sensed, lane.sensed);
-        }
-        // A second batch reuses the warm workspace and lane netlists.
-        let again = lockstep_read.run_batch(&refs);
-        for (first, second) in batch.iter().zip(&again) {
-            assert_eq!(first.as_ref().unwrap(), second.as_ref().unwrap());
-        }
-
-        let mut lockstep_write = tb
-            .write_session()
-            .unwrap()
-            .with_kernel(TransientKernel::Lockstep);
-        for (deltas, result) in samples.iter().zip(lockstep_write.run_batch(&refs)) {
-            let scalar = tb.write(deltas).unwrap();
-            let lane = result.unwrap();
-            assert_eq!(scalar.write_delay.to_bits(), lane.write_delay.to_bits());
-            assert_eq!(scalar.flipped, lane.flipped);
-        }
-    }
-
-    #[test]
-    fn lockstep_single_lane_run_matches_scalar_sparse() {
-        let tb = SramTestbench::typical_45nm();
-        let mut session = tb
-            .read_session()
-            .unwrap()
-            .with_kernel(TransientKernel::Lockstep);
-        let deltas = [0.12, -0.03, 0.05, 0.0, 0.08, -0.02];
-        let scalar = tb.read(&deltas).unwrap();
-        let lane = session.run(&deltas).unwrap();
-        assert_eq!(scalar.access_time.to_bits(), lane.access_time.to_bits());
-        assert_eq!(scalar.disturb_peak.to_bits(), lane.disturb_peak.to_bits());
-    }
-
-    #[test]
     fn batch_isolates_rejected_samples() {
         let tb = SramTestbench::typical_45nm();
-        let mut session = tb
-            .read_session()
-            .unwrap()
-            .with_kernel(TransientKernel::Lockstep);
+        let mut session = tb.read_session().unwrap();
         let good = [0.0; 6];
         let bad = [f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0];
         let refs: Vec<&[f64]> = vec![&good, &bad, &good];
@@ -1041,27 +756,6 @@ mod tests {
                 slot.as_ref().unwrap().access_time.to_bits(),
                 nominal.access_time.to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn fast_kernel_batches_track_the_exact_metrics() {
-        let tb = SramTestbench::typical_45nm();
-        let samples: [[f64; 6]; 2] = [[0.0; 6], [0.12, -0.03, 0.05, 0.0, 0.08, -0.02]];
-        let refs: Vec<&[f64]> = samples.iter().map(|s| &s[..]).collect();
-        let mut fast = tb
-            .read_session()
-            .unwrap()
-            .with_kernel(TransientKernel::Fast);
-        for (deltas, result) in samples.iter().zip(fast.run_batch(&refs)) {
-            let exact = tb.read(deltas).unwrap();
-            let approx = result.unwrap();
-            let rel = (approx.access_time - exact.access_time).abs() / exact.access_time;
-            assert!(
-                rel < 1e-3,
-                "fast access time deviates by {rel:e} from the exact kernel"
-            );
-            assert_eq!(exact.sensed, approx.sensed);
         }
     }
 

@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
-use sram_highsigma::circuit::{
-    Circuit, CircuitError, LockstepWorkspace, MnaSystem, SimulationWorkspace, SourceWaveform,
-};
+use sram_highsigma::circuit::{Circuit, MnaSystem, SimulationWorkspace, SourceWaveform};
 use sram_highsigma::highsigma::IsAccumulator;
 use sram_highsigma::sram::{build_6t_cell, SramCellConfig, SramTestbench};
 
@@ -134,69 +132,6 @@ fn sparse_newton_steady_state_is_allocation_free() {
         assert_eq!(
             allocs, 0,
             "steady-state sparse Newton solve allocated on round {round}"
-        );
-    }
-}
-
-/// The lockstep mirror of the claim above: once a [`LockstepWorkspace`] is
-/// bound and its elimination program is recorded, repeated
-/// `solve_newton_lockstep_in` calls over a full four-lane group perform
-/// **zero** heap allocations — stamping, factorization replay and the
-/// per-lane Newton updates all run inside preallocated lane-major buffers.
-#[test]
-fn lockstep_newton_steady_state_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
-    let cfg = SramCellConfig::typical_45nm();
-    // Four lanes with distinct threshold shifts on one shared topology.
-    let owned: Vec<Circuit> = (0..4)
-        .map(|lane| read_condition_circuit(&cfg, &[0.005 * lane as f64; 6]))
-        .collect();
-    let circuits: Vec<&Circuit> = owned.iter().collect();
-    let system = MnaSystem::new(circuits[0]).unwrap();
-    let mut ws = LockstepWorkspace::new();
-    let mut errors: Vec<Option<CircuitError>> = vec![None; 4];
-    let mut iterations = [0usize; 4];
-
-    // Warm-up: binds the workspace and records the elimination program.
-    let mut alive = [true; 4];
-    system.solve_newton_lockstep_in(
-        &mut ws,
-        &circuits,
-        0.0,
-        None,
-        "dc",
-        MAX_NEWTON_ITERATIONS,
-        false,
-        &mut alive,
-        &mut errors,
-        &mut iterations,
-    );
-    assert!(alive.iter().all(|&a| a), "warm-up lanes must converge");
-
-    for round in 0..5 {
-        let mut alive = [true; 4];
-        let (allocs, ()) = allocations_during(|| {
-            system.solve_newton_lockstep_in(
-                &mut ws,
-                &circuits,
-                0.0,
-                None,
-                "dc",
-                MAX_NEWTON_ITERATIONS,
-                false,
-                &mut alive,
-                &mut errors,
-                &mut iterations,
-            );
-        });
-        assert!(
-            alive.iter().all(|&a| a),
-            "round {round} lanes must converge"
-        );
-        assert!(errors.iter().all(Option::is_none));
-        assert_eq!(
-            allocs, 0,
-            "steady-state lockstep Newton solve allocated on round {round}"
         );
     }
 }

@@ -12,9 +12,8 @@
 
 use proptest::prelude::*;
 use sram_highsigma::circuit::{
-    transient_analysis, transient_analysis_dense, transient_analysis_lockstep, Circuit,
-    CrossingDirection, LockstepWorkspace, MosfetParams, SimulationWorkspace, SourceWaveform,
-    TransientConfig, TransientKernel, GROUND,
+    transient_analysis, transient_analysis_dense, Circuit, CrossingDirection, MosfetParams,
+    SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel, GROUND,
 };
 use sram_highsigma::highsigma::{
     default_sram_variation_space, standard_estimators, ConvergencePolicy, Estimator,
@@ -255,59 +254,6 @@ fn golden_metrics_and_gis_estimate_are_pinned() {
 }
 
 #[test]
-fn lockstep_kernel_matches_scalar_on_sram_netlists_at_every_lane_count() {
-    // Every lane of a lockstep batch must reproduce the scalar sparse kernel
-    // bit for bit — node voltages, time axis and Newton iteration counts —
-    // at lane counts 1, 2, 4 and 8, on both a cold (program-recording) and a
-    // warm (program-replaying) round.
-    let deltas_pool: [[f64; 6]; 8] = [
-        [0.0; 6],
-        [0.12, -0.03, 0.05, 0.0, 0.08, -0.02],
-        [-0.15, 0.2, 0.1, -0.05, 0.0, 0.3],
-        [0.05, 0.05, -0.05, 0.05, -0.05, 0.05],
-        [0.3, 0.0, -0.1, 0.05, -0.06, 0.12],
-        [-0.08, 0.15, -0.05, 0.1, 0.0, 0.07],
-        [0.02, -0.02, 0.02, -0.02, 0.02, -0.02],
-        [0.18, 0.09, 0.0, -0.12, 0.04, -0.07],
-    ];
-    for lanes in [1usize, 2, 4, 8] {
-        let built: Vec<(Circuit, TransientConfig)> =
-            deltas_pool[..lanes].iter().map(read_circuit).collect();
-        let circuits: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
-        let config = &built[0].1;
-        let mut ws = LockstepWorkspace::new();
-        for round in ["cold", "warm"] {
-            let results = transient_analysis_lockstep(&circuits, config, &mut ws, false)
-                .expect("lockstep batch");
-            assert_eq!(results.len(), lanes);
-            for (lane, result) in results.iter().enumerate() {
-                let lockstep = result.as_ref().expect("lane transient");
-                let scalar = transient_analysis(circuits[lane], config).unwrap();
-                assert_eq!(
-                    scalar.newton_iterations_total(),
-                    lockstep.newton_iterations_total(),
-                    "{round} lanes={lanes} lane={lane}: Newton counts diverged"
-                );
-                for (ts, tl) in scalar.times().iter().zip(lockstep.times()) {
-                    assert_eq!(ts.to_bits(), tl.to_bits());
-                }
-                for node in 0..circuits[lane].num_nodes() {
-                    let s = scalar.node_voltage_samples(node).unwrap();
-                    let l = lockstep.node_voltage_samples(node).unwrap();
-                    for (step, (a, b)) in s.iter().zip(l).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{round} lanes={lanes} lane={lane} node {node} step {step}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn estimator_results_identical_across_kernels() {
     // Driver-level: a fixed-seed analysis on the dense-kernel model must
     // reproduce the sparse-kernel report bit for bit.
@@ -342,22 +288,20 @@ fn estimator_results_identical_across_kernels() {
     };
     let sparse = run(TransientKernel::Sparse);
     assert_eq!(sparse.problems[0].methods.len(), 5);
-    for kernel in [TransientKernel::Dense, TransientKernel::Lockstep] {
-        let other = run(kernel);
-        for (s, d) in sparse.problems[0]
-            .methods
-            .iter()
-            .zip(&other.problems[0].methods)
-        {
-            assert_eq!(s.estimator, d.estimator);
-            assert_eq!(
-                s.outcome.result.failure_probability.to_bits(),
-                d.outcome.result.failure_probability.to_bits(),
-                "{}: {kernel:?} kernel diverged",
-                s.estimator
-            );
-            assert_eq!(s.outcome.result.evaluations, d.outcome.result.evaluations);
-        }
+    let dense = run(TransientKernel::Dense);
+    for (s, d) in sparse.problems[0]
+        .methods
+        .iter()
+        .zip(&dense.problems[0].methods)
+    {
+        assert_eq!(s.estimator, d.estimator);
+        assert_eq!(
+            s.outcome.result.failure_probability.to_bits(),
+            d.outcome.result.failure_probability.to_bits(),
+            "{}: dense kernel diverged",
+            s.estimator
+        );
+        assert_eq!(s.outcome.result.evaluations, d.outcome.result.evaluations);
     }
 }
 
@@ -493,51 +437,6 @@ proptest! {
             }
             (Err(es), Err(ed)) => prop_assert_eq!(format!("{es}"), format!("{ed}")),
             (s, d) => prop_assert!(false, "kernels disagreed on success: {s:?} vs {d:?}"),
-        }
-    }
-
-    /// Random chain circuits at random lane counts (including ragged,
-    /// non-power-of-two batches): every lockstep lane agrees bit for bit with
-    /// the scalar sparse kernel on its own circuit, or fails with the same
-    /// error.
-    #[test]
-    fn lockstep_random_chains_bit_identical(
-        resistances in prop::collection::vec(100.0f64..100e3, 1..5),
-        capacitances in prop::collection::vec(1e-15f64..1e-9, 0..5),
-        mosfet_every in 0usize..3,
-        supply in 0.5f64..1.2,
-        lanes in 1usize..9,
-    ) {
-        // One shared topology; each lane scales the element values so the
-        // lanes solve genuinely different numerics.
-        let built: Vec<(Circuit, TransientConfig)> = (0..lanes)
-            .map(|lane| {
-                let scale = 1.0 + lane as f64 * 0.13;
-                let rs: Vec<f64> = resistances.iter().map(|r| r * scale).collect();
-                random_chain_circuit(&rs, &capacitances, mosfet_every, supply)
-            })
-            .collect();
-        let circuits: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
-        let config = &built[0].1;
-        let mut ws = LockstepWorkspace::new();
-        let results = transient_analysis_lockstep(&circuits, config, &mut ws, false).unwrap();
-        prop_assert_eq!(results.len(), lanes);
-        for (lane, result) in results.iter().enumerate() {
-            let scalar = transient_analysis(circuits[lane], config);
-            match (result, &scalar) {
-                (Ok(l), Ok(s)) => {
-                    prop_assert_eq!(s.newton_iterations_total(), l.newton_iterations_total());
-                    for node in 0..circuits[lane].num_nodes() {
-                        let a = s.node_voltage_samples(node).unwrap();
-                        let b = l.node_voltage_samples(node).unwrap();
-                        for (x, y) in a.iter().zip(b) {
-                            prop_assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                    }
-                }
-                (Err(el), Err(es)) => prop_assert_eq!(format!("{el}"), format!("{es}")),
-                (l, s) => prop_assert!(false, "lane {lane} disagreed on success: {l:?} vs {s:?}"),
-            }
         }
     }
 
