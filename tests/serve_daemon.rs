@@ -12,10 +12,11 @@
 // Test code: panicking is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gis_serve::{Client, EstimatorSpec, JobSpec, ProblemSpec, Server, ServerConfig};
+use gis_serve::{CellProgress, Client, EstimatorSpec, JobSpec, ProblemSpec, Server, ServerConfig};
 use sram_highsigma::highsigma::{
     standard_estimators, BenchmarkProblem, ConvergencePolicy, GisConfig,
-    GradientImportanceSampling, MonteCarlo, MonteCarloConfig, SweepRunner, YieldAnalysis,
+    GradientImportanceSampling, MonteCarlo, MonteCarloConfig, SweepPlan, SweepRunner,
+    YieldAnalysis,
 };
 use std::path::PathBuf;
 
@@ -123,7 +124,134 @@ fn served_job_is_bit_identical_to_batch_run() {
         .report
         .expect("sweep completes");
     assert_eq!(receipt.report, swept);
+    client.shutdown().expect("clean shutdown");
 
+    // A partly cached job streams its rows in the cold run's order (the
+    // self-healing client's high-water dedup relies on it): a Monte-Carlo
+    // only job warms the cache, then the full job mixes hits and misses.
+    let addr = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("client connects");
+    let mut mc_only = fast_job(MASTER_SEED);
+    mc_only.estimators.remove(0);
+    client
+        .submit(&mc_only, &mut |_| {})
+        .expect("warm-up job runs");
+    let mut partly_cached = Vec::new();
+    let receipt = client
+        .submit(&fast_job(MASTER_SEED), &mut record_rows(&mut partly_cached))
+        .expect("partly cached job runs");
+    assert_eq!((receipt.cells_executed, receipt.cells_cached), (7, 7));
+    let cold_rows: Vec<_> = streamed
+        .iter()
+        .map(|s| (s.0.clone(), s.1.clone(), s.2))
+        .collect();
+    assert_eq!(partly_cached, cold_rows);
+    assert_eq!(receipt.report, batch);
+    client.shutdown().expect("clean shutdown");
+}
+
+/// A warm-start grid whose donor-wave order differs from its registration
+/// order: the third temperature of the first supply is two donor hops from
+/// the family origin, the first temperature of the second supply only one.
+fn warm_plan() -> SweepPlan {
+    SweepPlan::new()
+        .supply_voltages([0.9, 1.0])
+        .temperatures([-40.0, 25.0, 125.0])
+}
+
+fn warm_job(estimators: Vec<EstimatorSpec>) -> JobSpec {
+    JobSpec {
+        problem: ProblemSpec::Plan { plan: warm_plan() },
+        estimators,
+        master_seed: MASTER_SEED,
+        policy: Some(policy()),
+        warm_start: Some(true),
+        deadline_ms: None,
+    }
+}
+
+fn warm_estimators() -> Vec<EstimatorSpec> {
+    vec![
+        EstimatorSpec::GradientIs {
+            config: GisConfig::default(),
+        },
+        EstimatorSpec::MonteCarlo {
+            config: MonteCarloConfig::default(),
+        },
+    ]
+}
+
+/// A progress callback recording each streamed row's cell and position.
+fn record_rows(stream: &mut Vec<(String, String, usize)>) -> impl FnMut(&CellProgress<'_>) + '_ {
+    move |cell| {
+        stream.push((
+            cell.problem.to_string(),
+            cell.estimator.to_string(),
+            cell.completed_cells,
+        ))
+    }
+}
+
+fn warm_batch_analysis() -> YieldAnalysis {
+    warm_plan()
+        .analysis()
+        .master_seed(MASTER_SEED)
+        .convergence_policy(policy())
+        .estimator(Box::new(GradientImportanceSampling::new(
+            GisConfig::default(),
+        )))
+        .estimator(Box::new(MonteCarlo::new(MonteCarloConfig::default())))
+}
+
+#[test]
+fn warm_plan_job_matches_the_warm_batch_sweep_and_caches() {
+    let cells = 6 * 2;
+    let addr = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("client connects");
+    let mut cold = Vec::new();
+    let fresh = client
+        .submit(&warm_job(warm_estimators()), &mut record_rows(&mut cold))
+        .expect("warm job runs");
+    assert_eq!((fresh.cells_executed, fresh.cells_cached), (cells, 0));
+    assert_eq!(cold.len(), cells);
+
+    // Bit-identical to the batch continuation sweep over the same grid...
+    let batch = SweepRunner::new()
+        .warm_start(warm_plan().warm_donors())
+        .run(&mut warm_batch_analysis())
+        .report
+        .expect("warm sweep completes");
+    assert_eq!(fresh.report, batch);
+    // ...and genuinely warm: the hinted searches differ from a blind run.
+    assert_ne!(fresh.report, warm_batch_analysis().run());
+
+    // Resubmission is served entirely from the cache.
+    let again = client
+        .submit(&warm_job(warm_estimators()), &mut |cell| {
+            assert!(cell.cached)
+        })
+        .expect("cached warm job runs");
+    assert_eq!((again.cells_executed, again.cells_cached), (0, cells));
+    assert_eq!(again.report, fresh.report);
+    client.shutdown().expect("clean shutdown");
+
+    // A partly cached warm job streams in the cold run's order.
+    let addr = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("client connects");
+    let gis_only = warm_job(warm_estimators()[..1].to_vec());
+    client
+        .submit(&gis_only, &mut |_| {})
+        .expect("warm-up job runs");
+    let mut partly_cached = Vec::new();
+    let mixed = client
+        .submit(
+            &warm_job(warm_estimators()),
+            &mut record_rows(&mut partly_cached),
+        )
+        .expect("partly cached warm job runs");
+    assert_eq!((mixed.cells_executed, mixed.cells_cached), (6, 6));
+    assert_eq!(partly_cached, cold);
+    assert_eq!(mixed.report, fresh.report);
     client.shutdown().expect("clean shutdown");
 }
 
