@@ -396,9 +396,9 @@ impl YieldAnalysis {
     /// every estimator and validates that the matrix is runnable. Idempotent;
     /// called by every run entry point before any cell executes.
     ///
-    /// External schedulers (e.g. a job server dispatching single cells via
-    /// [`run_cell`](Self::run_cell)) call this once up front through the
-    /// public [`prepare`](Self::prepare) alias.
+    /// Callers dispatching single cells via [`run_cell`](Self::run_cell)
+    /// call this once up front through the public
+    /// [`prepare`](Self::prepare) alias.
     ///
     /// # Panics
     ///
@@ -435,9 +435,9 @@ impl YieldAnalysis {
 
     /// Validates the matrix and applies the registered policy and execution
     /// configuration to every estimator. Idempotent. Must be called before
-    /// dispatching individual cells via [`run_cell`](Self::run_cell) or
-    /// [`run_named_cell`](Self::run_named_cell); the bulk entry points
-    /// ([`run`](Self::run), [`run_on`](Self::run_on)) call it themselves.
+    /// dispatching individual cells via [`run_cell`](Self::run_cell); the
+    /// bulk entry points ([`run`](Self::run), [`run_on`](Self::run_on)) call
+    /// it themselves.
     ///
     /// # Panics
     ///
@@ -475,9 +475,8 @@ impl YieldAnalysis {
     /// [`YieldAnalysis::derived_seed`] — so the result depends only on the
     /// cell's inputs, never on which other cells ran before it or
     /// concurrently with it. This is the invariant the matrix scheduler in
-    /// [`crate::sweep`] — and any external job scheduler, e.g. the `gis-serve`
-    /// daemon filling its content-addressed result cache one keyed cell at a
-    /// time — relies on. Call [`prepare`](Self::prepare) first.
+    /// [`crate::sweep`] (batch and served alike) relies on. Call
+    /// [`prepare`](Self::prepare) first.
     ///
     /// # Panics
     ///
@@ -524,16 +523,6 @@ impl YieldAnalysis {
             outcome,
             failed: None,
         }
-    }
-
-    /// Runs a single (problem, estimator) cell addressed by name instead of
-    /// index — the entry point a keyed result cache uses to fill exactly one
-    /// cell. Returns `None` when either name is not registered. Call
-    /// [`prepare`](Self::prepare) first.
-    pub fn run_named_cell(&self, problem: &str, estimator: &str) -> Option<MethodReport> {
-        let pi = self.problems.iter().position(|(n, _)| n == problem)?;
-        let ei = self.estimators.iter().position(|e| e.name() == estimator)?;
-        Some(self.run_cell(pi, ei))
     }
 
     /// Assembles per-cell method reports (indexed `[problem][estimator]` in

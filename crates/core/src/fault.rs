@@ -9,9 +9,9 @@
 //! [`run_contained`] wraps one (problem, estimator) cell execution in
 //! [`std::panic::catch_unwind`] and a bounded retry loop, and classifies any
 //! failure into a typed [`CellOutcome::Failed`] carrying a
-//! [`CellFailureReason`] and the attempt count. Drivers
-//! ([`crate::sweep::SweepRunner`], the `gis-serve` daemon) record the failure
-//! in their checkpoint/journal and keep going; healthy cells are returned
+//! [`CellFailureReason`] and the attempt count. The one cell scheduler,
+//! [`crate::sweep::SweepRunner`], records the failure in its store (the
+//! checkpoint, or the `gis-serve` journal) and keeps going; healthy cells are returned
 //! **unmodified**, so the determinism contract of [`crate::exec`] extends to
 //! partial failure: every non-failed cell is bit-identical to a fault-free
 //! run. Retries are seed-deterministic for free — a cell is a pure function

@@ -181,7 +181,7 @@ pub use sram_models::{
     default_sram_variation_space, SramMetric, SramSurrogateModel, SramTransientModel,
 };
 pub use sweep::{
-    CapacityMargin, CapacityTarget, Scenario, SweepCellRecord, SweepCellUpdate, SweepLogEntry,
-    SweepOutcome, SweepPlan, SweepRunner, SweepStatus, SweepSummaryRow, SWEEP_LOG_KIND_CELL,
-    SWEEP_LOG_KIND_JOB, SWEEP_LOG_VERSION,
+    CapacityMargin, CapacityTarget, CellClaim, CellStore, Scenario, SweepCellRecord,
+    SweepCellUpdate, SweepLog, SweepLogEntry, SweepOutcome, SweepPlan, SweepRunner, SweepStatus,
+    SweepSummaryRow, SWEEP_LOG_KIND_CELL, SWEEP_LOG_KIND_JOB, SWEEP_LOG_VERSION,
 };

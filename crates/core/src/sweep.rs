@@ -33,7 +33,9 @@
 //!   (the signature of a kill mid-append) is skipped harmlessly. Because
 //!   restored rows and fresh rows are assembled in registration order, a
 //!   resumed sweep reproduces the uninterrupted report exactly (`PartialEq`,
-//!   which ignores wall-clock metadata).
+//!   which ignores wall-clock metadata). The checkpoint is one
+//!   [`CellStore`]; the `gis-serve` daemon runs its jobs through the same
+//!   scheduler with its cache and journal as another.
 //!
 //! ```no_run
 //! use gis_core::sweep::{SweepPlan, SweepRunner};
@@ -64,7 +66,7 @@ use crate::analysis::{AnalysisReport, MethodReport, YieldAnalysis};
 use crate::array_yield::ArrayYield;
 use crate::estimator::{ConvergencePolicy, WarmStart};
 use crate::exec::ExecutionConfig;
-use crate::fault::{self, crc32, FaultPlan};
+use crate::fault::{self, crc32, CellFailure, FaultPlan};
 use crate::model::{FailureProblem, Spec};
 use crate::sram_models::{SramMetric, SramSurrogateModel};
 use gis_sram::{SramCellConfig, SramSurrogate};
@@ -73,7 +75,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Threshold-voltage temperature coefficient applied by the scenario library:
 /// `ΔV_T = VTH_TEMPERATURE_COEFFICIENT · (T − 25 °C)` for both polarities
@@ -628,6 +631,185 @@ impl SweepLogEntry {
     }
 }
 
+/// The append side of a sweep log: the one writer of sealed
+/// [`SweepLogEntry`] lines, shared by the batch checkpoint and the
+/// `gis-serve` journal.
+#[derive(Debug)]
+pub struct SweepLog {
+    file: Mutex<std::fs::File>,
+    appends: AtomicU64,
+    healthy: AtomicBool,
+}
+
+impl SweepLog {
+    /// Opens the log at `path` for appending, creating it (and its parent
+    /// directory) on first use.
+    pub fn open(path: &Path) -> std::io::Result<SweepLog> {
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        Ok(SweepLog {
+            file: Mutex::new(file),
+            appends: AtomicU64::new(0),
+            healthy: AtomicBool::new(true),
+        })
+    }
+
+    /// Seals `entry`, appends it as one line and flushes. Under an injected
+    /// `torn-journal:<n>` fault the `n`-th append to this log writes only
+    /// half its line and no newline — the shape a kill mid-append leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the write or flush fails, after marking the log
+    /// unhealthy: a lost line would silently fake resume safety, so the
+    /// cell (or the daemon connection) aborts instead.
+    #[allow(clippy::expect_used)] // serializing an in-memory record cannot fail
+    pub fn append(&self, entry: SweepLogEntry, faults: Option<&FaultPlan>) {
+        let line = serde_json::to_string(&entry.sealed()).expect("sweep log entry serializes"); // gis-analyze: allow(panic-site, serializing an in-memory record to a string cannot fail)
+
+        // A poisoned lock only follows a panic in another appender; every
+        // append is line-atomic under the lock, so the file is still valid.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let n = self.appends.fetch_add(1, Ordering::SeqCst) + 1;
+        let written = if faults.is_some_and(|f| f.tears_journal_line(n)) {
+            write!(file, "{}", &line[..line.len() / 2])
+        } else {
+            writeln!(file, "{line}")
+        };
+        if let Err(e) = written.and_then(|()| file.flush()) {
+            self.healthy.store(false, Ordering::SeqCst);
+            panic!("sweep log append failed: {e}"); // gis-analyze: allow(panic-site, deliberate fail-fast: a lost log line would silently fake resume safety)
+        }
+    }
+
+    /// Appends attempted so far, torn ones included.
+    pub fn appends(&self) -> u64 {
+        self.appends.load(Ordering::SeqCst)
+    }
+
+    /// `false` once an append has failed.
+    pub fn healthy(&self) -> bool {
+        self.healthy.load(Ordering::SeqCst)
+    }
+}
+
+/// Reads every intact cell line of the sweep log at `path`, in file order,
+/// as `(cache key, record)` pairs, plus the number of discarded lines. This
+/// is the one validator of the log-line format, behind both the checkpoint
+/// restore and the `gis-serve` journal replay.
+///
+/// A line is discarded when it is torn or corrupt (it does not parse, or a
+/// sealed line fails its CRC), has another version or kind, is a cell line
+/// without a record, or records a quarantined failure: quarantine is never
+/// sticky, so a resume gives that cell a fresh chance. Job lines are
+/// skipped without counting as discarded. Unsealed legacy lines and bare
+/// pre-envelope [`SweepCellRecord`] lines (which have no key) still read.
+/// A missing file reads as empty.
+pub fn read_log(path: &Path) -> (Vec<(Option<String>, SweepCellRecord)>, usize) {
+    let mut cells = Vec::new();
+    let mut discarded = 0usize;
+    let Ok(contents) = std::fs::read_to_string(path) else {
+        return (cells, discarded);
+    };
+    for line in contents.lines().filter(|line| !line.trim().is_empty()) {
+        let cell = match serde_json::from_str::<SweepLogEntry>(line) {
+            Ok(entry) if !entry.crc_valid() => None,
+            Ok(entry) if entry.v == SWEEP_LOG_VERSION && entry.kind == SWEEP_LOG_KIND_JOB => {
+                continue;
+            }
+            Ok(entry) if entry.v == SWEEP_LOG_VERSION && entry.kind == SWEEP_LOG_KIND_CELL => {
+                entry.record.map(|record| (entry.key, record))
+            }
+            _ => serde_json::from_str::<SweepCellRecord>(line)
+                .ok()
+                .map(|record| (None, record)),
+        };
+        match cell {
+            Some((key, record)) if !record.report.is_failed() => cells.push((key, record)),
+            _ => discarded += 1,
+        }
+    }
+    (cells, discarded)
+}
+
+/// What [`CellStore::claim`] resolved one pending cell to.
+#[derive(Debug)]
+pub enum CellClaim<T> {
+    /// The store already holds the cell (a result-cache hit): it completes
+    /// with this report and is observed as restored.
+    Ready(Box<MethodReport>),
+    /// The runner computes the cell and hands the ticket back to
+    /// [`CellStore::commit`].
+    Compute(T),
+    /// The cell completes as this typed placeholder without running (a job
+    /// deadline has passed). It is neither committed nor observed.
+    Refused(CellFailure),
+    /// The cell stays pending, as if a cell budget had stopped the run:
+    /// whoever consumes the run has gone away.
+    Cancelled,
+}
+
+/// Where a [`SweepRunner`] run restores, claims and commits its cells.
+///
+/// The runner owns scheduling, contained execution with retry, warm-start
+/// hints and their provenance; a store owns durability. The checkpoint file
+/// ([`SweepRunner::checkpoint`]) is the batch store. The `gis-serve` daemon's
+/// single-flight result cache plus journal is the other, passed to
+/// [`SweepRunner::run_with_store`].
+pub trait CellStore: Sync {
+    /// Permission to compute one claimed cell, returned on commit.
+    type Ticket;
+
+    /// Cells completed before this run, keyed by `(problem, estimator)`,
+    /// and the number of discarded records. The default restores nothing.
+    fn restore(
+        &self,
+        _analysis: &YieldAnalysis,
+    ) -> (BTreeMap<(String, String), MethodReport>, usize) {
+        (BTreeMap::new(), 0)
+    }
+
+    /// Claims the pending cell at registration indices `(problem, estimator)`.
+    fn claim(&self, problem: usize, estimator: usize) -> CellClaim<Self::Ticket>;
+
+    /// Records a computed cell — quarantined failures included — and
+    /// releases its ticket.
+    fn commit(&self, ticket: Self::Ticket, record: SweepCellRecord);
+}
+
+/// The batch store: the checkpoint file, when one is configured. Every
+/// pending cell is computed.
+struct CheckpointStore<'a> {
+    runner: &'a SweepRunner,
+    log: Option<SweepLog>,
+}
+
+impl CellStore for CheckpointStore<'_> {
+    type Ticket = ();
+
+    fn restore(
+        &self,
+        analysis: &YieldAnalysis,
+    ) -> (BTreeMap<(String, String), MethodReport>, usize) {
+        self.runner.restore(analysis)
+    }
+
+    fn claim(&self, _problem: usize, _estimator: usize) -> CellClaim<()> {
+        CellClaim::Compute(())
+    }
+
+    fn commit(&self, (): (), record: SweepCellRecord) {
+        if let Some(log) = &self.log {
+            log.append(SweepLogEntry::cell(record), self.runner.effective_faults());
+        }
+    }
+}
+
 /// One durably-persisted cell of a sweep: the checkpoint file holds one of
 /// these per line (JSON lines).
 ///
@@ -675,7 +857,8 @@ pub struct SweepStatus {
     pub total_cells: usize,
     /// Cells completed so far (restored + freshly run).
     pub completed_cells: usize,
-    /// Cells restored from the checkpoint file rather than executed.
+    /// Cells restored from the checkpoint file (or served by a store's
+    /// [`CellClaim::Ready`]) rather than executed.
     pub restored_cells: usize,
     /// Checkpoint lines discarded as stale (seed mismatch, unknown cell) or
     /// corrupt (e.g. the truncated last line of a killed run).
@@ -707,9 +890,9 @@ impl SweepStatus {
 
 /// One incremental cell-completion event of [`SweepRunner::run_observed`]:
 /// emitted for every restored cell (in registration order, before any fresh
-/// execution) and for every freshly executed cell the moment it completes
-/// (from the worker thread that ran it, hence the `Sync` bound on
-/// observers). `completed_cells` counts restored + fresh cells reported so
+/// execution) and for every pending cell the moment it completes, fresh
+/// or [`CellClaim::Ready`] (from the worker thread that ran it, hence the
+/// `Sync` bound on observers). `completed_cells` counts restored + fresh cells reported so
 /// far, including this one — a progress bar needs nothing else.
 #[derive(Debug)]
 pub struct SweepCellUpdate<'a> {
@@ -721,7 +904,8 @@ pub struct SweepCellUpdate<'a> {
     pub completed_cells: usize,
     /// Total cells in the matrix.
     pub total_cells: usize,
-    /// `true` when the cell came back from the checkpoint instead of running.
+    /// `true` when the cell came back from the store (checkpoint or cache)
+    /// instead of running.
     pub restored: bool,
     /// The cell's full method report.
     pub report: &'a MethodReport,
@@ -831,13 +1015,22 @@ impl SweepRunner {
         self
     }
 
+    /// The effective fault plan: an explicit per-runner plan wins, otherwise
+    /// the process-wide `GIS_FAULTS` plan applies. `None` (the production
+    /// default) keeps the hot path free of any injection work.
+    fn effective_faults(&self) -> Option<&FaultPlan> {
+        match &self.faults {
+            Some(plan) => Some(plan),
+            None => fault::global(),
+        }
+    }
+
     /// Reads the checkpoint and reports sweep progress without running any
     /// cell. `analysis` is not mutated beyond configuration validation.
     pub fn status(&self, analysis: &mut YieldAnalysis) -> SweepStatus {
         analysis.apply_configuration();
         let (restored, discarded) = self.restore(analysis);
-        let restored_count = restored.len();
-        self.build_status(analysis, &restored, restored_count, discarded)
+        self.build_status(analysis, &restored, restored.len(), discarded)
     }
 
     /// Runs every pending cell (up to the cell budget), checkpointing each as
@@ -866,10 +1059,39 @@ impl SweepRunner {
     /// # Panics
     ///
     /// Same conditions as [`run`](Self::run).
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    #[allow(clippy::expect_used)] // invariant stated in the expect message
     pub fn run_observed(
         &self,
         analysis: &mut YieldAnalysis,
+        observer: &(dyn Fn(SweepCellUpdate<'_>) + Sync),
+    ) -> SweepOutcome {
+        let store = CheckpointStore {
+            runner: self,
+            // Open the appender before spending any work, so an unwritable
+            // checkpoint fails fast instead of after hours of simulation.
+            log: self.checkpoint.as_ref().map(|path| {
+                // gis-analyze: allow(panic-site, deliberate fail-fast: an unopenable checkpoint file must abort before work starts)
+                SweepLog::open(path).expect("checkpoint file is openable for append")
+            }),
+        };
+        self.run_with_store(analysis, &store, observer)
+    }
+
+    /// [`run_observed`](Self::run_observed) against a caller's [`CellStore`]
+    /// in place of the checkpoint file, which this entry point ignores. It is
+    /// the hook a job server schedules its cells through. Pending cells are
+    /// claimed in schedule order: registration order, or donor-wave order
+    /// under [`warm_start`](Self::warm_start). On a matrix of one thread,
+    /// cells also complete, commit and reach the observer in that order.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`run`](Self::run), with the store's own commit
+    /// failures in place of the checkpoint's.
+    pub fn run_with_store<S: CellStore>(
+        &self,
+        analysis: &mut YieldAnalysis,
+        store: &S,
         observer: &(dyn Fn(SweepCellUpdate<'_>) + Sync),
     ) -> SweepOutcome {
         analysis.apply_configuration();
@@ -888,8 +1110,7 @@ impl SweepRunner {
         // independently, so reject them up front.
         assert_unique("problem", &problem_names);
         assert_unique("estimator", &estimator_names);
-        let (mut completed, discarded) = self.restore(analysis);
-        let restored = completed.len();
+        let (mut completed, discarded) = store.restore(analysis);
         let total_cells = problem_names.len() * estimator_names.len();
         let mut pending: Vec<(usize, usize)> = Vec::new();
         let mut reported = 0usize;
@@ -910,194 +1131,116 @@ impl SweepRunner {
                 }
             }
         }
-        let progress = std::sync::atomic::AtomicUsize::new(reported);
-        // Continuation mode reorders pending cells into dependency waves
-        // (donors strictly before dependents) so a cell budget can never
-        // strand a dependent ahead of its donor; blind mode keeps the
-        // registration order untouched.
-        if let Some(donors) = &self.warm_donors {
-            pending.sort_by_key(|&(pi, _)| donor_depth(donors, &problem_names[pi]));
+        let progress = AtomicUsize::new(reported);
+        let restored_cells = AtomicUsize::new(reported);
+        // Pending cells run in dependency waves: donors strictly before
+        // dependents, registration order within a wave, so a cell budget can
+        // never strand a dependent ahead of its donor. Blind mode is a
+        // single wave in registration order.
+        let donors = self.warm_donors.as_ref();
+        let depth = |pi: usize| donors.map_or(0, |d| donor_depth(d, &problem_names[pi]));
+        pending.sort_by_key(|&(pi, _)| depth(pi));
+        if let Some(budget) = self.cell_budget {
+            pending.truncate(budget);
         }
-        let to_run: Vec<(usize, usize)> = match self.cell_budget {
-            Some(budget) => pending.iter().take(budget).copied().collect(),
-            None => pending.clone(),
-        };
-
-        // Open the appender before spending any work, so an unwritable
-        // checkpoint fails fast instead of after hours of simulation.
-        let appender = self.checkpoint.as_ref().map(|path| {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                // gis-analyze: allow(panic-site, deliberate fail-fast: an unwritable checkpoint dir must abort before hours of simulation)
-                std::fs::create_dir_all(parent).expect("checkpoint directory is creatable");
-            }
-            Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .expect("checkpoint file is openable for append"), // gis-analyze: allow(panic-site, deliberate fail-fast: an unopenable checkpoint file must abort before work starts)
-            )
-        });
 
         let master_seed = analysis.master_seed_value();
         let policy = analysis.convergence_policy_value();
         let analysis = &*analysis;
-        // Deterministic fault injection: an explicit per-runner plan wins,
-        // otherwise the process-wide `GIS_FAULTS` plan applies. `None` (the
-        // production default) keeps the hot path free of any injection work.
-        let faults: Option<&FaultPlan> = match &self.faults {
-            Some(plan) => Some(plan),
-            None => fault::global(),
-        };
-        let cell_attempts = self.cell_attempts;
-        let journal_appends = std::sync::atomic::AtomicU64::new(0);
-        // Shared per-cell execution: run contained (optionally warm),
-        // checkpoint with warm provenance, notify the observer. Used by both
-        // schedules so the blind path and the wave path write byte-identical
-        // records for blind cells. A panicking or non-converging cell is
-        // quarantined as a typed placeholder report instead of tearing down
-        // the sweep; healthy cells are returned exactly as computed.
-        let run_one = |pi: usize,
-                       ei: usize,
-                       warm_from: Option<String>,
-                       warm_hint: Option<WarmStart>,
-                       donor_failed: Option<bool>|
-         -> MethodReport {
-            let outcome = fault::run_contained(
-                &problem_names[pi],
-                &estimator_names[ei],
-                cell_attempts,
-                faults,
-                || analysis.run_cell_warm(pi, ei, warm_hint.as_ref()),
-            );
-            let seed = analysis.derived_seed(&problem_names[pi], &estimator_names[ei]);
-            let report = outcome.into_report(&estimator_names[ei], seed);
-            if let Some(appender) = &appender {
-                let record = SweepCellRecord {
-                    master_seed,
-                    policy,
-                    problem: problem_names[pi].clone(),
-                    report: report.clone(),
-                    warm_from,
-                    warm_hint,
-                    donor_failed,
-                };
-                let line = serde_json::to_string(&SweepLogEntry::cell(record).sealed())
-                    .expect("sweep cell record serializes"); // gis-analyze: allow(panic-site, serializing an in-memory record to a string cannot fail)
-                                                             // A poisoned appender only follows a worker panic; the file
-                                                             // itself is still valid (every append is line-atomic under
-                                                             // the lock), so recover the guard instead of aborting.
-                let mut file = match appender.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let n = journal_appends.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-                let appended = if faults.is_some_and(|f| f.tears_journal_line(n)) {
-                    // Injected torn write: half the line, no newline — the
-                    // shape a kill mid-append leaves behind.
-                    write!(file, "{}", &line[..line.len() / 2])
-                } else {
-                    writeln!(file, "{line}")
-                };
-                appended.expect("checkpoint line is appendable"); // gis-analyze: allow(panic-site, a lost checkpoint line would silently fake resume safety; abort instead)
-                file.flush().expect("checkpoint flushes"); // gis-analyze: allow(panic-site, an unflushed checkpoint would silently fake resume safety; abort instead)
-            }
-            observer(SweepCellUpdate {
-                problem: &problem_names[pi],
-                estimator: &estimator_names[ei],
-                completed_cells: progress.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1,
-                total_cells,
-                restored: false,
-                report: &report,
-            });
-            report
-        };
+        let faults = self.effective_faults();
         let executor = self.matrix.executor();
-        let executed = match &self.warm_donors {
-            None => {
-                let fresh: Vec<((usize, usize), MethodReport)> =
-                    executor.map_tasks(to_run.len(), |task| {
-                        let (pi, ei) = to_run[task];
-                        ((pi, ei), run_one(pi, ei, None, None, None))
-                    });
-                let executed = fresh.len();
-                for ((pi, ei), report) in fresh {
-                    completed.insert(
-                        (problem_names[pi].clone(), estimator_names[ei].clone()),
-                        report,
-                    );
-                }
-                executed
-            }
-            Some(donors) => {
-                // Wave schedule: `to_run` is depth-sorted, so consecutive
-                // equal-depth runs form the waves. The barrier between waves
-                // guarantees every donor's report is in `completed` before a
-                // dependent extracts its hint.
-                let mut executed = 0usize;
-                let mut cursor = 0usize;
-                while cursor < to_run.len() {
-                    let depth = donor_depth(donors, &problem_names[to_run[cursor].0]);
-                    let mut end = cursor + 1;
-                    while end < to_run.len()
-                        && donor_depth(donors, &problem_names[to_run[end].0]) == depth
-                    {
-                        end += 1;
+        let mut cursor = 0usize;
+        while cursor < pending.len() {
+            let wave_depth = depth(pending[cursor].0);
+            let end = cursor
+                + pending[cursor..]
+                    .iter()
+                    .take_while(|&&(pi, _)| depth(pi) == wave_depth)
+                    .count();
+            let wave = &pending[cursor..end];
+            // Per cell: claim it from the store, run it contained (warm when
+            // it has a donor), commit it with its warm provenance and notify
+            // the observer. A panicking or non-converging cell is quarantined
+            // as a typed placeholder report instead of tearing down the
+            // sweep; healthy cells are returned exactly as computed. `None`
+            // means the store cancelled the cell and it stays pending.
+            let fresh = executor.map_tasks(wave.len(), |task| {
+                let (pi, ei) = wave[task];
+                let (problem, estimator) = (&problem_names[pi], &estimator_names[ei]);
+                let seed = analysis.derived_seed(problem, estimator);
+                // The barrier between waves guarantees the donor's report is
+                // in `completed`. A quarantined donor yields no hint (its
+                // placeholder diagnostics carry none), so the dependent
+                // degrades to a blind run, recorded as provenance.
+                let warm_from = donors.and_then(|d| d.get(problem)).cloned();
+                let donor_report = warm_from
+                    .as_ref()
+                    .and_then(|d| completed.get(&(d.clone(), estimator.clone())));
+                let warm_hint = donor_report.and_then(|r| r.outcome.warm_hint());
+                let donor_failed = donor_report.and_then(|r| r.failed.as_ref().map(|_| true));
+                let (report, restored) = match store.claim(pi, ei) {
+                    CellClaim::Cancelled => return None,
+                    CellClaim::Refused(failure) => {
+                        return Some((pi, ei, fault::failed_report(estimator, seed, failure)))
                     }
-                    let wave = &to_run[cursor..end];
-                    let fresh: Vec<((usize, usize), MethodReport)> =
-                        executor.map_tasks(wave.len(), |task| {
-                            let (pi, ei) = wave[task];
-                            let donor = donors.get(&problem_names[pi]);
-                            let donor_report = donor.and_then(|d| {
-                                completed.get(&(d.clone(), estimator_names[ei].clone()))
-                            });
-                            // A quarantined donor yields no hint (its
-                            // placeholder diagnostics carry none), so the
-                            // dependent degrades to a blind run; record that
-                            // degradation as provenance.
-                            let hint = donor_report.and_then(|report| report.outcome.warm_hint());
-                            let donor_failed = donor_report
-                                .and_then(|report| report.failed.as_ref().map(|_| true));
-                            (
-                                (pi, ei),
-                                run_one(pi, ei, donor.cloned(), hint, donor_failed),
-                            )
-                        });
-                    executed += fresh.len();
-                    for ((pi, ei), report) in fresh {
-                        completed.insert(
-                            (problem_names[pi].clone(), estimator_names[ei].clone()),
-                            report,
-                        );
+                    CellClaim::Ready(report) => {
+                        restored_cells.fetch_add(1, Ordering::SeqCst);
+                        (*report, true)
                     }
-                    cursor = end;
-                }
-                executed
+                    CellClaim::Compute(ticket) => {
+                        let report = fault::run_contained(
+                            problem,
+                            estimator,
+                            self.cell_attempts,
+                            faults,
+                            || analysis.run_cell_warm(pi, ei, warm_hint.as_ref()),
+                        )
+                        .into_report(estimator, seed);
+                        let record = SweepCellRecord {
+                            master_seed,
+                            policy,
+                            problem: problem.clone(),
+                            report: report.clone(),
+                            warm_from,
+                            warm_hint,
+                            donor_failed,
+                        };
+                        store.commit(ticket, record);
+                        (report, false)
+                    }
+                };
+                observer(SweepCellUpdate {
+                    problem,
+                    estimator,
+                    completed_cells: progress.fetch_add(1, Ordering::SeqCst) + 1,
+                    total_cells,
+                    restored,
+                    report: &report,
+                });
+                Some((pi, ei, report))
+            });
+            for (pi, ei, report) in fresh.into_iter().flatten() {
+                completed.insert(
+                    (problem_names[pi].clone(), estimator_names[ei].clone()),
+                    report,
+                );
             }
-        };
+            cursor = end;
+        }
 
-        let status = self.build_status(analysis, &completed, restored, discarded);
-        let report = if status.is_complete() {
-            debug_assert_eq!(restored + executed, status.completed_cells);
-            let cells = problem_names
-                .iter()
-                .map(|p| {
-                    estimator_names
-                        .iter()
-                        .map(|e| {
-                            completed
-                                .get(&(p.clone(), e.clone()))
-                                .expect("complete status implies every cell present") // gis-analyze: allow(panic-site, Complete status is only constructed after every cell is present)
-                                .clone()
-                        })
-                        .collect()
-                })
-                .collect();
-            Some(analysis.assemble_report(cells))
-        } else {
-            None
-        };
+        let status =
+            self.build_status(analysis, &completed, restored_cells.into_inner(), discarded);
+        // Every cell present exactly when the status is complete.
+        let cells: Option<Vec<Vec<MethodReport>>> = problem_names
+            .iter()
+            .map(|p| {
+                estimator_names
+                    .iter()
+                    .map(|e| completed.remove(&(p.clone(), e.clone())))
+                    .collect()
+            })
+            .collect();
+        let report = cells.map(|cells| analysis.assemble_report(cells));
         SweepOutcome { report, status }
     }
 
@@ -1109,74 +1252,15 @@ impl SweepRunner {
         analysis: &YieldAnalysis,
     ) -> (BTreeMap<(String, String), MethodReport>, usize) {
         let mut restored = BTreeMap::new();
-        let mut discarded = 0usize;
         let Some(path) = &self.checkpoint else {
-            return (restored, discarded);
+            return (restored, 0);
         };
-        let Ok(contents) = std::fs::read_to_string(path) else {
-            return (restored, discarded);
-        };
-        let estimator_names: Vec<String> = analysis
-            .estimator_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let problem_names: Vec<String> = analysis
-            .problem_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for line in contents.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            // Current format: a versioned envelope line. A job-submission
-            // line (written by a daemon journaling into the same log) is
-            // valid but carries no cell, so it is skipped without counting
-            // as discarded; a wrong-version envelope is discarded.
-            let record = match serde_json::from_str::<SweepLogEntry>(line) {
-                // A sealed line whose checksum no longer matches is damaged
-                // (torn write or bit rot that still parses as JSON) and is
-                // discarded whatever its kind; unsealed legacy lines pass.
-                Ok(entry) if !entry.crc_valid() => {
-                    discarded += 1;
-                    continue;
-                }
-                Ok(entry) if entry.v == SWEEP_LOG_VERSION && entry.kind == SWEEP_LOG_KIND_JOB => {
-                    continue;
-                }
-                Ok(entry) if entry.v == SWEEP_LOG_VERSION && entry.kind == SWEEP_LOG_KIND_CELL => {
-                    match entry.record {
-                        Some(record) => record,
-                        None => {
-                            discarded += 1;
-                            continue;
-                        }
-                    }
-                }
-                // Legacy format: a bare record line (pre-envelope
-                // checkpoints stay replayable). Anything else is corrupt —
-                // most commonly the truncated tail of a killed append — and
-                // the cell simply re-runs.
-                _ => match serde_json::from_str::<SweepCellRecord>(line) {
-                    Ok(record) => record,
-                    Err(_) => {
-                        discarded += 1;
-                        continue;
-                    }
-                },
-            };
-            // Quarantine is not sticky: a journaled failure documents the
-            // fault for the completed run's report, but a resume gives the
-            // cell a fresh chance instead of replaying the placeholder.
-            // (Discarding a failed donor also transitively re-runs its
-            // dependents via the provenance check below.)
-            if record.report.is_failed() {
-                discarded += 1;
-                continue;
-            }
-            let known_cell = problem_names.contains(&record.problem)
-                && estimator_names.contains(&record.report.estimator);
+        let (cells, mut discarded) = read_log(path);
+        let problem_names = analysis.problem_names();
+        let estimator_names = analysis.estimator_names();
+        for (_, record) in cells {
+            let known_cell = problem_names.contains(&record.problem.as_str())
+                && estimator_names.contains(&record.report.estimator.as_str());
             // Seeds pin the *randomness*; the policy pins the *budget and
             // stopping rule*. Both must match, or a resume after a
             // configuration change would smuggle differently-configured
@@ -1590,6 +1674,91 @@ mod tests {
         [("p-high".to_string(), "p-low".to_string())]
             .into_iter()
             .collect()
+    }
+
+    /// A store that serves, computes, refuses or cancels cells by index.
+    struct ScriptedStore {
+        ready: MethodReport,
+        cancel: bool,
+        commits: Mutex<Vec<(String, String)>>,
+    }
+
+    impl CellStore for ScriptedStore {
+        type Ticket = ();
+
+        fn claim(&self, problem: usize, estimator: usize) -> CellClaim<()> {
+            match (problem, estimator) {
+                (0, 0) => CellClaim::Ready(Box::new(self.ready.clone())),
+                (1, 0) => CellClaim::Refused(crate::fault::CellFailure {
+                    reason: crate::fault::CellFailureReason::DeadlineExceeded {
+                        detail: "scripted".to_string(),
+                    },
+                    attempts: 0,
+                }),
+                (1, 1) if self.cancel => CellClaim::Cancelled,
+                _ => CellClaim::Compute(()),
+            }
+        }
+
+        fn commit(&self, (): (), record: SweepCellRecord) {
+            let cell = (record.problem, record.report.estimator);
+            self.commits.lock().unwrap().push(cell);
+        }
+    }
+
+    #[test]
+    fn store_claims_serve_refuse_and_cancel_cells() {
+        let reference = warm_test_analysis().run();
+        for cancel in [true, false] {
+            let store = ScriptedStore {
+                ready: reference.problems[0].methods[0].clone(),
+                cancel,
+                commits: Mutex::new(Vec::new()),
+            };
+            let events = Mutex::new(Vec::new());
+            let outcome = SweepRunner::new().run_with_store(
+                &mut warm_test_analysis(),
+                &store,
+                &|update: SweepCellUpdate<'_>| {
+                    let cell = (update.problem.to_string(), update.estimator.to_string());
+                    events.lock().unwrap().push((cell, update.restored));
+                },
+            );
+            let cell = |p: &str, e: &str| (p.to_string(), e.to_string());
+            // Refused cells are neither committed nor observed; a ready
+            // cell is observed as restored and never committed.
+            let mut expected = vec![
+                (cell("p-low", "gradient-is"), true),
+                (cell("p-low", "monte-carlo"), false),
+            ];
+            let mut commits = vec![cell("p-low", "monte-carlo")];
+            if !cancel {
+                expected.push((cell("p-high", "monte-carlo"), false));
+                commits.push(cell("p-high", "monte-carlo"));
+            }
+            assert_eq!(events.into_inner().unwrap(), expected);
+            assert_eq!(store.commits.into_inner().unwrap(), commits);
+            assert_eq!(outcome.status.restored_cells, 1);
+            assert_eq!(
+                outcome.status.failed_cells,
+                vec![cell("p-high", "gradient-is")]
+            );
+            // A cancelled cell stays pending, so no report is assembled.
+            match outcome.report {
+                None => {
+                    assert!(cancel && outcome.status.pending == vec![cell("p-high", "monte-carlo")])
+                }
+                Some(report) => {
+                    assert!(!cancel);
+                    assert!(report.problems[1].methods[0].is_failed());
+                    assert_eq!(report.problems[0], reference.problems[0]);
+                    assert_eq!(
+                        report.problems[1].methods[1],
+                        reference.problems[1].methods[1]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

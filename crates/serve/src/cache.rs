@@ -43,11 +43,6 @@ pub struct ComputeGuard<'a> {
 }
 
 impl ComputeGuard<'_> {
-    /// The claimed cell key.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
     /// Completes the claimed cell: stores the result, charges the
     /// execution counter, and wakes every blocked claimant of the key.
     pub fn fulfill(mut self, report: MethodReport) {

@@ -115,6 +115,9 @@ impl Client {
     /// version).
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
+        // Requests and replies are small frames; without TCP_NODELAY each
+        // waits on the peer's delayed ACK.
+        stream.set_nodelay(true).map_err(io_err)?;
         let writer = stream.try_clone().map_err(io_err)?;
         let mut client = Client {
             reader: BufReader::new(stream),

@@ -23,6 +23,7 @@ use gis_core::{
 use gis_sram::{SramCellConfig, SramSurrogate, SramTestbench, TestbenchTiming};
 use gis_variation::PelgromModel;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// FNV-1a hash, used to derive short content-addressed job ids from the
 /// canonical job JSON. (Cell cache keys stay full canonical JSON — they
@@ -421,42 +422,21 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// One cell of a planned job: the indices into the prepared analysis, the
-/// names, and the content-addressed cache key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobCell {
-    /// Problem index into the job's analysis.
-    pub problem_index: usize,
-    /// Estimator index into the job's analysis.
-    pub estimator_index: usize,
-    /// Problem name.
-    pub problem: String,
-    /// Estimator method name.
-    pub estimator: String,
-    /// Donor problem this cell warm-starts from (`None` = blind). Donors
-    /// always precede their dependents in registration order, so the
-    /// sequential job loop completes every donor before its dependents
-    /// claim their hints.
-    pub warm_from: Option<String>,
-    /// Content-addressed cache key ([`cell_key`]).
-    pub key: String,
-}
-
 /// A validated, ready-to-run job: the prepared [`YieldAnalysis`] plus the
-/// cell list in registration order (problem-major, estimator-minor — the
-/// same order the batch engine assembles reports in).
+/// content-addressed cache key of every cell and, for a warm job, its
+/// donor map.
 pub struct JobPlan {
     /// Content-addressed job id.
     pub job_id: String,
-    /// The prepared analysis (problems registered, estimators configured,
-    /// policy and execution applied).
+    /// The analysis: problems and estimators registered, seed, policy and
+    /// execution set. The sweep runner applies them when it runs.
     pub analysis: YieldAnalysis,
-    /// Every (problem, estimator) cell, in registration order.
-    pub cells: Vec<JobCell>,
-    /// Problem names, in registration order.
-    pub problem_names: Vec<String>,
-    /// Estimator method names, in registration order.
-    pub estimator_names: Vec<String>,
+    /// The cache key ([`cell_key`]) of every (problem, estimator) cell, in
+    /// registration order (problem-major, estimator-minor).
+    pub keys: Vec<String>,
+    /// The warm-start donor map ([`SweepPlan::warm_donors`]) of a warm
+    /// plan job; `None` for a blind job.
+    pub warm_donors: Option<BTreeMap<String, String>>,
 }
 
 /// Canonical cache key of one cell: the canonical JSON of everything that
@@ -500,7 +480,8 @@ pub fn cell_key(
 
 /// Validates `spec` and prepares it for execution under the server's
 /// `execution` configuration: problems rebuilt, estimators constructed,
-/// policy applied, per-cell seeds derived and cache keys computed.
+/// per-cell seeds derived, cache keys computed and, for a warm plan job,
+/// the donor map built.
 pub fn plan_job(spec: &JobSpec, execution: ExecutionConfig) -> Result<JobPlan, JobError> {
     if spec.estimators.is_empty() {
         return Err(JobError::NoEstimators);
@@ -531,57 +512,37 @@ pub fn plan_job(spec: &JobSpec, execution: ExecutionConfig) -> Result<JobPlan, J
     if let Some(policy) = spec.policy {
         analysis = analysis.convergence_policy(policy);
     }
-    let mut identities = Vec::with_capacity(problems.len());
-    let mut problem_names = Vec::with_capacity(problems.len());
+    // Continuation mode only has grid adjacency to exploit on a sweep
+    // plan; every other problem family stays blind even when requested.
+    let warm_donors = match (&spec.problem, spec.warm_start.unwrap_or(false)) {
+        (ProblemSpec::Plan { plan }, true) => Some(plan.warm_donors()),
+        _ => None,
+    };
+    let mut keys = Vec::with_capacity(problems.len() * spec.estimators.len());
     for built in problems {
-        problem_names.push(built.name.clone());
-        identities.push(built.identity);
+        let warm_from = warm_donors
+            .as_ref()
+            .and_then(|donors| donors.get(&built.name));
+        for estimator in &spec.estimators {
+            keys.push(cell_key(
+                &built.identity,
+                &built.name,
+                estimator,
+                spec.master_seed,
+                &spec.policy,
+                analysis.derived_seed(&built.name, estimator.method_name()),
+                warm_from.map(String::as_str),
+            ));
+        }
         analysis = analysis.problem(built.name, built.problem);
     }
     for estimator in &spec.estimators {
         analysis = analysis.estimator(estimator.build());
     }
-    analysis.prepare();
-
-    let estimator_names: Vec<String> = spec
-        .estimators
-        .iter()
-        .map(|e| e.method_name().to_string())
-        .collect();
-    // Continuation mode only has grid adjacency to exploit on a sweep
-    // plan; every other problem family stays blind even when requested.
-    let donors = match (&spec.problem, spec.warm_start.unwrap_or(false)) {
-        (ProblemSpec::Plan { plan }, true) => plan.warm_donors(),
-        _ => std::collections::BTreeMap::new(),
-    };
-    let mut cells = Vec::with_capacity(problem_names.len() * estimator_names.len());
-    for (pi, problem) in problem_names.iter().enumerate() {
-        for (ei, estimator) in spec.estimators.iter().enumerate() {
-            let derived = analysis.derived_seed(problem, estimator.method_name());
-            let warm_from = donors.get(problem).cloned();
-            cells.push(JobCell {
-                problem_index: pi,
-                estimator_index: ei,
-                problem: problem.clone(),
-                estimator: estimator.method_name().to_string(),
-                key: cell_key(
-                    &identities[pi],
-                    problem,
-                    estimator,
-                    spec.master_seed,
-                    &spec.policy,
-                    derived,
-                    warm_from.as_deref(),
-                ),
-                warm_from,
-            });
-        }
-    }
     Ok(JobPlan {
         job_id: spec.job_id(),
         analysis,
-        cells,
-        problem_names,
-        estimator_names,
+        keys,
+        warm_donors,
     })
 }

@@ -14,8 +14,9 @@
 //!   content-addressed cell identity ([`job::cell_key`]).
 //! * **[`cache`]** — the single-flight result cache: identical cells
 //!   submitted by any number of clients execute exactly once.
-//! * **[`server`]** — the daemon: thread-per-connection accept loop, a
-//!   shared compute-slot budget across all clients, and a durable journal
+//! * **[`server`]** — the daemon, a transport over [`gis_core::SweepRunner`]:
+//!   thread-per-connection accept loop, a shared compute-slot budget across
+//!   all clients, and a durable journal
 //!   (the same [`gis_core::SweepLogEntry`] envelope format as the sweep
 //!   checkpoint) replayed on boot, so a kill/restart never recomputes a
 //!   finished cell.

@@ -4,42 +4,53 @@
 //!
 //! # Job lifecycle
 //!
+//! The daemon is a transport over the sweep engine: every job runs through
+//! the one cell scheduler, [`SweepRunner`], with a per-job [`CellStore`]
+//! made of the single-flight [`ResultCache`], the journal and the compute
+//! slots.
+//!
 //! 1. A connection opens; the server sends [`Reply::Hello`].
 //! 2. The client sends [`Request::Submit`]. The spec is validated and
 //!    journaled (`kind = "job"` [`SweepLogEntry`] line), then answered
 //!    with [`Reply::Accepted`].
-//! 3. Cells run in registration order. Each cell is claimed in the
-//!    [`ResultCache`]: a hit streams immediately; a miss executes under a
-//!    compute slot (bounding concurrent cell computations across *all*
-//!    connections), is appended to the journal (`kind = "cell"` line with
-//!    the cache `key`, flushed) and only then streamed as
-//!    [`Reply::Cell`] — a row a client has seen is always durable.
+//! 3. The runner claims the job's cells one at a time, in registration
+//!    order, or in donor-wave order for a warm job (wave by wave, and
+//!    registration order within a wave). That order does not depend on
+//!    the cache, so a resubmitted job streams its rows in the same order
+//!    as a cold run. A cache hit streams immediately as `cached`. A miss
+//!    executes under a compute slot (bounding concurrent cell computations
+//!    across *all* connections), is appended to the journal (`kind =
+//!    "cell"` line with the cache `key`, flushed) and only then streamed
+//!    as [`Reply::Cell`] — a row a client has seen is always durable.
 //! 4. [`Reply::Done`] carries the assembled [`AnalysisReport`],
 //!    bit-identical to the same plan run through the batch `SweepRunner`.
 //!
 //! # Restart semantics
 //!
-//! On boot the server replays its journal: every well-formed cell line
-//! seeds the cache under its recorded key; torn tails (a kill mid-append)
-//! and alien lines are skipped, mirroring the sweep checkpoint loader.
-//! A client that resubmits a job after a server kill therefore streams
-//! the already-completed cells from cache and only pays for the rest.
+//! On boot the server reads its journal with [`read_log`], the validator
+//! the sweep checkpoint restore uses: every intact cell line seeds the
+//! cache under its recorded key; torn tails (a kill mid-append), alien
+//! lines and quarantined failures are skipped. A client that resubmits a
+//! job after a server kill therefore streams the already-completed cells
+//! from cache and only pays for the rest.
+//!
+//! [`AnalysisReport`]: gis_core::AnalysisReport
 
-use crate::cache::{Claim, ResultCache};
+use crate::cache::{Claim, ComputeGuard, ResultCache};
 use crate::job::{plan_job, JobPlan, JobSpec};
 use crate::protocol::{
     encode_reply, parse_request, read_frame, write_reply, Reply, Request, ServerStatus,
     PROTOCOL_VERSION,
 };
-use gis_core::fault::{self, CellFailure};
-use gis_core::sweep::{SweepCellRecord, SweepLogEntry, SWEEP_LOG_KIND_CELL};
-use gis_core::{AnalysisReport, ExecutionConfig, FaultPlan, MethodReport, ProblemReport};
+use gis_core::fault::{self, CellFailure, CellFailureReason};
+use gis_core::sweep::{read_log, CellClaim, CellStore, SweepCellRecord, SweepLog, SweepLogEntry};
+use gis_core::{ExecutionConfig, FaultPlan, SweepRunner};
 use serde::Serialize;
 use std::io::{BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Counting semaphore bounding concurrent cell computations across every
@@ -151,7 +162,7 @@ impl Default for ServerConfig {
 
 struct Shared {
     cache: ResultCache,
-    journal: Option<Mutex<std::fs::File>>,
+    journal: Option<SweepLog>,
     execution: ExecutionConfig,
     slots: ComputeSlots,
     slots_total: usize,
@@ -160,25 +171,15 @@ struct Shared {
     max_request_bytes: usize,
     read_timeout: Duration,
     cell_attempts: u32,
-    faults_override: Option<FaultPlan>,
+    /// The effective fault plan: the configured one, else the process-wide
+    /// `GIS_FAULTS` plan.
+    faults: Option<FaultPlan>,
     started: Instant,
     in_flight: AtomicU64,
-    journal_lines: AtomicU64,
-    journal_healthy: AtomicBool,
     /// Remaining injected socket drops (from the fault plan's
     /// `drop-frame:<n>:<times>` budget) — shared across connections so a
     /// reconnecting client eventually gets through.
     drop_budget: AtomicU64,
-}
-
-impl Shared {
-    /// The effective fault plan: per-server override, else process-wide.
-    fn faults(&self) -> Option<&FaultPlan> {
-        match &self.faults_override {
-            Some(plan) => Some(plan),
-            None => fault::global(),
-        }
-    }
 }
 
 /// RAII in-flight-jobs counter (decrements on drop, panic included).
@@ -203,44 +204,6 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// Replays a journal's cell lines into the cache. Returns how many entries
-/// were seeded. Torn, alien or record-less lines are skipped — the replay
-/// tolerates exactly what the sweep checkpoint loader tolerates.
-fn replay_journal(path: &std::path::Path, cache: &ResultCache) -> usize {
-    let Ok(contents) = std::fs::read_to_string(path) else {
-        return 0;
-    };
-    let mut seeded = 0;
-    for line in contents.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(entry) = serde_json::from_str::<SweepLogEntry>(line) else {
-            continue;
-        };
-        // A sealed line whose checksum fails is damaged (torn write or bit
-        // rot that still parses) and must not seed the cache; unsealed
-        // legacy lines replay on parse validity alone.
-        if !entry.crc_valid() {
-            continue;
-        }
-        if entry.v != gis_core::sweep::SWEEP_LOG_VERSION || entry.kind != SWEEP_LOG_KIND_CELL {
-            continue;
-        }
-        let (Some(key), Some(record)) = (entry.key, entry.record) else {
-            continue;
-        };
-        // Journaled failures document the fault for audit; they never seed
-        // the cache — a restart gives the cell a fresh chance.
-        if record.report.is_failed() {
-            continue;
-        }
-        cache.seed(&key, record.report);
-        seeded += 1;
-    }
-    seeded
-}
-
 impl Server {
     /// Binds the listener, replays the journal (if any) into the cache and
     /// opens the journal appender. IO failures here are returned, not
@@ -250,30 +213,27 @@ impl Server {
         let cache = ResultCache::new();
         let journal = match &config.journal {
             Some(path) => {
-                let replayed = replay_journal(path, &cache);
+                let mut replayed = 0usize;
+                for (key, record) in read_log(path).0 {
+                    if let Some(key) = key {
+                        cache.seed(&key, record.report);
+                        replayed += 1;
+                    }
+                }
                 if replayed > 0 {
                     eprintln!(
                         "gis-serve: replayed {replayed} completed cells from {}",
                         path.display()
                     );
                 }
-                if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                    std::fs::create_dir_all(parent)?;
-                }
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?;
-                Some(Mutex::new(file))
+                Some(SweepLog::open(path)?)
             }
             None => None,
         };
         let slots_total = config.compute_slots.max(1);
-        let effective_faults: Option<&FaultPlan> = match &config.faults {
-            Some(plan) => Some(plan),
-            None => fault::global(),
-        };
-        let drop_budget = effective_faults
+        let faults = config.faults.or_else(|| fault::global().cloned());
+        let drop_budget = faults
+            .as_ref()
             .and_then(|plan| plan.drop_frame.as_ref())
             .map_or(0, |drop| drop.times);
         Ok(Server {
@@ -289,11 +249,9 @@ impl Server {
                 max_request_bytes: config.max_request_bytes,
                 read_timeout: config.read_timeout,
                 cell_attempts: config.cell_attempts.max(1),
-                faults_override: config.faults,
+                faults,
                 started: Instant::now(),
                 in_flight: AtomicU64::new(0),
-                journal_lines: AtomicU64::new(0),
-                journal_healthy: AtomicBool::new(true),
                 drop_budget: AtomicU64::new(drop_budget),
             }),
         })
@@ -329,35 +287,6 @@ impl Server {
     }
 }
 
-/// Appends one envelope line (sealed with its CRC) to the journal and
-/// flushes it. A journal write failure marks the journal unhealthy (the
-/// `Status` heartbeat surfaces it) and aborts this connection's job (panic
-/// unwinds the connection thread only): a lost journal line would silently
-/// fake restart safety, exactly the failure mode the sweep checkpoint
-/// refuses. Under an injected `torn-journal:<n>` fault the nth append
-/// writes only half its line, reproducing a kill mid-append.
-#[allow(clippy::expect_used)] // deliberate fail-fast, invariants stated in the expect messages
-fn journal_append(shared: &Shared, entry: SweepLogEntry) {
-    let Some(journal) = &shared.journal else {
-        return;
-    };
-    let line = serde_json::to_string(&entry.sealed()).expect("in-memory journal entry serializes"); // gis-analyze: allow(panic-site, serializing an in-memory envelope to a string cannot fail)
-    let mut file = match journal.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let n = shared.journal_lines.fetch_add(1, Ordering::SeqCst) + 1;
-    let written = if shared.faults().is_some_and(|f| f.tears_journal_line(n)) {
-        write!(file, "{}", &line[..line.len() / 2]).and_then(|_| file.flush())
-    } else {
-        writeln!(file, "{line}").and_then(|_| file.flush())
-    };
-    if let Err(e) = written {
-        shared.journal_healthy.store(false, Ordering::SeqCst);
-        panic!("journal append failed: {e}"); // gis-analyze: allow(panic-site, deliberate fail-fast: a lost journal line would silently fake restart safety)
-    }
-}
-
 /// The reply side of one connection: wraps the stream so every outgoing
 /// frame passes one choke point, where the `drop-frame:<n>:<times>` fault
 /// injects a half-written frame followed by a hard close — the shape a
@@ -372,7 +301,12 @@ struct ReplyChannel<'a> {
 impl ReplyChannel<'_> {
     fn send(&mut self, reply: &Reply) -> std::io::Result<()> {
         self.frames += 1;
-        if let Some(drop) = self.shared.faults().and_then(|f| f.drop_frame.as_ref()) {
+        if let Some(drop) = self
+            .shared
+            .faults
+            .as_ref()
+            .and_then(|f| f.drop_frame.as_ref())
+        {
             let armed = self.frames == drop.nth
                 && self
                     .shared
@@ -398,24 +332,105 @@ impl ReplyChannel<'_> {
     }
 }
 
+/// The daemon's [`CellStore`] for one job: claims go through the shared
+/// single-flight cache, computed cells are journaled and then cached. Its
+/// cache was seeded from the journal at bind, so it restores nothing.
+struct JobStore<'a> {
+    shared: &'a Shared,
+    /// Cache keys in registration order (problem-major).
+    keys: &'a [String],
+    estimators: usize,
+    /// When the job's deadline passes, and its length in milliseconds.
+    deadline: Option<(Instant, u64)>,
+    deadline_hit: AtomicBool,
+    client_gone: AtomicBool,
+}
+
+/// Permission to compute one cell: the cache claim, the compute slot, and
+/// the key the journal line carries.
+struct Ticket<'a> {
+    guard: ComputeGuard<'a>,
+    permit: SlotPermit<'a>,
+    key: &'a str,
+}
+
+impl<'a> CellStore for JobStore<'a> {
+    type Ticket = Ticket<'a>;
+
+    /// Refuses every cell once the client is gone or the deadline has
+    /// passed: a started cell runs to completion (its result is journaled
+    /// and cached, so the work is not wasted), but no new cell starts.
+    fn claim(&self, problem: usize, estimator: usize) -> CellClaim<Ticket<'a>> {
+        if self.client_gone.load(Ordering::SeqCst) {
+            return CellClaim::Cancelled;
+        }
+        if let Some((deadline, ms)) = self.deadline {
+            if Instant::now() >= deadline {
+                self.deadline_hit.store(true, Ordering::SeqCst);
+                return CellClaim::Refused(CellFailure {
+                    reason: CellFailureReason::DeadlineExceeded {
+                        detail: format!("job deadline of {ms} ms elapsed before this cell started"),
+                    },
+                    attempts: 0,
+                });
+            }
+        }
+        let shared = self.shared;
+        let key = self.keys[problem * self.estimators + estimator].as_str();
+        match shared.cache.claim(key) {
+            Claim::Ready(report) => CellClaim::Ready(report),
+            Claim::Compute(guard) => CellClaim::Compute(Ticket {
+                guard,
+                permit: shared.slots.acquire(),
+                key,
+            }),
+        }
+    }
+
+    /// Journal before fulfil (durability before visibility). If the append
+    /// panics, the guard drops unfulfilled and abandons the key, so blocked
+    /// claimants re-race instead of hanging on a cell nobody is computing.
+    /// A quarantined cell is journaled for audit but never cached: dropping
+    /// its guard abandons the key, so a later claim gives it a fresh chance.
+    fn commit(&self, ticket: Ticket<'a>, record: SweepCellRecord) {
+        let Ticket { guard, permit, key } = ticket;
+        drop(permit);
+        let healthy = (!record.report.is_failed()).then(|| record.report.clone());
+        if let Some(journal) = &self.shared.journal {
+            journal.append(
+                SweepLogEntry::cell(record).with_key(key),
+                self.shared.faults.as_ref(),
+            );
+        }
+        if let Some(report) = healthy {
+            guard.fulfill(report);
+        }
+    }
+}
+
 /// Runs one submitted job: validate, journal, stream cells, assemble.
 /// Returns `Ok(())` while the connection is still writable; an `Err` means
 /// the peer is gone and the connection loop should end. Cache state stays
 /// consistent even when the client disconnects mid-stream: a computed
-/// cell is journaled and fulfilled before the stream write is attempted.
+/// cell is journaled and fulfilled before the stream write is attempted,
+/// and no further cell starts once a write has failed.
 ///
-/// A panicking or non-converging cell is quarantined as a typed failure
-/// (retried up to the configured attempts first): its placeholder report
-/// is journaled for audit but never cached, its `Reply::Cell` streams with
-/// `cached = false`, and the job *continues* — one poisoned cell no longer
-/// aborts the other cells of the job. When the job carries a deadline and
-/// it elapses, cells not yet started become `deadline-exceeded`
-/// placeholders (not journaled — they document give-up, not computation)
-/// and the final [`Reply::Done`] is marked partial.
+/// The per-job matrix is one thread wide, so cells stream in the
+/// scheduler's deterministic order. A panicking or non-converging cell is
+/// quarantined as a typed failure (retried up to the configured attempts
+/// first), streams with `cached = false`, and the job *continues*. When
+/// the job's deadline elapses, cells not yet started become
+/// `deadline-exceeded` placeholders (neither journaled nor streamed) and
+/// the final [`Reply::Done`] is marked partial.
 fn run_job(channel: &mut ReplyChannel<'_>, shared: &Shared, job: &JobSpec) -> std::io::Result<()> {
     shared.jobs_submitted.fetch_add(1, Ordering::SeqCst);
     let _in_flight = InFlightGuard::enter(&shared.in_flight);
-    let plan = match plan_job(job, shared.execution) {
+    let JobPlan {
+        job_id,
+        mut analysis,
+        keys,
+        warm_donors,
+    } = match plan_job(job, shared.execution) {
         Ok(plan) => plan,
         Err(e) => {
             return channel.send(&Reply::Error {
@@ -424,157 +439,76 @@ fn run_job(channel: &mut ReplyChannel<'_>, shared: &Shared, job: &JobSpec) -> st
             });
         }
     };
-    journal_append(
-        shared,
-        SweepLogEntry::job(job.to_value()).with_key(plan.job_id.clone()),
-    );
+    if let Some(journal) = &shared.journal {
+        journal.append(
+            SweepLogEntry::job(job.to_value()).with_key(job_id.clone()),
+            shared.faults.as_ref(),
+        );
+    }
     channel.send(&Reply::Accepted {
-        job_id: plan.job_id.clone(),
-        total_cells: plan.cells.len(),
+        job_id: job_id.clone(),
+        total_cells: keys.len(),
     })?;
 
-    let deadline = job
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let total_cells = plan.cells.len();
-    let per_problem = plan.estimator_names.len();
-    let mut cells_executed = 0usize;
-    let mut cells_cached = 0usize;
-    let mut deadline_hit = false;
-    let mut completed: Vec<MethodReport> = Vec::with_capacity(total_cells);
-    for (index, cell) in plan.cells.iter().enumerate() {
-        let derived = plan.analysis.derived_seed(&cell.problem, &cell.estimator);
-        // Deadline enforcement happens between cells: a started cell runs
-        // to completion (its result is journaled and cached — the work is
-        // not wasted), but no new cell starts past the deadline.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            deadline_hit = true;
-            completed.push(fault::failed_report(
-                &cell.estimator,
-                derived,
-                CellFailure {
-                    reason: fault::CellFailureReason::DeadlineExceeded {
-                        detail: format!(
-                            "job deadline of {} ms elapsed before this cell started",
-                            job.deadline_ms.unwrap_or(0)
-                        ),
-                    },
-                    attempts: 0,
-                },
-            ));
-            continue;
-        }
-        // Continuation mode: the donor cell (same estimator, donor problem)
-        // always precedes this cell in registration order, so its report is
-        // already in `completed` — whether computed, cached or replayed —
-        // and yields the same hint deterministically in every case. A
-        // quarantined donor yields no hint, so the dependent degrades to a
-        // blind run (recorded as provenance in the journal).
-        let donor_report = cell.warm_from.as_ref().and_then(|donor| {
-            plan.problem_names
-                .iter()
-                .position(|p| p == donor)
-                .and_then(|dpi| completed.get(dpi * per_problem + cell.estimator_index))
-        });
-        let warm_hint = donor_report.and_then(|r| r.outcome.warm_hint());
-        let donor_failed = donor_report.and_then(|r| r.failed.as_ref().map(|_| true));
-        let (report, cached) = match shared.cache.claim(&cell.key) {
-            Claim::Ready(report) => (*report, true),
-            Claim::Compute(guard) => {
-                let outcome = {
-                    let _permit = shared.slots.acquire();
-                    fault::run_contained(
-                        &cell.problem,
-                        &cell.estimator,
-                        shared.cell_attempts,
-                        shared.faults(),
-                        || {
-                            plan.analysis.run_cell_warm(
-                                cell.problem_index,
-                                cell.estimator_index,
-                                warm_hint.as_ref(),
-                            )
-                        },
-                    )
-                };
-                let failed = outcome.is_failed();
-                let report = outcome.into_report(&cell.estimator, derived);
-                // Journal before fulfill (durability before visibility).
-                // If the append panics, `guard` drops unfulfilled and
-                // abandons the key, so blocked claimants re-race instead
-                // of hanging on a cell nobody is computing.
-                journal_append(
-                    shared,
-                    SweepLogEntry::cell(SweepCellRecord {
-                        master_seed: job.master_seed,
-                        policy: job.policy,
-                        problem: cell.problem.clone(),
-                        report: report.clone(),
-                        warm_from: cell.warm_from.clone(),
-                        warm_hint: warm_hint.clone(),
-                        donor_failed,
-                    })
-                    .with_key(cell.key.clone()),
-                );
-                if failed {
-                    // Quarantined: journaled for audit, never cached —
-                    // dropping the guard abandons the key so a later claim
-                    // (or a restart) gives the cell a fresh chance.
-                    drop(guard);
-                } else {
-                    guard.fulfill(report.clone());
-                }
-                (report, false)
-            }
+    let store = JobStore {
+        shared,
+        keys: &keys,
+        estimators: job.estimators.len(),
+        deadline: job
+            .deadline_ms
+            .map(|ms| (Instant::now() + Duration::from_millis(ms), ms)),
+        deadline_hit: AtomicBool::new(false),
+        client_gone: AtomicBool::new(false),
+    };
+    let mut runner = SweepRunner::new()
+        .matrix(ExecutionConfig::serial())
+        .cell_attempts(shared.cell_attempts);
+    if let Some(plan) = &shared.faults {
+        runner = runner.faults(plan.clone());
+    }
+    if let Some(donors) = warm_donors {
+        runner = runner.warm_start(donors);
+    }
+    let (executed, cached) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let channel = Mutex::new(channel);
+    let outcome = runner.run_with_store(&mut analysis, &store, &|update| {
+        let counter = if update.restored { &cached } else { &executed };
+        counter.fetch_add(1, Ordering::SeqCst);
+        let reply = Reply::Cell {
+            job_id: job_id.clone(),
+            problem: update.problem.to_string(),
+            estimator: update.estimator.to_string(),
+            completed_cells: update.completed_cells,
+            total_cells: update.total_cells,
+            cached: update.restored,
+            report: update.report.clone(),
         };
-        if cached {
-            cells_cached += 1;
-        } else {
-            cells_executed += 1;
+        let mut channel = channel.lock().unwrap_or_else(PoisonError::into_inner);
+        if channel.send(&reply).is_err() {
+            store.client_gone.store(true, Ordering::SeqCst);
         }
-        channel.send(&Reply::Cell {
-            job_id: plan.job_id.clone(),
-            problem: cell.problem.clone(),
-            estimator: cell.estimator.clone(),
-            completed_cells: index + 1,
-            total_cells,
-            cached,
-            report: report.clone(),
-        })?;
-        completed.push(report);
-    }
-
-    let report = assemble(&plan, job.master_seed, completed);
-    channel.send(&Reply::Done {
-        job_id: plan.job_id.clone(),
-        cells_executed,
-        cells_cached,
-        report,
-        partial: deadline_hit.then_some(true),
-    })
-}
-
-/// Assembles the full report from the cells in registration order — the
-/// same shape `YieldAnalysis::run` produces, so reports compare equal to
-/// the batch path.
-fn assemble(plan: &JobPlan, master_seed: u64, cells: Vec<MethodReport>) -> AnalysisReport {
-    let per_problem = plan.estimator_names.len();
-    let mut problems = Vec::with_capacity(plan.problem_names.len());
-    let mut cells = cells.into_iter();
-    for problem in &plan.problem_names {
-        problems.push(ProblemReport {
-            problem: problem.clone(),
-            methods: cells.by_ref().take(per_problem).collect(),
-        });
-    }
-    AnalysisReport {
-        master_seed,
-        problems,
+    });
+    let channel = channel.into_inner().unwrap_or_else(PoisonError::into_inner);
+    match outcome.report {
+        Some(report) if !store.client_gone.load(Ordering::SeqCst) => channel.send(&Reply::Done {
+            job_id,
+            cells_executed: executed.into_inner(),
+            cells_cached: cached.into_inner(),
+            report,
+            partial: store.deadline_hit.load(Ordering::SeqCst).then_some(true),
+        }),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::BrokenPipe,
+            "client went away mid-job",
+        )),
     }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, local_addr: Option<std::net::SocketAddr>) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    // Cell replies are small frames written one at a time; without
+    // TCP_NODELAY each waits on the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
@@ -642,8 +576,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared, local_addr: Option<std:
                     in_flight_jobs: Some(shared.in_flight.load(Ordering::SeqCst)),
                     slots_total: Some(shared.slots_total as u64),
                     slots_free: Some(shared.slots.free_now() as u64),
-                    journal_lines: Some(shared.journal_lines.load(Ordering::SeqCst)),
-                    journal_healthy: Some(shared.journal_healthy.load(Ordering::SeqCst)),
+                    journal_lines: Some(shared.journal.as_ref().map_or(0, SweepLog::appends)),
+                    journal_healthy: Some(shared.journal.as_ref().is_none_or(SweepLog::healthy)),
                 };
                 if channel.send(&Reply::Status { status }).is_err() {
                     return;
