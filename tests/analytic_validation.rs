@@ -11,10 +11,10 @@ mod common;
 
 use common::{assert_close_abs, assert_close_rel};
 use sram_highsigma::highsigma::{
-    required_samples, Estimator, FailureProblem, GisConfig, GradientImportanceSampling,
-    ImportanceSamplingConfig, LinearLimitState, MinimumNormIs, MnisConfig, MonteCarlo,
-    MonteCarloConfig, QuadraticLimitState, ScaledSigmaSampling, SphericalSampling,
-    SphericalSamplingConfig, SssConfig,
+    required_samples, Estimator, EstimatorOutcome, FailureProblem, GisConfig,
+    GradientImportanceSampling, ImportanceSamplingConfig, LinearLimitState, MinimumNormIs,
+    MnisConfig, MonteCarlo, MonteCarloConfig, QuadraticLimitState, ScaledSigmaSampling,
+    SphericalSampling, SphericalSamplingConfig, SssConfig,
 };
 use sram_highsigma::linalg::Vector;
 use sram_highsigma::stats::RngStream;
@@ -250,5 +250,145 @@ fn far_tail_probability_chain_is_accurate_to_machine_precision() {
         p_req,
         1e-9,
         "sigma/probability inversion",
+    );
+}
+
+/// Bit-exact fingerprint of one fixed-seed importance-sampling run.
+#[derive(Debug, PartialEq)]
+struct IsPin {
+    /// `f64::to_bits` of the failure probability.
+    probability: u64,
+    /// `f64::to_bits` of the reported standard error.
+    standard_error: u64,
+    evaluations: u64,
+    failures_observed: u64,
+    converged: bool,
+    /// `f64::to_bits` of each component of the final shift.
+    shift: Vec<u64>,
+    /// Length of the shift history (GIS only).
+    shift_history_len: Option<usize>,
+}
+
+impl IsPin {
+    fn of(outcome: &EstimatorOutcome) -> IsPin {
+        let result = &outcome.result;
+        IsPin {
+            probability: result.failure_probability.to_bits(),
+            standard_error: result.standard_error.to_bits(),
+            evaluations: result.evaluations,
+            failures_observed: result.failures_observed,
+            converged: result.converged,
+            shift: outcome
+                .shift()
+                .unwrap()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect(),
+            shift_history_len: outcome.shift_history().map(<[Vector]>::len),
+        }
+    }
+}
+
+/// GIS with small batches (200) that re-centres every two of them, so even a
+/// short run goes through several adaptation steps.
+fn gis_adaptive(max_samples: u64, target_relative_error: f64) -> GradientImportanceSampling {
+    GradientImportanceSampling::new(GisConfig {
+        sampling: ImportanceSamplingConfig {
+            corrected_stopping: true,
+            max_samples,
+            batch_size: 200,
+            target_relative_error,
+            min_failures: 50,
+        },
+        recenter_every_batches: 2,
+        recenter_min_failures: 10,
+        ..GisConfig::default()
+    })
+}
+
+#[test]
+fn adaptive_gis_and_mnis_are_pinned_bit_for_bit() {
+    // GIS that stops early, after several re-centring steps.
+    let problem = FailureProblem::from_model(
+        LinearLimitState::along_first_axis(6, 4.0),
+        LinearLimitState::spec(),
+    );
+    let early = gis_adaptive(20_000, 0.05).estimate(&problem, &mut RngStream::from_seed(161));
+    assert_eq!(
+        IsPin::of(&early),
+        IsPin {
+            probability: 4539451763247656779,
+            standard_error: 4519186957124621040,
+            evaluations: 2836,
+            failures_observed: 1439,
+            converged: true,
+            shift: vec![
+                4616443120826537988,
+                4572761232846587990,
+                13811273614932573304,
+                4587281353884419259,
+                4577676553786556885,
+                13790566221543422473
+            ],
+            shift_history_len: Some(7),
+        }
+    );
+
+    // GIS on a curved boundary that uses up its budget; the last batch
+    // (the sixth) is a re-centring batch too.
+    let quadratic = QuadraticLimitState::new(6, 4.0, 0.08);
+    let problem = FailureProblem::from_model(quadratic, QuadraticLimitState::spec());
+    let spent = gis_adaptive(1_200, 0.01).estimate(&problem, &mut RngStream::from_seed(162));
+    assert_eq!(
+        IsPin::of(&spent),
+        IsPin {
+            probability: 4553045382501765478,
+            standard_error: 4539621423282750665,
+            evaluations: 1237,
+            failures_observed: 585,
+            converged: false,
+            shift: vec![
+                4615328834224036181,
+                13808421016574541847,
+                13820718100152780356,
+                4570741153450509383,
+                13812336531717021465,
+                13817440910799168962
+            ],
+            shift_history_len: Some(4),
+        }
+    );
+
+    // MNIS: the fixed-proposal case of the same sampling loop.
+    let problem = FailureProblem::from_model(
+        LinearLimitState::along_first_axis(3, 4.0),
+        LinearLimitState::spec(),
+    );
+    let mnis = MinimumNormIs::new(MnisConfig {
+        sampling: ImportanceSamplingConfig {
+            corrected_stopping: true,
+            max_samples: 20_000,
+            batch_size: 200,
+            target_relative_error: 0.1,
+            min_failures: 50,
+        },
+        ..MnisConfig::default()
+    })
+    .estimate(&problem, &mut RngStream::from_seed(163));
+    assert_eq!(
+        IsPin::of(&mnis),
+        IsPin {
+            probability: 4539661878411187612,
+            standard_error: 4523909388542018112,
+            evaluations: 4212,
+            failures_observed: 992,
+            converged: true,
+            shift: vec![
+                4616190247837057571,
+                4604528436103910300,
+                13831238282530165255
+            ],
+            shift_history_len: None,
+        }
     );
 }
