@@ -142,6 +142,7 @@ fn main() {
             &Executor::from_env(),
             "reference-is",
             0,
+            None,
         );
         result.failure_probability
     };

@@ -94,6 +94,7 @@ fn main() {
             &Executor::from_env(),
             "reference-is",
             0,
+            None,
         );
 
         let deviation = |estimate: f64| {

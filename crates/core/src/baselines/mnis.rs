@@ -321,6 +321,7 @@ impl MinimumNormIs {
             &executor,
             "minimum-norm-is",
             search.evaluations,
+            None,
         );
         EstimatorOutcome {
             result,

@@ -14,7 +14,10 @@
 //!    failure regions).
 //! 3. **Gradient-informed adaptation**: as failing samples accumulate, the
 //!    shifted component is re-centred on their weighted mean, refining the
-//!    proposal without further gradient evaluations.
+//!    proposal without further gradient evaluations. The sampling phase is
+//!    [`run_importance_sampling`] with this re-centring as its per-batch
+//!    adaptation step; fixed-proposal IS is the same loop with no
+//!    adaptation.
 //!
 //! The output is the failure probability with confidence information, the
 //! equivalent sigma level, and the full cost accounting used by the
@@ -23,11 +26,10 @@
 use crate::estimator::{ConvergencePolicy, Diagnostics, Estimator, EstimatorOutcome, WarmStart};
 use crate::exec::ExecutionConfig;
 use crate::importance::{
-    shifts_disagree, ImportanceSamplingConfig, IsAccumulator, IsDiagnostics, Proposal,
+    run_importance_sampling, shifts_disagree, Adaptation, ImportanceSamplingConfig, Proposal,
 };
 use crate::model::FailureProblem;
 use crate::mpfp::{GradientMpfpSearch, MpfpConfig};
-use crate::result::{ConvergencePoint, ExtractionResult};
 use gis_linalg::Vector;
 use gis_stats::RngStream;
 use serde::{Deserialize, Serialize};
@@ -215,39 +217,18 @@ impl GradientImportanceSampling {
         };
         let search_evaluations = problem.evaluations() - start_evals;
 
-        // Phase 2: adaptive defensive mean-shift importance sampling.
-        let mut shift = mpfp.mpfp.clone();
-        let mut shift_history = vec![shift.clone()];
-        let mut proposal = self.proposal_for_shift(shift.clone());
-
-        let sampling = &self.config.sampling;
-        let mut acc = IsAccumulator::new();
-        let mut trace = Vec::new();
-        let mut converged = false;
-        let mut stop = crate::stopping::StopTracker::new();
-
-        // Weighted sum of failing samples since the last re-centring step.
+        // Phase 2: the shared importance-sampling loop, drawing from the
+        // defensive mean-shift proposal at the MPFP. Its adaptation step
+        // re-centres the shifted component on the weighted mean of all
+        // failures so far, once enough batches and new failures have
+        // arrived since the last re-centring.
+        let mut shift_history = vec![mpfp.mpfp.clone()];
         let mut failing_weight_sum = 0.0;
         let mut failing_weighted_mean = Vector::zeros(dim);
         let mut failures_since_recenter = 0u64;
         let mut batches_since_recenter = 0usize;
-
-        while acc.samples() < sampling.max_samples {
-            let batch = sampling
-                .batch_size
-                .min(sampling.max_samples - acc.samples());
-            // Generate-batch (sequential draws, fixed order) → evaluate-batch
-            // (executor worker threads) → reduce (sequential, sample order).
-            let mut points = Vec::with_capacity(batch as usize);
-            let mut weights = Vec::with_capacity(batch as usize);
-            for _ in 0..batch {
-                let z = proposal.sample(rng);
-                weights.push(proposal.importance_weight(&z));
-                points.push(z);
-            }
-            let outcomes = problem.is_failure_batch_on(&executor, &points);
-            for ((z, weight), failed) in points.iter().zip(weights).zip(outcomes) {
-                acc.push(weight, failed);
+        let mut recenter = |points: &[Vector], weights: &[f64], failed: &[bool]| {
+            for ((z, &weight), &failed) in points.iter().zip(weights).zip(failed) {
                 if failed && weight.is_finite() && weight > 0.0 {
                     failing_weight_sum += weight;
                     failing_weighted_mean = failing_weighted_mean
@@ -257,66 +238,34 @@ impl GradientImportanceSampling {
                 }
             }
             batches_since_recenter += 1;
-
-            trace.push(ConvergencePoint {
-                evaluations: search_evaluations + acc.samples(),
-                estimate: acc.estimate(),
-                relative_error: acc.relative_error(),
-            });
-
-            // Corrected rule: effective (weight-adjusted) failures, so a
-            // degenerate-weight run cannot stop on an overstated count.
-            let stop_failures = if sampling.corrected_stopping {
-                acc.effective_failures()
-            } else {
-                acc.failures() as f64
-            };
-            if stop.check(
-                stop_failures,
-                sampling.min_failures,
-                acc.relative_error(),
-                sampling.target_relative_error,
-                sampling.corrected_stopping,
-            ) {
-                converged = true;
-                break;
-            }
-
-            // Gradient-informed adaptation: re-centre the shifted component on
-            // the weighted mean of the failures observed so far.
-            if self.config.adaptive_recentering
-                && batches_since_recenter >= self.config.recenter_every_batches
+            if !(batches_since_recenter >= self.config.recenter_every_batches
                 && failures_since_recenter >= self.config.recenter_min_failures
-                && failing_weight_sum > 0.0
+                && failing_weight_sum > 0.0)
             {
-                let new_shift = failing_weighted_mean.scaled(1.0 / failing_weight_sum);
-                if new_shift.is_finite() && new_shift.norm() > 1e-9 {
-                    shift = new_shift;
-                    proposal = self.proposal_for_shift(shift.clone());
-                    shift_history.push(shift.clone());
-                }
-                batches_since_recenter = 0;
-                failures_since_recenter = 0;
+                return None;
             }
-        }
-
-        let estimate = acc.estimate();
-        let result = ExtractionResult {
-            method: "gradient-is".to_string(),
-            failure_probability: estimate,
-            standard_error: crate::stopping::reported_standard_error(
-                acc.standard_error(),
-                acc.effective_failures(),
-                converged,
-                sampling.corrected_stopping,
-            ),
-            sigma_level: ExtractionResult::sigma_from_probability(estimate),
-            evaluations: problem.evaluations() - start_evals,
-            sampling_evaluations: acc.samples(),
-            failures_observed: acc.failures(),
-            converged,
-            trace,
+            batches_since_recenter = 0;
+            failures_since_recenter = 0;
+            let shift = failing_weighted_mean.scaled(1.0 / failing_weight_sum);
+            if !(shift.is_finite() && shift.norm() > 1e-9) {
+                return None;
+            }
+            shift_history.push(shift.clone());
+            Some(self.proposal_for_shift(shift))
         };
+        let (result, mut is) = run_importance_sampling(
+            problem,
+            &self.proposal_for_shift(mpfp.mpfp.clone()),
+            &self.config.sampling,
+            rng,
+            &executor,
+            "gradient-is",
+            search_evaluations,
+            self.config
+                .adaptive_recentering
+                .then_some(&mut recenter as &mut Adaptation<'_>),
+        );
+
         // Multimodality heuristics: (a) a warm-seeded search that converged
         // somewhere far from the donor's MPFP means the two grid neighbors
         // see different dominant failure regions; (b) large opposing
@@ -330,18 +279,11 @@ impl GradientImportanceSampling {
             }
             _ => false,
         };
-        let multimodal_suspected = warm_disagrees || shift_history_oscillates(&shift_history);
-        let diagnostics = IsDiagnostics {
-            effective_sample_size: acc.effective_sample_size(),
-            max_weight: acc.max_weight(),
-            shift: Some(shift.as_slice().to_vec()),
-            shift_norm: Some(shift.norm()),
-            multimodal_suspected,
-        };
+        is.multimodal_suspected = warm_disagrees || shift_history_oscillates(&shift_history);
         EstimatorOutcome {
             result,
             diagnostics: Diagnostics::GradientImportanceSampling {
-                is: diagnostics,
+                is,
                 mpfp,
                 shift_history,
             },

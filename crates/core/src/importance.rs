@@ -1,5 +1,6 @@
 //! Shared importance-sampling machinery: proposal distributions, the weighted
-//! estimator/accumulator, and a generic fixed-proposal IS driver.
+//! estimator/accumulator, and the one IS sampling loop, whose optional
+//! per-batch adaptation step turns fixed-proposal IS into adaptive IS.
 //!
 //! The failure probability is written as an expectation under the nominal
 //! standard-normal density `f` of the whitened variation space and re-expressed
@@ -18,6 +19,7 @@ use crate::result::{ConvergencePoint, ExtractionResult};
 use gis_linalg::Vector;
 use gis_stats::{GaussianMixture, MultivariateNormal, RngStream};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A proposal distribution for importance sampling in whitened space.
 #[derive(Debug, Clone)]
@@ -412,14 +414,26 @@ pub fn shifts_disagree(a: &[f64], b: &[f64]) -> bool {
     distance > 1.0 && distance > 0.25 * scale
 }
 
-/// Runs fixed-proposal importance sampling on `problem` and reports the result
-/// under `method` name, charging `search_evaluations` extra evaluations (spent
+/// A per-batch adaptation step of [`run_importance_sampling`]. It sees one
+/// batch's points, importance weights and failure flags, in sample order,
+/// and may return the proposal for the next batch.
+pub type Adaptation<'a> = dyn FnMut(&[Vector], &[f64], &[bool]) -> Option<Proposal> + 'a;
+
+/// Runs importance sampling on `problem` and reports the result under
+/// `method` name, charging `search_evaluations` extra evaluations (spent
 /// earlier, e.g. on an MPFP search) to the total.
+///
+/// This is the one sampling loop of every IS method. With `adapt` set to
+/// `None` the proposal stays fixed; otherwise `adapt` runs after the stop
+/// check of every batch that did not stop (the last batch of the budget
+/// included) and its returned proposal, if any, draws the following batches.
+/// The reported shift is the mean of the final proposal's first component.
 ///
 /// Each batch is generated sequentially from `rng` (fixed draw order),
 /// evaluated on the worker threads of `exec`, and reduced in sample order, so
 /// the result is bit-identical at every thread count.
 #[allow(clippy::expect_used)] // invariants stated in the expect messages
+#[allow(clippy::too_many_arguments)] // the optional adaptation step is the one input fixed-proposal IS lacks
 pub fn run_importance_sampling(
     problem: &FailureProblem,
     proposal: &Proposal,
@@ -428,6 +442,7 @@ pub fn run_importance_sampling(
     exec: &Executor,
     method: &str,
     search_evaluations: u64,
+    mut adapt: Option<&mut Adaptation<'_>>,
 ) -> (ExtractionResult, IsDiagnostics) {
     config
         .validate()
@@ -438,6 +453,7 @@ pub fn run_importance_sampling(
         "proposal dimension must match the problem"
     );
 
+    let mut proposal = Cow::Borrowed(proposal);
     let mut acc = IsAccumulator::new();
     let mut trace = Vec::new();
     let mut converged = false;
@@ -453,7 +469,7 @@ pub fn run_importance_sampling(
             points.push(z);
         }
         let failed = problem.is_failure_batch_on(exec, &points);
-        for (weight, failed) in weights.into_iter().zip(failed) {
+        for (&weight, &failed) in weights.iter().zip(&failed) {
             acc.push(weight, failed);
         }
         trace.push(ConvergencePoint {
@@ -481,10 +497,16 @@ pub fn run_importance_sampling(
             converged = true;
             break;
         }
+        if let Some(next) = adapt
+            .as_mut()
+            .and_then(|step| step(&points, &weights, &failed))
+        {
+            proposal = Cow::Owned(next);
+        }
     }
 
     let estimate = acc.estimate();
-    let shift = match proposal {
+    let shift = match proposal.as_ref() {
         Proposal::Gaussian(g) => Some(g.mean().as_slice().to_vec()),
         Proposal::Mixture(m) => Some(m.components()[0].mean().as_slice().to_vec()),
     };
@@ -688,6 +710,7 @@ mod tests {
             &Executor::serial(),
             "mean-shift-is",
             0,
+            None,
         );
         assert!(result.converged);
         let rel = (result.failure_probability - exact).abs() / exact;
@@ -721,6 +744,7 @@ mod tests {
             &Executor::new(4),
             "defensive-is",
             100,
+            None,
         );
         let rel = (result.failure_probability - exact).abs() / exact;
         assert!(rel < 0.12, "defensive IS off by {rel}");
@@ -752,8 +776,57 @@ mod tests {
             &Executor::serial(),
             "bad-is",
             0,
+            None,
         );
         assert!(!result.converged);
+    }
+
+    #[test]
+    fn adaptation_sees_every_unstopped_batch_and_moves_the_reported_shift() {
+        let ls = LinearLimitState::along_first_axis(3, 4.0);
+        let problem = FailureProblem::from_model(ls.clone(), LinearLimitState::spec());
+        // A target no run of this budget reaches: all three batches run.
+        let config = ImportanceSamplingConfig {
+            corrected_stopping: true,
+            max_samples: 2_500,
+            batch_size: 1_000,
+            target_relative_error: 1e-6,
+            min_failures: 50,
+        };
+        let start = Proposal::shifted(Vector::from_slice(&[3.0, 0.0, 0.0]));
+        let run = |adapt: Option<&mut Adaptation<'_>>| {
+            run_importance_sampling(
+                &problem.fork(),
+                &start,
+                &config,
+                &mut RngStream::from_seed(3),
+                &Executor::serial(),
+                "is",
+                0,
+                adapt,
+            )
+        };
+        let fixed = run(None);
+
+        // A step that never adapts leaves the run bit-identical, and it runs
+        // on the final, budget-exhausting batch too.
+        let mut batch_sizes = Vec::new();
+        let observed = run(Some(&mut |points, weights, failed| {
+            assert!(points.len() == weights.len() && weights.len() == failed.len());
+            batch_sizes.push(points.len());
+            None
+        }));
+        assert_eq!(batch_sizes, [1_000, 1_000, 500]);
+        assert_eq!(observed, fixed);
+
+        // A returned proposal draws the following batches and is the one
+        // whose shift is reported.
+        let (moved, diag) = run(Some(&mut |_, _, _| {
+            Some(Proposal::shifted(ls.exact_mpfp()))
+        }));
+        assert_eq!(diag.shift.as_deref(), Some(ls.exact_mpfp().as_slice()));
+        assert_eq!(moved.trace[0], fixed.0.trace[0]);
+        assert_ne!(moved.trace[1], fixed.0.trace[1]);
     }
 
     #[test]
@@ -777,6 +850,7 @@ mod tests {
                 &Executor::new(threads).with_chunk_size(13),
                 "is",
                 7,
+                None,
             )
         };
         let (reference, reference_diag) = run(1);

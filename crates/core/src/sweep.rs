@@ -1716,14 +1716,19 @@ mod tests {
                 commits: Mutex::new(Vec::new()),
             };
             let events = Mutex::new(Vec::new());
-            let outcome = SweepRunner::new().run_with_store(
-                &mut warm_test_analysis(),
-                &store,
-                &|update: SweepCellUpdate<'_>| {
-                    let cell = (update.problem.to_string(), update.estimator.to_string());
-                    events.lock().unwrap().push((cell, update.restored));
-                },
-            );
+            // The runner promises observer and commit order only on a
+            // one-thread matrix, so the width is fixed here instead of read
+            // from `GIS_THREADS`.
+            let outcome = SweepRunner::new()
+                .matrix(ExecutionConfig::serial())
+                .run_with_store(
+                    &mut warm_test_analysis(),
+                    &store,
+                    &|update: SweepCellUpdate<'_>| {
+                        let cell = (update.problem.to_string(), update.estimator.to_string());
+                        events.lock().unwrap().push((cell, update.restored));
+                    },
+                );
             let cell = |p: &str, e: &str| (p.to_string(), e.to_string());
             // Refused cells are neither committed nor observed; a ready
             // cell is observed as restored and never committed.

@@ -78,11 +78,6 @@ impl Cholesky {
         &self.lower
     }
 
-    /// Consume the decomposition and return the lower-triangular factor.
-    pub fn into_lower(self) -> Matrix {
-        self.lower
-    }
-
     /// Solves `A x = b` via two triangular solves.
     ///
     /// # Errors

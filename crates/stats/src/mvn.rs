@@ -111,11 +111,6 @@ impl MultivariateNormal {
         &self.mean + &colored
     }
 
-    /// Draws `n` independent samples.
-    pub fn sample_n(&self, rng: &mut RngStream, n: usize) -> Vec<Vector> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
     /// Log-density `log N(x | μ, Σ)`.
     ///
     /// # Errors

@@ -13,8 +13,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
 use sram_highsigma::circuit::{Circuit, MnaSystem, SimulationWorkspace, SourceWaveform};
@@ -22,27 +22,44 @@ use sram_highsigma::highsigma::IsAccumulator;
 use sram_highsigma::sram::{build_6t_cell, SramCellConfig, SramTestbench};
 
 /// A pass-through allocator over [`System`] that counts every allocation
-/// request (`alloc`, `alloc_zeroed`, `realloc`). Deallocations are not
-/// counted: the contract under test is "no new heap traffic", and a free
-/// without a matching measured alloc cannot occur inside a measurement
-/// window that starts and ends on the same thread.
+/// request (`alloc`, `alloc_zeroed`, `realloc`) of a thread inside an
+/// [`allocations_during`] window. Deallocations are not counted: the
+/// contract under test is "no new heap traffic", and a free without a
+/// matching measured alloc cannot occur inside a measurement window that
+/// starts and ends on the same thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside an [`allocations_during`] window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocation requests this thread issued while armed. Counting per
+    /// thread keeps the test harness's own threads (spawning tests,
+    /// capturing output) out of every measurement.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation request if the current thread is armed. Both
+/// thread-locals are const-initialised without a destructor, so touching
+/// them never allocates and never fails, even during thread teardown.
+fn count_allocation() {
+    if ARMED.get() {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,18 +71,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-wide, so the tests in this file must not
-/// run concurrently: libtest's parallel runner would attribute one test's
-/// allocations to another's measurement window. Every test takes this lock
-/// before doing any work.
+/// Every test takes this lock, so the measurements never overlap in time.
+/// Exactness comes from the per-thread counters, not from the lock, so a
+/// test that panics while holding it must not fail the others as well.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Runs `f` and returns how many allocation requests it issued.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` and returns how many allocation requests it issued on this
+/// thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
     let result = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    (after - before, result)
+    ARMED.set(false);
+    (ALLOCATIONS.get(), result)
 }
 
 /// Builds the read-condition 6T netlist from `SramTestbench::read_session`
@@ -110,7 +132,7 @@ fn read_condition_circuit(cfg: &SramCellConfig, vth_deltas: &[f64; 6]) -> Circui
 /// allocations — the whole symbolic plan and every numeric buffer are reused.
 #[test]
 fn sparse_newton_steady_state_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let cfg = SramCellConfig::typical_45nm();
     let ckt = read_condition_circuit(&cfg, &[0.0; 6]);
     let system = MnaSystem::new(&ckt).unwrap();
@@ -140,7 +162,7 @@ fn sparse_newton_steady_state_is_allocation_free() {
 /// `no_alloc`) must not touch the heap: it runs once per Monte Carlo sample.
 #[test]
 fn is_accumulator_push_and_merge_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let mut lane_a = IsAccumulator::new();
     let mut lane_b = IsAccumulator::new();
 
@@ -164,7 +186,7 @@ fn is_accumulator_push_and_merge_do_not_allocate() {
 /// constant here is parameter injection and waveform bookkeeping.)
 #[test]
 fn transient_sessions_have_constant_per_eval_allocations() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let tb = SramTestbench::typical_45nm();
     let deltas = [0.01, -0.02, 0.005, -0.01, 0.015, 0.0];
 
