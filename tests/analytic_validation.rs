@@ -392,3 +392,133 @@ fn adaptive_gis_and_mnis_are_pinned_bit_for_bit() {
         }
     );
 }
+
+/// Bit-exact fingerprint of one fixed-seed Monte Carlo or spherical run.
+#[derive(Debug, PartialEq)]
+struct SequentialPin {
+    /// `f64::to_bits` of the failure probability.
+    probability: u64,
+    /// `f64::to_bits` of the reported standard error.
+    standard_error: u64,
+    evaluations: u64,
+    failures_observed: u64,
+    converged: bool,
+    trace_len: usize,
+}
+
+impl SequentialPin {
+    fn of(outcome: &EstimatorOutcome) -> SequentialPin {
+        let result = &outcome.result;
+        SequentialPin {
+            probability: result.failure_probability.to_bits(),
+            standard_error: result.standard_error.to_bits(),
+            evaluations: result.evaluations,
+            failures_observed: result.failures_observed,
+            converged: result.converged,
+            trace_len: result.trace.len(),
+        }
+    }
+}
+
+/// An early stop needs the measured error under the target at the last two
+/// checks, and reports an error bar wider than the measured one.
+fn assert_stopped_after_two_passes(outcome: &EstimatorOutcome, target: f64) {
+    let trace = &outcome.result.trace;
+    assert!(outcome.result.converged);
+    assert!(trace.len() >= 2);
+    for point in &trace[trace.len() - 2..] {
+        assert!(point.relative_error <= target, "{point:?}");
+    }
+    let measured = trace[trace.len() - 1].relative_error * outcome.result.failure_probability;
+    assert!(outcome.result.standard_error > measured);
+}
+
+#[test]
+fn monte_carlo_and_spherical_are_pinned_bit_for_bit() {
+    let problem = FailureProblem::from_model(
+        LinearLimitState::along_first_axis(3, 2.5),
+        LinearLimitState::spec(),
+    );
+    let monte_carlo = |max_samples: u64| {
+        MonteCarlo::new(MonteCarloConfig {
+            corrected_stopping: true,
+            max_samples,
+            batch_size: 2_000,
+            target_relative_error: 0.1,
+            min_failures: 20,
+        })
+    };
+
+    // Monte Carlo that stops early.
+    let early = monte_carlo(200_000).estimate(&problem.fork(), &mut RngStream::from_seed(171));
+    assert_stopped_after_two_passes(&early, 0.1);
+    assert_eq!(
+        SequentialPin::of(&early),
+        SequentialPin {
+            probability: 4573829578796007400,
+            standard_error: 4558326573682367446,
+            evaluations: 22000,
+            failures_observed: 137,
+            converged: true,
+            trace_len: 11,
+        }
+    );
+
+    // Monte Carlo that uses up its budget.
+    let spent = monte_carlo(9_000).estimate(&problem.fork(), &mut RngStream::from_seed(172));
+    assert_eq!(
+        SequentialPin::of(&spent),
+        SequentialPin {
+            probability: 4571113589784365702,
+            standard_error: 4559190334441640140,
+            evaluations: 9000,
+            failures_observed: 35,
+            converged: false,
+            trace_len: 5,
+        }
+    );
+
+    let problem = FailureProblem::from_model(
+        LinearLimitState::along_first_axis(3, 3.5),
+        LinearLimitState::spec(),
+    );
+    let spherical = |directions: usize| {
+        SphericalSampling::new(SphericalSamplingConfig {
+            directions,
+            max_radius: 8.0,
+            bisection_steps: 12,
+            target_relative_error: 0.1,
+            min_failing_directions: 10,
+            corrected_stopping: true,
+        })
+    };
+
+    // Spherical sampling that stops early.
+    let early = spherical(2_000).estimate(&problem.fork(), &mut RngStream::from_seed(173));
+    assert_stopped_after_two_passes(&early, 0.1);
+    assert_eq!(
+        SequentialPin::of(&early),
+        SequentialPin {
+            probability: 4553294755033925581,
+            standard_error: 4537972300652741151,
+            evaluations: 6600,
+            failures_observed: 425,
+            converged: true,
+            trace_len: 75,
+        }
+    );
+
+    // Spherical sampling that uses up its budget; the last block is partial.
+    let spent = spherical(130).estimate(&problem.fork(), &mut RngStream::from_seed(174));
+    assert_eq!(
+        SequentialPin::of(&spent),
+        SequentialPin {
+            probability: 4554494024866302547,
+            standard_error: 4546179701153499542,
+            evaluations: 562,
+            failures_observed: 36,
+            converged: false,
+            trace_len: 7,
+        }
+    );
+}
