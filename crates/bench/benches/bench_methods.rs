@@ -23,7 +23,7 @@ fn sampling_config() -> ImportanceSamplingConfig {
         batch_size: 500,
         target_relative_error: 0.1,
         min_failures: 30,
-        corrected_stopping: true,
+        ..ImportanceSamplingConfig::default()
     }
 }
 
@@ -93,7 +93,6 @@ fn bench_methods(c: &mut Criterion) {
                 batch_size: 10_000,
                 target_relative_error: 0.1,
                 min_failures: 10,
-                corrected_stopping: true,
             });
             mc.estimate(&problem, &mut RngStream::from_seed(MASTER_SEED))
         })

@@ -21,6 +21,10 @@
 //!   far-tail cells; honesty violations are *reported*, not asserted (they
 //!   are findings, e.g. scaled-sigma extrapolation on union geometries).
 //!
+//! In both modes the binary also runs the fast suite under the production
+//! stopping rule (±10% target, ≥20 failures, early stops allowed) and
+//! asserts that every cell of that report is within the band.
+//!
 //! Output: `BENCH_calibration.json` at the workspace root.
 
 // Experiment driver: abort-on-error is the right failure mode.
@@ -29,9 +33,7 @@
 use gis_bench::{workspace_root, MASTER_SEED};
 use gis_core::{
     standard_estimators, BenchmarkProblem, CalibrationReport, Calibrator, ConvergencePolicy,
-    Estimator, ExecutionConfig, GisConfig, GradientImportanceSampling, ImportanceSamplingConfig,
-    MinimumNormIs, MnisConfig, MonteCarlo, MonteCarloConfig, ScaledSigmaSampling,
-    SphericalSampling, SphericalSamplingConfig, SssConfig,
+    ExecutionConfig,
 };
 use serde::Serialize;
 
@@ -56,87 +58,22 @@ struct CalibrationArtifact {
     evaluation_budget: u64,
     all_within_band: bool,
     worst_band_margin: f64,
-    /// Before/after coverage of the production stopping rule (legacy
-    /// uncorrected criterion vs the first-passage-corrected one).
-    stopping_rule_ab: StoppingRuleAb,
+    /// Coverage of the fast suite under the production stopping rule
+    /// (±10% target, ≥20 failures, early stops allowed).
+    production_rule: CalibrationReport,
     report: CalibrationReport,
 }
 
-/// One arm of the stopping-rule A/B, reduced to its honesty verdict.
-#[derive(Debug, Serialize)]
-struct StoppingArm {
-    corrected_stopping: bool,
-    all_within_band: bool,
-    violations: usize,
-    worst_band_margin: f64,
-}
-
-/// Per-cell before/after coverage under the production stopping rule.
-#[derive(Debug, Serialize)]
-struct StoppingAbRow {
-    problem: String,
-    estimator: String,
-    covered_legacy: u32,
-    covered_corrected: u32,
-    within_band_legacy: bool,
-    within_band_corrected: bool,
-}
-
-/// The stopping-rule before/after block of `BENCH_calibration.json`.
+/// The fast suite under the production stopping rule (±10% target, ≥20
+/// failures).
 ///
 /// The main calibration matrix pins every method to its full budget, so it
 /// calibrates the error-bar *formula* and is blind to optional stopping.
-/// This block re-runs the fast suite under the *production* stopping rule
-/// (±10% target, ≥20 failures) twice — once with the legacy uncorrected
-/// criterion, once with the first-passage-corrected one — and records both
-/// coverages. The corrected arm is the CI gate; the legacy arm documents
-/// the anti-conservative bias the correction repairs.
-#[derive(Debug, Serialize)]
-struct StoppingRuleAb {
-    replications: u32,
-    evaluation_budget: u64,
-    target_relative_error: f64,
-    min_failures: u64,
-    band_lower: f64,
-    band_upper: f64,
-    legacy: StoppingArm,
-    corrected: StoppingArm,
-    rows: Vec<StoppingAbRow>,
-}
-
-/// The five standard estimators with `corrected_stopping` forced to the
-/// given arm. Scaled-sigma has no sequential stopping rule (fixed per-scale
-/// sample counts), so it is identical in both arms and serves as the
-/// in-band control.
-fn stopping_estimators(corrected: bool) -> Vec<Box<dyn Estimator>> {
-    let sampling = ImportanceSamplingConfig {
-        corrected_stopping: corrected,
-        ..ImportanceSamplingConfig::default()
-    };
-    vec![
-        Box::new(GradientImportanceSampling::new(GisConfig {
-            sampling: sampling.clone(),
-            ..GisConfig::default()
-        })),
-        Box::new(MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: corrected,
-            ..MonteCarloConfig::default()
-        })),
-        Box::new(MinimumNormIs::new(MnisConfig {
-            sampling,
-            ..MnisConfig::default()
-        })),
-        Box::new(SphericalSampling::new(SphericalSamplingConfig {
-            corrected_stopping: corrected,
-            ..SphericalSamplingConfig::default()
-        })),
-        Box::new(ScaledSigmaSampling::new(SssConfig::default())),
-    ]
-}
-
-/// Runs one arm of the stopping-rule A/B: the fast suite under the
-/// production stopping rule with the arm's stopping criterion.
-fn stopping_arm_report(corrected: bool, matrix: ExecutionConfig) -> CalibrationReport {
+/// This run lets every sequential estimator stop early under the one
+/// stopping rule of `gis_core::stopping` and checks the coverage of the
+/// error bars it reports. Scaled-sigma sampling has no sequential stopping
+/// rule (fixed per-scale sample counts) and serves as the in-band control.
+fn production_rule_report(matrix: ExecutionConfig) -> CalibrationReport {
     Calibrator::new()
         .master_seed(MASTER_SEED + 53)
         .replications(100)
@@ -148,47 +85,9 @@ fn stopping_arm_report(corrected: bool, matrix: ExecutionConfig) -> CalibrationR
                 .min_failures(20),
         )
         .problems(BenchmarkProblem::fast_suite())
-        .estimators(stopping_estimators(corrected))
+        .estimators(standard_estimators())
         .matrix(matrix)
         .run()
-}
-
-fn stopping_rule_ab(matrix: ExecutionConfig) -> StoppingRuleAb {
-    let legacy = stopping_arm_report(false, matrix);
-    let corrected = stopping_arm_report(true, matrix);
-    let arm = |report: &CalibrationReport, flag: bool| StoppingArm {
-        corrected_stopping: flag,
-        all_within_band: report.all_within_band(),
-        violations: report.violations().len(),
-        worst_band_margin: report.worst_band_margin(),
-    };
-    let rows = legacy
-        .rows
-        .iter()
-        .zip(&corrected.rows)
-        .map(|(l, c)| {
-            assert_eq!((&l.problem, &l.estimator), (&c.problem, &c.estimator));
-            StoppingAbRow {
-                problem: l.problem.clone(),
-                estimator: l.estimator.clone(),
-                covered_legacy: l.covered,
-                covered_corrected: c.covered,
-                within_band_legacy: l.within_band,
-                within_band_corrected: c.within_band,
-            }
-        })
-        .collect();
-    StoppingRuleAb {
-        replications: legacy.replications,
-        evaluation_budget: FAST_BUDGET,
-        target_relative_error: 0.1,
-        min_failures: 20,
-        band_lower: legacy.rows.first().map_or(0.0, |r| r.band_lower),
-        band_upper: legacy.rows.first().map_or(1.0, |r| r.band_upper),
-        legacy: arm(&legacy, false),
-        corrected: arm(&corrected, true),
-        rows,
-    }
 }
 
 fn calibrator(fast: bool) -> Calibrator {
@@ -203,9 +102,8 @@ fn calibrator(fast: bool) -> Calibrator {
     // unreachable accuracy target disables early stopping): what is being
     // calibrated is the *error-bar formula* at a fixed cost. The full matrix
     // keeps the production stopping rule (±10% at 90%, as the evaluation
-    // tables quote), now with the first-passage correction on by default;
-    // the legacy-vs-corrected coverage comparison lives in the dedicated
-    // `stopping_rule_ab` block.
+    // tables quote); the fast suite under that rule is the separate
+    // `production_rule` report.
     let policy = if fast {
         ConvergencePolicy::with_budget(budget)
             .target_relative_error(1e-12)
@@ -285,59 +183,17 @@ fn main() {
     let report = calibrator(fast).matrix(ExecutionConfig::from_env()).run();
     print_report(&report);
 
-    // Stopping-rule before/after: the production rule (±10%, ≥20 failures)
-    // on the fast suite, legacy criterion vs first-passage-corrected.
-    let ab = stopping_rule_ab(ExecutionConfig::from_env());
-    println!(
-        "\nstopping-rule A/B (production rule, {} replications, band [{:.0}, {:.0}]/100):",
-        ab.replications,
-        ab.band_lower * 100.0,
-        ab.band_upper * 100.0
-    );
-    println!(
-        "{:<28} {:<22} {:>10} {:>12}",
-        "problem", "method", "legacy", "corrected"
-    );
-    for row in &ab.rows {
-        println!(
-            "{:<28} {:<22} {:>6}/100{} {:>8}/100{}",
-            row.problem,
-            row.estimator,
-            row.covered_legacy,
-            if row.within_band_legacy { " " } else { "!" },
-            row.covered_corrected,
-            if row.within_band_corrected { " " } else { "!" },
-        );
-    }
-    println!(
-        "legacy: {} violation(s), worst margin {:+.0}; corrected: {} violation(s), worst margin {:+.0}",
-        ab.legacy.violations,
-        ab.legacy.worst_band_margin,
-        ab.corrected.violations,
-        ab.corrected.worst_band_margin
-    );
-    // CI gates, asserted in both modes (the A/B always runs on the fast
-    // suite, so they are mode-independent):
-    //
-    // 1. The corrected production rule is honest everywhere, at the
-    //    tightened band. The hardest cell is minimum-norm IS on the
-    //    correlated 12-d geometry, where the legacy rule stopped on lucky
-    //    dips of an already-optimistic variance estimate; the persistence
-    //    requirement plus effective-failure inflation brings it back inside.
+    // The production stopping rule on the fast suite: the error bars of
+    // runs that stop early must cover too. Asserted in both modes (it always
+    // runs on the fast suite, so the gate is mode-independent).
+    let production = production_rule_report(ExecutionConfig::from_env());
+    println!("\nproduction stopping rule (±10% target, ≥20 failures):");
+    print_report(&production);
     assert!(
-        ab.corrected.all_within_band,
-        "corrected stopping rule outside the acceptance band in {} cell(s), worst margin {:+.0}",
-        ab.corrected.violations, ab.corrected.worst_band_margin
-    );
-    // 2. The before/after still demonstrates the defect it fixes: the
-    //    legacy rule must violate the (tightened) band somewhere, otherwise
-    //    this block has lost its evidentiary value and should be revisited.
-    assert!(
-        ab.legacy.violations > ab.corrected.violations,
-        "legacy stopping rule shows no anti-conservative cell \
-         (legacy {}, corrected {}); the A/B no longer demonstrates the fix",
-        ab.legacy.violations,
-        ab.corrected.violations
+        production.all_within_band(),
+        "production stopping rule outside the acceptance band in {} cell(s), worst margin {:+.0}",
+        production.violations().len(),
+        production.worst_band_margin()
     );
 
     if fast {
@@ -401,7 +257,7 @@ fn main() {
         evaluation_budget: budget(fast),
         all_within_band: report.all_within_band(),
         worst_band_margin: report.worst_band_margin(),
-        stopping_rule_ab: ab,
+        production_rule: production,
         report,
     };
     let path = workspace_root().join("BENCH_calibration.json");

@@ -76,11 +76,11 @@ fn main() {
     // The convergence-focused budgets differ per method, so each estimator is
     // registered with its own configuration rather than a uniform policy.
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: scaled(50_000, 5_000),
         batch_size: 500,
         target_relative_error: 0.02,
         min_failures: 50,
+        ..ImportanceSamplingConfig::default()
     };
     let estimators: Vec<Box<dyn Estimator>> = vec![
         Box::new(GradientImportanceSampling::new(GisConfig {
@@ -103,7 +103,6 @@ fn main() {
         // Brute-force Monte Carlo will not converge at this sigma level; its
         // trace demonstrates why.
         Box::new(MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: scaled(200_000, 20_000),
             batch_size: 10_000,
             target_relative_error: 0.1,
@@ -132,11 +131,11 @@ fn main() {
             &long_problem,
             &Proposal::defensive_mixture(shift, 0.1),
             &ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: scaled(200_000, 20_000),
                 batch_size: scaled(10_000, 2_000),
                 target_relative_error: 0.01,
                 min_failures: scaled(500, 50),
+                ..ImportanceSamplingConfig::default()
             },
             &mut master.split(100),
             &Executor::from_env(),

@@ -84,11 +84,11 @@ fn main() {
             &problem_with_relative_spec(model, nominal, factor),
             &Proposal::defensive_mixture(shift, 0.1),
             &ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: scaled(300_000, 30_000),
                 batch_size: scaled(20_000, 5_000),
                 target_relative_error: 0.01,
                 min_failures: scaled(1_000, 100),
+                ..ImportanceSamplingConfig::default()
             },
             &mut master.split((index * 10 + 1) as u64),
             &Executor::from_env(),

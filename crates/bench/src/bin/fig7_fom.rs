@@ -60,11 +60,11 @@ fn main() {
     let mut all = Vec::new();
 
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: scaled(40_000, 4_000),
         batch_size: 500,
         target_relative_error: 0.02,
         min_failures: 50,
+        ..ImportanceSamplingConfig::default()
     };
 
     {
@@ -96,7 +96,6 @@ fn main() {
     }
     {
         let mc = MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: scaled(200_000, 20_000),
             batch_size: 10_000,
             target_relative_error: 0.02,

@@ -41,11 +41,11 @@ struct AblationRow {
 
 fn base_sampling() -> ImportanceSamplingConfig {
     ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: scaled(40_000, 4_000),
         batch_size: 500,
         target_relative_error: 0.1,
         min_failures: 30,
+        ..ImportanceSamplingConfig::default()
     }
 }
 
@@ -64,11 +64,11 @@ fn main() {
             &base.fork(),
             &Proposal::defensive_mixture(shift, 0.1),
             &ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: scaled(300_000, 30_000),
                 batch_size: scaled(20_000, 5_000),
                 target_relative_error: 0.01,
                 min_failures: scaled(1_000, 100),
+                ..ImportanceSamplingConfig::default()
             },
             &mut master.split(1000),
             &Executor::from_env(),

@@ -91,11 +91,11 @@ fn main() {
             ..MpfpConfig::default()
         },
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: scaled(1_500, 500),
             batch_size: 250,
             target_relative_error: 0.2,
             min_failures: 15,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     });

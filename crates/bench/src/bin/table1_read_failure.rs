@@ -39,11 +39,11 @@ fn main() {
     );
 
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: scaled(4_000, 400),
         batch_size: scaled(250, 100),
         target_relative_error: 0.1,
         min_failures: scaled(30, 10),
+        ..ImportanceSamplingConfig::default()
     };
     // One spec list drives both paths: built locally for a direct run,
     // shipped verbatim to the daemon in thin-client mode.
@@ -64,7 +64,6 @@ fn main() {
         },
         EstimatorSpec::SphericalSampling {
             config: SphericalSamplingConfig {
-                corrected_stopping: true,
                 directions: scaled(200, 30),
                 max_radius: 8.0,
                 bisection_steps: 12,

@@ -52,11 +52,11 @@ fn main() {
     );
 
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: scaled(6_000, 300),
         batch_size: scaled(250, 100),
         target_relative_error: 0.1,
         min_failures: scaled(30, 10),
+        ..ImportanceSamplingConfig::default()
     };
     // One spec list drives both paths: built locally for a direct run,
     // shipped verbatim to the daemon in thin-client mode.
@@ -77,7 +77,6 @@ fn main() {
         },
         EstimatorSpec::SphericalSampling {
             config: SphericalSamplingConfig {
-                corrected_stopping: true,
                 directions: scaled(150, 25),
                 max_radius: 8.0,
                 bisection_steps: 12,

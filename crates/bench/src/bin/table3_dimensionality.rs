@@ -65,11 +65,11 @@ fn main() {
             let fork = problem.fork();
             let gis = GradientImportanceSampling::new(GisConfig {
                 sampling: ImportanceSamplingConfig {
-                    corrected_stopping: true,
                     max_samples: scaled(100_000, 10_000),
                     batch_size: 1_000,
                     target_relative_error: 0.1,
                     min_failures: 30,
+                    ..ImportanceSamplingConfig::default()
                 },
                 ..GisConfig::default()
             });
@@ -91,11 +91,11 @@ fn main() {
                 presamples_per_round: 1_000 * (dim / 6).max(1),
                 presample_scales: vec![2.0, 2.5, 3.0, 3.5],
                 sampling: ImportanceSamplingConfig {
-                    corrected_stopping: true,
                     max_samples: scaled(100_000, 10_000),
                     batch_size: 1_000,
                     target_relative_error: 0.1,
                     min_failures: 30,
+                    ..ImportanceSamplingConfig::default()
                 },
                 ..MnisConfig::default()
             });
@@ -116,7 +116,6 @@ fn main() {
         {
             let fork = problem.fork();
             let spherical = SphericalSampling::new(SphericalSamplingConfig {
-                corrected_stopping: true,
                 directions: scaled(3_000, 300),
                 max_radius: 8.0,
                 bisection_steps: 12,

@@ -44,7 +44,7 @@ use crate::baselines::{
     SssConfig,
 };
 use crate::estimator::{ConvergencePolicy, Estimator, EstimatorOutcome, WarmStart};
-use crate::exec::{ExecutionConfig, Executor};
+use crate::exec::ExecutionConfig;
 use crate::fault::CellFailure;
 use crate::gis::{GisConfig, GradientImportanceSampling};
 use crate::model::FailureProblem;
@@ -392,19 +392,17 @@ impl YieldAnalysis {
         RngStream::from_seed(self.master_seed).split(mix).seed()
     }
 
-    /// Applies the registered [`ConvergencePolicy`] and [`ExecutionConfig`] to
-    /// every estimator and validates that the matrix is runnable. Idempotent;
-    /// called by every run entry point before any cell executes.
-    ///
-    /// Callers dispatching single cells via [`run_cell`](Self::run_cell)
-    /// call this once up front through the public
-    /// [`prepare`](Self::prepare) alias.
+    /// Validates the matrix and applies the registered [`ConvergencePolicy`]
+    /// and [`ExecutionConfig`] to every estimator. Idempotent. Must be called
+    /// before dispatching individual cells via [`run_cell`](Self::run_cell);
+    /// [`run`](Self::run) and [`crate::sweep::SweepRunner`] call it
+    /// themselves.
     ///
     /// # Panics
     ///
     /// Panics if no problems or no estimators are registered, or if a
     /// configured [`ConvergencePolicy`] is invalid.
-    pub(crate) fn apply_configuration(&mut self) {
+    pub fn prepare(&mut self) {
         assert!(
             !self.problems.is_empty(),
             "YieldAnalysis: no problems registered"
@@ -414,14 +412,8 @@ impl YieldAnalysis {
             "YieldAnalysis: no estimators registered"
         );
         if let Some(policy) = self.policy {
-            assert!(
-                policy.max_evaluations > 0,
-                "YieldAnalysis: convergence policy needs a positive evaluation budget"
-            );
-            assert!(
-                policy.target_relative_error > 0.0,
-                "YieldAnalysis: convergence policy needs a positive relative-error target"
-            );
+            let verdict = policy.validate();
+            assert!(verdict.is_ok(), "YieldAnalysis: {verdict:?}");
             for estimator in &mut self.estimators {
                 estimator.configure(&policy);
             }
@@ -431,20 +423,6 @@ impl YieldAnalysis {
                 estimator.set_execution(execution);
             }
         }
-    }
-
-    /// Validates the matrix and applies the registered policy and execution
-    /// configuration to every estimator. Idempotent. Must be called before
-    /// dispatching individual cells via [`run_cell`](Self::run_cell); the
-    /// bulk entry points ([`run`](Self::run), [`run_on`](Self::run_on)) call
-    /// it themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no problems or no estimators are registered, or if a
-    /// configured [`ConvergencePolicy`] is invalid.
-    pub fn prepare(&mut self) {
-        self.apply_configuration();
     }
 
     /// The configured master seed (see [`master_seed`](Self::master_seed)).
@@ -510,7 +488,7 @@ impl YieldAnalysis {
         let fork = problem.fork();
         let mut rng = RngStream::from_seed(seed);
         // Recorded per method: each estimator's own effective config
-        // (driver-wide `execution` has been applied by apply_configuration,
+        // (driver-wide `execution` has been applied by `prepare`,
         // but an estimator configured individually keeps its setting).
         let threads = estimator.effective_execution().resolved_threads();
         let started = Instant::now();
@@ -551,43 +529,13 @@ impl YieldAnalysis {
     /// configured [`ConvergencePolicy`] maps onto an invalid method
     /// configuration.
     pub fn run(&mut self) -> AnalysisReport {
-        self.apply_configuration();
+        self.prepare();
         let cells = (0..self.problems.len())
             .map(|pi| {
                 (0..self.estimators.len())
                     .map(|ei| self.run_cell(pi, ei))
                     .collect()
             })
-            .collect();
-        self.assemble_report(cells)
-    }
-
-    /// Runs the analysis with the independent (problem, estimator) cells of
-    /// the matrix dispatched onto the worker threads of `matrix` — on top of
-    /// whatever *within*-estimator parallelism each cell's own
-    /// [`ExecutionConfig`] provides.
-    ///
-    /// Because every cell draws from its own order-independent derived seed
-    /// and evaluation counter, the report is **bit-identical** to the
-    /// sequential [`run`](Self::run) at any matrix thread count — scheduling
-    /// changes wall-clock only. For checkpointed sweeps over large scenario
-    /// grids, use [`crate::sweep::SweepRunner`], which adds durable
-    /// cell-by-cell persistence on top of this scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_on(&mut self, matrix: &Executor) -> AnalysisReport {
-        self.apply_configuration();
-        let estimators = self.estimators.len();
-        let total = self.problems.len() * estimators;
-        let mut flat = matrix
-            .map_tasks(total, |cell| {
-                self.run_cell(cell / estimators, cell % estimators)
-            })
-            .into_iter();
-        let cells = (0..self.problems.len())
-            .map(|_| flat.by_ref().take(estimators).collect())
             .collect();
         self.assemble_report(cells)
     }
@@ -615,6 +563,7 @@ impl std::fmt::Debug for YieldAnalysis {
 mod tests {
     use super::*;
     use crate::model::LinearLimitState;
+    use crate::sweep::SweepRunner;
 
     fn linear_problem(beta: f64) -> FailureProblem {
         FailureProblem::from_model(
@@ -719,7 +668,11 @@ mod tests {
         };
         let sequential = build().run();
         for matrix_threads in [1, 2, 8] {
-            let parallel = build().run_on(&Executor::new(matrix_threads));
+            let parallel = SweepRunner::new()
+                .matrix(ExecutionConfig::with_threads(matrix_threads))
+                .run(&mut build())
+                .report
+                .expect("complete without a checkpoint");
             // PartialEq on reports compares the statistical content bit for
             // bit (timing excluded) — the matrix scheduler must not perturb
             // a single bit of it.

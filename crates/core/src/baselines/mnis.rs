@@ -53,7 +53,8 @@ impl Default for MnisConfig {
 }
 
 impl MnisConfig {
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if self.presamples_per_round == 0 || self.presample_scales.is_empty() {
             return Err("presampling needs a positive budget and at least one scale".to_string());
         }
@@ -375,11 +376,11 @@ mod tests {
         MnisConfig {
             presamples_per_round: 1_000,
             sampling: ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: 30_000,
                 batch_size: 1_000,
                 target_relative_error: 0.05,
                 min_failures: 50,
+                ..ImportanceSamplingConfig::default()
             },
             ..MnisConfig::default()
         }

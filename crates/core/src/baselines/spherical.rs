@@ -21,6 +21,7 @@ use crate::exec::{ExecutionConfig, Executor};
 use crate::model::FailureProblem;
 use crate::result::{ConvergencePoint, ExtractionResult};
 use crate::special::chi_survival;
+use crate::stopping::StoppingRule;
 use gis_linalg::Vector;
 use gis_stats::{uniform_on_sphere, OnlineStats, RngStream};
 use serde::{Deserialize, Serialize};
@@ -43,10 +44,6 @@ pub struct SphericalSamplingConfig {
     pub target_relative_error: f64,
     /// Minimum number of failing directions before the stopping rule may fire.
     pub min_failing_directions: usize,
-    /// Use the first-passage-corrected stopping rule and error bar (see
-    /// [`crate::stopping`]). `false` restores the legacy anti-conservative
-    /// rule for before/after calibration measurements.
-    pub corrected_stopping: bool,
 }
 
 impl Default for SphericalSamplingConfig {
@@ -57,13 +54,13 @@ impl Default for SphericalSamplingConfig {
             bisection_steps: 12,
             target_relative_error: 0.1,
             min_failing_directions: 10,
-            corrected_stopping: true,
         }
     }
 }
 
 impl SphericalSamplingConfig {
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if self.directions == 0 || self.bisection_steps == 0 {
             return Err("directions and bisection steps must be positive".to_string());
         }
@@ -192,7 +189,10 @@ impl SphericalSampling {
         let mut min_beta = f64::INFINITY;
         let mut trace = Vec::new();
         let mut converged = false;
-        let mut stop = crate::stopping::StopTracker::new();
+        let mut stop = StoppingRule::new(
+            self.config.target_relative_error,
+            self.config.min_failing_directions as u64,
+        );
 
         // A neighbor's minimum failure radius tightens the bisection bracket:
         // no direction's boundary is plausibly closer than the neighbor's
@@ -235,13 +235,7 @@ impl SphericalSampling {
                 estimate,
                 relative_error: rel_err,
             });
-            if stop.check(
-                failing_directions as f64,
-                self.config.min_failing_directions as u64,
-                rel_err,
-                self.config.target_relative_error,
-                self.config.corrected_stopping,
-            ) {
+            if stop.check(failing_directions as f64, rel_err) {
                 converged = true;
                 break 'blocks;
             }
@@ -252,11 +246,10 @@ impl SphericalSampling {
             result: ExtractionResult {
                 method: "spherical-sampling".to_string(),
                 failure_probability: estimate,
-                standard_error: crate::stopping::reported_standard_error(
+                standard_error: stop.reported_standard_error(
                     tail_stats.standard_error(),
                     failing_directions as f64,
                     converged,
-                    self.config.corrected_stopping,
                 ),
                 sigma_level: ExtractionResult::sigma_from_probability(estimate),
                 evaluations: problem.evaluations() - start_evals,

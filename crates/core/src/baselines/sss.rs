@@ -47,7 +47,8 @@ impl Default for SssConfig {
 }
 
 impl SssConfig {
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if self.scales.len() < 3 {
             return Err("SSS needs at least three scale factors to fit its model".to_string());
         }

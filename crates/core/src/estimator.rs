@@ -299,6 +299,17 @@ impl ConvergencePolicy {
         self.min_failures = min_failures;
         self
     }
+
+    /// Validates the policy, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_evaluations == 0 {
+            return Err("convergence policy needs a positive evaluation budget".to_string());
+        }
+        if !(self.target_relative_error > 0.0) {
+            return Err("convergence policy needs a positive relative-error target".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// A failure-probability estimator: the object-safe interface implemented by

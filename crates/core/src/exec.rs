@@ -326,7 +326,7 @@ impl Executor {
     /// unit regardless of the configured [`Executor::chunk_size`], so a slow
     /// task never holds hostages queued behind it in the same chunk. This is
     /// the dispatch primitive of the matrix scheduler in
-    /// [`crate::sweep`]/[`crate::analysis::YieldAnalysis::run_on`], where one
+    /// [`crate::sweep`], where one
     /// "task" is an entire (problem, estimator) extraction. `f` must be a pure
     /// function of the task index for the output to be deterministic; the
     /// worker assignment is not.

@@ -78,7 +78,8 @@ impl Default for GisConfig {
 }
 
 impl GisConfig {
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if !(0.0..1.0).contains(&self.defensive_fraction) {
             return Err(format!(
                 "defensive fraction must be in [0, 1), got {}",
@@ -102,6 +103,7 @@ impl GisConfig {
         if self.adaptive_recentering && self.recenter_every_batches == 0 {
             return Err("recenter_every_batches must be at least 1".to_string());
         }
+        self.mpfp.validate()?;
         self.sampling.validate()
     }
 }
@@ -332,11 +334,11 @@ mod tests {
     fn quick_config() -> GisConfig {
         GisConfig {
             sampling: ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: 30_000,
                 batch_size: 1_000,
                 target_relative_error: 0.05,
                 min_failures: 50,
+                ..ImportanceSamplingConfig::default()
             },
             ..GisConfig::default()
         }

@@ -16,6 +16,7 @@
 use crate::exec::Executor;
 use crate::model::FailureProblem;
 use crate::result::{ConvergencePoint, ExtractionResult};
+use crate::stopping::StoppingRule;
 use gis_linalg::Vector;
 use gis_stats::{GaussianMixture, MultivariateNormal, RngStream};
 use serde::{Deserialize, Serialize};
@@ -299,7 +300,7 @@ impl IsAccumulator {
         }
     }
 
-    /// Effective failure count for the corrected stopping rule: the Kish
+    /// Effective failure count for the stopping rule: the Kish
     /// effective sample size of the failing weights, capped by the raw
     /// count. Equal weights give back the raw count (rounded to absorb
     /// accumulation round-off); weight degeneracy shrinks it, which both
@@ -342,9 +343,10 @@ pub struct ImportanceSamplingConfig {
     pub target_relative_error: f64,
     /// Minimum number of failing samples before the stopping rule may fire.
     pub min_failures: u64,
-    /// Use the first-passage-corrected stopping rule and error bar (see
-    /// [`crate::stopping`]). `false` restores the legacy anti-conservative
-    /// rule, kept for the calibration harness's before/after measurement.
+    /// Leftover toggle of the removed first-passage stopping rule, kept so
+    /// callers that still name it compile. It must be `true`, which
+    /// [`ImportanceSamplingConfig::validate`] enforces: every IS run uses
+    /// the one rule of [`crate::stopping`].
     pub corrected_stopping: bool,
 }
 
@@ -368,6 +370,11 @@ impl ImportanceSamplingConfig {
         }
         if !(self.target_relative_error > 0.0) {
             return Err("target relative error must be positive".to_string());
+        }
+        if !self.corrected_stopping {
+            return Err(
+                "corrected_stopping must be true: the legacy stopping rule was removed".to_string(),
+            );
         }
         Ok(())
     }
@@ -457,7 +464,7 @@ pub fn run_importance_sampling(
     let mut acc = IsAccumulator::new();
     let mut trace = Vec::new();
     let mut converged = false;
-    let mut stop = crate::stopping::StopTracker::new();
+    let mut stop = StoppingRule::new(config.target_relative_error, config.min_failures);
 
     while acc.samples() < config.max_samples {
         let batch = config.batch_size.min(config.max_samples - acc.samples());
@@ -477,23 +484,10 @@ pub fn run_importance_sampling(
             estimate: acc.estimate(),
             relative_error: acc.relative_error(),
         });
-        // The corrected rule counts *effective* (weight-adjusted) failures:
-        // with degenerate importance weights the raw count overstates how
-        // much information the error bar rests on. The legacy rule keeps
-        // the raw count so the before/after comparison measures exactly the
-        // historical behavior.
-        let stop_failures = if config.corrected_stopping {
-            acc.effective_failures()
-        } else {
-            acc.failures() as f64
-        };
-        if stop.check(
-            stop_failures,
-            config.min_failures,
-            acc.relative_error(),
-            config.target_relative_error,
-            config.corrected_stopping,
-        ) {
+        // The rule counts *effective* (weight-adjusted) failures: with
+        // degenerate importance weights the raw count overstates how much
+        // information the error bar rests on.
+        if stop.check(acc.effective_failures(), acc.relative_error()) {
             converged = true;
             break;
         }
@@ -517,11 +511,10 @@ pub fn run_importance_sampling(
     let result = ExtractionResult {
         method: method.to_string(),
         failure_probability: estimate,
-        standard_error: crate::stopping::reported_standard_error(
+        standard_error: stop.reported_standard_error(
             acc.standard_error(),
             acc.effective_failures(),
             converged,
-            config.corrected_stopping,
         ),
         sigma_level: ExtractionResult::sigma_from_probability(estimate),
         evaluations: search_evaluations + acc.samples(),
@@ -695,11 +688,11 @@ mod tests {
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let proposal = Proposal::shifted(mpfp);
         let config = ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 20_000,
             batch_size: 1_000,
             target_relative_error: 0.05,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         };
         let mut rng = RngStream::from_seed(5);
         let (result, diag) = run_importance_sampling(
@@ -729,11 +722,11 @@ mod tests {
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let proposal = Proposal::defensive_mixture(mpfp, 0.1);
         let config = ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 40_000,
             batch_size: 2_000,
             target_relative_error: 0.05,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         };
         let mut rng = RngStream::from_seed(19);
         let (result, _) = run_importance_sampling(
@@ -761,11 +754,11 @@ mod tests {
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let proposal = Proposal::shifted(Vector::from_slice(&[-4.0, 0.0]));
         let config = ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 5_000,
             batch_size: 1_000,
             target_relative_error: 0.1,
             min_failures: 10,
+            ..ImportanceSamplingConfig::default()
         };
         let mut rng = RngStream::from_seed(23);
         let (result, _) = run_importance_sampling(
@@ -787,11 +780,11 @@ mod tests {
         let problem = FailureProblem::from_model(ls.clone(), LinearLimitState::spec());
         // A target no run of this budget reaches: all three batches run.
         let config = ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 2_500,
             batch_size: 1_000,
             target_relative_error: 1e-6,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         };
         let start = Proposal::shifted(Vector::from_slice(&[3.0, 0.0, 0.0]));
         let run = |adapt: Option<&mut Adaptation<'_>>| {
@@ -835,11 +828,11 @@ mod tests {
         let problem = FailureProblem::from_model(ls.clone(), LinearLimitState::spec());
         let proposal = Proposal::defensive_mixture(ls.exact_mpfp(), 0.1);
         let config = ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 10_000,
             batch_size: 500,
             target_relative_error: 0.05,
             min_failures: 30,
+            ..ImportanceSamplingConfig::default()
         };
         let run = |threads: usize| {
             run_importance_sampling(

@@ -50,7 +50,7 @@
 //! Production sign-off runs the matrix at scale: many operating scenarios ×
 //! many estimators. The [`sweep`] module adds a matrix scheduler that
 //! dispatches independent (problem, estimator) cells onto worker threads
-//! ([`YieldAnalysis::run_on`] / [`SweepRunner`]) with reports bit-identical
+//! ([`SweepRunner`]) with reports bit-identical
 //! to the sequential path, durable JSON-lines checkpointing so a killed
 //! sweep resumes without re-simulating ([`SweepRunner::checkpoint`],
 //! [`SweepStatus`]), and a scenario library spanning supply-voltage /

@@ -14,6 +14,7 @@ use crate::estimator::{ConvergencePolicy, Diagnostics, Estimator, EstimatorOutco
 use crate::exec::ExecutionConfig;
 use crate::model::FailureProblem;
 use crate::result::{ConvergencePoint, ExtractionResult};
+use crate::stopping::StoppingRule;
 use gis_linalg::Vector;
 use gis_stats::RngStream;
 use serde::{Deserialize, Serialize};
@@ -30,10 +31,6 @@ pub struct MonteCarloConfig {
     /// Minimum number of observed failures before the stopping rule may fire
     /// (protects against spuriously "converged" estimates from 1–2 failures).
     pub min_failures: u64,
-    /// Use the first-passage-corrected stopping rule and error bar (see
-    /// [`crate::stopping`]). `false` restores the legacy anti-conservative
-    /// rule, kept for the calibration harness's before/after measurement.
-    pub corrected_stopping: bool,
 }
 
 impl Default for MonteCarloConfig {
@@ -43,7 +40,6 @@ impl Default for MonteCarloConfig {
             batch_size: 1_000,
             target_relative_error: 0.1,
             min_failures: 10,
-            corrected_stopping: true,
         }
     }
 }
@@ -58,7 +54,8 @@ impl MonteCarloConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if self.max_samples == 0 || self.batch_size == 0 {
             return Err("sample budget and batch size must be positive".to_string());
         }
@@ -126,7 +123,8 @@ impl Estimator for MonteCarlo {
         let mut failures = 0u64;
         let mut trace = Vec::new();
         let mut converged = false;
-        let mut stop = crate::stopping::StopTracker::new();
+        let mut stop =
+            StoppingRule::new(self.config.target_relative_error, self.config.min_failures);
 
         while samples < self.config.max_samples {
             let batch = self
@@ -152,24 +150,17 @@ impl Estimator for MonteCarlo {
                 estimate,
                 relative_error: rel_err,
             });
-            if stop.check(
-                failures as f64,
-                self.config.min_failures,
-                rel_err,
-                self.config.target_relative_error,
-                self.config.corrected_stopping,
-            ) {
+            if stop.check(failures as f64, rel_err) {
                 converged = true;
                 break;
             }
         }
 
         let estimate = failures as f64 / samples as f64;
-        let standard_error = crate::stopping::reported_standard_error(
+        let standard_error = stop.reported_standard_error(
             binomial_standard_error(failures, samples),
             failures as f64,
             converged,
-            self.config.corrected_stopping,
         );
         EstimatorOutcome {
             result: ExtractionResult {
@@ -250,7 +241,6 @@ mod tests {
         let exact = ls.exact_failure_probability();
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let mc = MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 200_000,
             batch_size: 5_000,
             target_relative_error: 0.05,
@@ -273,7 +263,6 @@ mod tests {
         let ls = LinearLimitState::along_first_axis(3, 5.0);
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let mc = MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 20_000,
             batch_size: 5_000,
             target_relative_error: 0.1,
@@ -291,7 +280,6 @@ mod tests {
         let ls = LinearLimitState::along_first_axis(2, 1.5);
         let problem = FailureProblem::from_model(ls, LinearLimitState::spec());
         let mc = MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 30_000,
             batch_size: 1_000,
             target_relative_error: 0.02,

@@ -50,7 +50,8 @@ impl Default for MpfpConfig {
 }
 
 impl MpfpConfig {
-    fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration, returning a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
         if !(self.finite_difference_step > 0.0) {
             return Err("finite difference step must be positive".to_string());
         }

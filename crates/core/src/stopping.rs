@@ -1,73 +1,64 @@
-//! The sequential stopping rule shared by the sampling estimators, with the
-//! first-passage correction.
+//! The sequential stopping rule of every sampling estimator.
 //!
-//! # The bug the correction fixes
+//! # Why a plain first-passage rule is not enough
 //!
-//! Every sampling estimator (Monte Carlo, the mean-shift IS methods,
-//! spherical sampling) checks after each batch whether the *measured*
-//! relative standard error has reached the target and stops at the first
-//! batch where it has. The measured relative error is itself a noisy
-//! estimate: with `k` observed failures its own relative standard deviation
-//! is ≈ `1/√(2k)` (the delta-method dispersion of a binomial/weighted
-//! standard-error estimate). Stopping at the *first passage* below the
-//! target therefore preferentially selects downward fluctuations of the
-//! error estimate — the run halts precisely when the error bar happens to
-//! look small — so the reported confidence intervals are systematically
-//! narrower than the truth and empirical coverage sits below nominal. The
-//! calibration harness (PR 4) measured and documented this as "mildly
-//! anti-conservative" under the production policy (±10% target, ≥20
-//! failures); see `bench_calibration`.
+//! Every sequential estimator (Monte Carlo, the importance-sampling loop
+//! shared by GIS and minimum-norm IS, spherical sampling) checks after each
+//! batch whether the *measured* relative standard error has reached the
+//! target. The measured relative error is itself a noisy estimate: with `k`
+//! observed failures its own relative standard deviation is ≈ `1/√(2k)` (the
+//! delta-method dispersion of a binomial/weighted standard-error estimate).
+//! Stopping at the *first passage* below the target therefore preferentially
+//! selects downward fluctuations of the error estimate — the run halts
+//! precisely when the error bar happens to look small — so the reported
+//! confidence intervals come out narrower than the truth and empirical
+//! coverage sits below nominal.
 //!
-//! # The corrected rule
+//! # The rule
 //!
-//! Two changes, both scaled by the same first-passage dispersion factor
-//! `c(k) = 1 + 1/√(2k)`:
+//! [`StoppingRule`] scales both the stop check and the reported error bar by
+//! the same first-passage dispersion factor `c(k) = 1 + 1/√(2k)`
+//! ([`first_passage_inflation`]):
 //!
-//! 1. **Stop later**: require `rel_err · c(k) ≤ target` instead of
-//!    `rel_err ≤ target`, i.e. demand the target hold even if the measured
-//!    error is one standard deviation of itself too optimistic.
-//! 2. **Report honestly**: on an early stop, inflate the reported standard
-//!    error by `c(k)` — the reported bar then covers the selection bias the
-//!    optional stop introduced.
+//! 1. **Stop later**: a check passes when at least the failure floor has
+//!    been observed and `rel_err · c(k) ≤ target`, i.e. the target holds
+//!    even if the measured error is one standard deviation of itself too
+//!    optimistic.
+//! 2. **Persist**: the run stops at the *second consecutive* passing check.
+//!    For weighted importance sampling the error estimate's own dispersion
+//!    can be far heavier-tailed than `1/√(2k)` suggests (a misaligned
+//!    proposal makes the variance estimator itself high-variance); a
+//!    genuinely converged run passes back-to-back batches at the cost of one
+//!    extra batch, while a single lucky dip no longer stops it.
+//! 3. **Report honestly**: an early-stopped run reports its standard error
+//!    inflated by `c(k)`, so the bar covers the selection bias of the
+//!    optional stop. A run that used up its budget took no optional stop and
+//!    reports its measured error untouched.
 //!
-//! A budget-exhausted (non-converged) run took no optional stop, so its
-//! error bar is left untouched. The legacy rule remains available behind
-//! the `corrected_stopping: false` toggle of each estimator configuration
-//! so the calibration harness can measure the before/after.
-//!
-//! # Persistence
-//!
-//! Inflating by `c(k)` covers the *typical* downward fluctuation of the
-//! error estimate, but for weighted importance sampling the estimate's own
-//! dispersion can be far heavier-tailed than `1/√(2k)` suggests (a
-//! misaligned proposal makes the variance estimator itself high-variance).
-//! The corrected rule therefore also requires the criterion to hold on
-//! **two consecutive** convergence checks ([`StopTracker`]): a genuinely
-//! converged run passes back-to-back batches at the cost of one extra
-//! batch, while a single lucky dip of the error estimate no longer stops
-//! the run. The legacy rule stops at first passage, as it always did.
+//! On the fast calibration suite (100 replications, binomial band
+//! [81, 97]/100) the plain first-passage rule this replaced covered 80/100
+//! for minimum-norm IS on two geometries, where this rule covers 82/100; the
+//! frozen comparison is the `stopping_rule_ab` block of the committed
+//! `BENCH_calibration.json`.
 //!
 //! # Which failure count `k`?
 //!
 //! For unweighted samplers (Monte Carlo, spherical) `k` is the raw failure
 //! count. For weighted importance sampling the raw count overstates the
-//! information in the error bar when the weights are degenerate, so the
-//! corrected rule passes the *effective* failure count — the Kish
-//! effective sample size of the failing weights
+//! information in the error bar when the weights are degenerate, so the IS
+//! loop passes the *effective* failure count — the Kish effective sample
+//! size of the failing weights
 //! ([`crate::IsAccumulator::effective_failures`]), which equals the raw
-//! count for equal weights and shrinks with weight spread. The legacy
-//! toggle keeps the raw count everywhere, preserving the historical
-//! behavior the before/after comparison documents.
+//! count for equal weights and shrinks with weight spread.
 
 /// First-passage dispersion factor `c(k) = 1 + 1/√(2k)`: one relative
 /// standard deviation of the error-bar estimate itself at `k` failures.
 ///
-/// `k` is `f64` because the corrected weighted-IS rule feeds an *effective*
-/// failure count (a Kish effective sample size); unweighted samplers pass
-/// their integer count exactly. `k ≤ 0` yields `inf` (an error bar based
-/// on zero failures carries no information), which composes correctly with
-/// the stopping criterion — an infinite inflated error never passes a
-/// finite target.
+/// `k` is `f64` because weighted IS feeds an *effective* failure count (a
+/// Kish effective sample size); unweighted samplers pass their integer
+/// count exactly. `k ≤ 0` yields `inf` (an error bar based on zero failures
+/// carries no information), which composes correctly with the stopping
+/// criterion — an infinite inflated error never passes a finite target.
 pub fn first_passage_inflation(failures: f64) -> f64 {
     if failures <= 0.0 {
         return f64::INFINITY;
@@ -75,80 +66,52 @@ pub fn first_passage_inflation(failures: f64) -> f64 {
     1.0 + 1.0 / (2.0 * failures).sqrt()
 }
 
-/// The shared sequential stopping criterion.
-///
-/// Returns `true` when the run may stop early: at least `min_failures`
-/// observed failures and the (corrected) relative standard error at or
-/// below `target`. With `corrected = false` this is the legacy
-/// first-passage rule the calibration harness flagged as anti-conservative.
-pub fn should_stop(
-    failures: f64,
+/// The per-run sequential stopping rule: built from the run's target
+/// relative error and failure floor, fed once per batch.
+#[derive(Debug, Clone, Copy)]
+pub struct StoppingRule {
+    target_relative_error: f64,
     min_failures: u64,
-    relative_error: f64,
-    target: f64,
-    corrected: bool,
-) -> bool {
-    if failures < min_failures as f64 {
-        return false;
-    }
-    let effective = if corrected {
-        relative_error * first_passage_inflation(failures)
-    } else {
-        relative_error
-    };
-    effective <= target
-}
-
-/// Per-run sequential stopping state: the corrected rule stops only after
-/// the criterion holds on two consecutive checks, the legacy rule at first
-/// passage. One tracker per estimation run, fed once per batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StopTracker {
     passed_previous: bool,
 }
 
-impl StopTracker {
-    /// A fresh tracker (no checks passed yet).
-    pub fn new() -> Self {
-        StopTracker::default()
+impl StoppingRule {
+    /// A fresh rule for one run (no checks passed yet).
+    pub fn new(target_relative_error: f64, min_failures: u64) -> Self {
+        StoppingRule {
+            target_relative_error,
+            min_failures,
+            passed_previous: false,
+        }
     }
 
     /// Feeds one convergence check; returns `true` when the run may stop.
     ///
-    /// Legacy (`corrected = false`): stop at the first passing check.
-    /// Corrected: stop at the second *consecutive* passing check; a failing
-    /// check resets the persistence requirement.
-    pub fn check(
-        &mut self,
-        failures: f64,
-        min_failures: u64,
-        relative_error: f64,
-        target: f64,
-        corrected: bool,
-    ) -> bool {
-        let pass = should_stop(failures, min_failures, relative_error, target, corrected);
-        if !corrected {
-            return pass;
-        }
+    /// A check passes when `failures` reaches the floor and
+    /// `relative_error · c(failures)` is at or below the target; the run
+    /// stops at the second *consecutive* passing check, and a failing check
+    /// resets the persistence requirement.
+    pub fn check(&mut self, failures: f64, relative_error: f64) -> bool {
+        let pass = failures >= self.min_failures as f64
+            && relative_error * first_passage_inflation(failures) <= self.target_relative_error;
         let stop = pass && self.passed_previous;
         self.passed_previous = pass;
         stop
     }
-}
 
-/// The standard error an early-stopped run must report: inflated by
-/// `c(k)` when the corrected rule is active, untouched otherwise (and
-/// untouched for runs that exhausted their budget without stopping).
-pub fn reported_standard_error(
-    standard_error: f64,
-    failures: f64,
-    converged: bool,
-    corrected: bool,
-) -> f64 {
-    if converged && corrected {
-        standard_error * first_passage_inflation(failures)
-    } else {
-        standard_error
+    /// The standard error a run reports: inflated by `c(failures)` when the
+    /// run stopped early (`converged`), untouched when it used up its budget.
+    pub fn reported_standard_error(
+        &self,
+        standard_error: f64,
+        failures: f64,
+        converged: bool,
+    ) -> f64 {
+        if converged {
+            standard_error * first_passage_inflation(failures)
+        } else {
+            standard_error
+        }
     }
 }
 
@@ -165,55 +128,56 @@ mod tests {
         assert!(first_passage_inflation(1_000_000.0) < 1.001);
     }
 
-    #[test]
-    fn corrected_rule_is_strictly_stricter() {
-        // A measured error exactly at the target passes the legacy rule but
-        // not the corrected one.
-        assert!(should_stop(20.0, 20, 0.1, 0.1, false));
-        assert!(!should_stop(20.0, 20, 0.1, 0.1, true));
-        // With enough margin both rules pass.
-        assert!(should_stop(20.0, 20, 0.08, 0.1, false));
-        assert!(should_stop(20.0, 20, 0.08, 0.1, true));
-        // The min-failures guard dominates either way — including a
-        // fractional effective count just under the floor.
-        assert!(!should_stop(5.0, 20, 0.01, 0.1, false));
-        assert!(!should_stop(19.4, 20, 0.01, 0.1, true));
+    /// Whether one check passes, judged by two consecutive identical checks
+    /// on a fresh rule.
+    fn passes(failures: f64, min_failures: u64, relative_error: f64, target: f64) -> bool {
+        let mut rule = StoppingRule::new(target, min_failures);
+        rule.check(failures, relative_error);
+        rule.check(failures, relative_error)
     }
 
     #[test]
-    fn corrected_threshold_converges_to_legacy() {
-        // As failures grow the correction vanishes: the corrected rule
-        // accepts errors approaching the full target.
+    fn a_check_demands_the_inflated_error_under_the_target() {
+        // A measured error exactly at the target does not pass...
+        assert!(!passes(20.0, 20, 0.1, 0.1));
+        // ...one with enough margin does.
+        assert!(passes(20.0, 20, 0.08, 0.1));
+        // The failure floor dominates — including a fractional effective
+        // count just under it.
+        assert!(!passes(5.0, 20, 0.01, 0.1));
+        assert!(!passes(19.4, 20, 0.01, 0.1));
+    }
+
+    #[test]
+    fn inflated_threshold_converges_to_the_target() {
+        // As failures grow the correction vanishes: the rule accepts errors
+        // approaching the full target.
         let target = 0.1;
         let k = 500_000.0;
         let accepted = target / first_passage_inflation(k);
         assert!(accepted > 0.099);
-        assert!(should_stop(k, 20, accepted, target, true));
+        assert!(passes(k, 20, accepted, target));
     }
 
     #[test]
-    fn tracker_requires_two_consecutive_passes_when_corrected() {
-        let mut t = StopTracker::new();
+    fn rule_requires_two_consecutive_passes() {
+        let mut rule = StoppingRule::new(0.1, 20);
         // A single dip below the target is not enough...
-        assert!(!t.check(50.0, 20, 0.05, 0.1, true));
+        assert!(!rule.check(50.0, 0.05));
         // ...a failing check resets the persistence...
-        assert!(!t.check(50.0, 20, 0.2, 0.1, true));
-        assert!(!t.check(60.0, 20, 0.05, 0.1, true));
+        assert!(!rule.check(50.0, 0.2));
+        assert!(!rule.check(60.0, 0.05));
         // ...and the second consecutive pass stops the run.
-        assert!(t.check(70.0, 20, 0.05, 0.1, true));
-
-        // Legacy mode stops at first passage, exactly as before.
-        let mut legacy = StopTracker::new();
-        assert!(legacy.check(50.0, 20, 0.05, 0.1, false));
+        assert!(rule.check(70.0, 0.05));
     }
 
     #[test]
-    fn reported_error_inflated_only_on_corrected_early_stop() {
+    fn reported_error_inflated_only_on_early_stop() {
+        let rule = StoppingRule::new(0.1, 20);
         let se = 0.02;
-        let inflated = reported_standard_error(se, 25.0, true, true);
+        let inflated = rule.reported_standard_error(se, 25.0, true);
         assert!((inflated - se * first_passage_inflation(25.0)).abs() < 1e-15);
-        assert_eq!(reported_standard_error(se, 25.0, true, false), se);
-        assert_eq!(reported_standard_error(se, 25.0, false, true), se);
-        assert_eq!(reported_standard_error(se, 0.0, false, true), se);
+        assert_eq!(rule.reported_standard_error(se, 25.0, false), se);
+        assert_eq!(rule.reported_standard_error(se, 0.0, false), se);
     }
 }

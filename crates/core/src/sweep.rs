@@ -1028,7 +1028,7 @@ impl SweepRunner {
     /// Reads the checkpoint and reports sweep progress without running any
     /// cell. `analysis` is not mutated beyond configuration validation.
     pub fn status(&self, analysis: &mut YieldAnalysis) -> SweepStatus {
-        analysis.apply_configuration();
+        analysis.prepare();
         let (restored, discarded) = self.restore(analysis);
         self.build_status(analysis, &restored, restored.len(), discarded)
     }
@@ -1094,7 +1094,7 @@ impl SweepRunner {
         store: &S,
         observer: &(dyn Fn(SweepCellUpdate<'_>) + Sync),
     ) -> SweepOutcome {
-        analysis.apply_configuration();
+        analysis.prepare();
         let estimator_names: Vec<String> = analysis
             .estimator_names()
             .iter()

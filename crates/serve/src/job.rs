@@ -315,7 +315,23 @@ impl EstimatorSpec {
         }
     }
 
+    /// Validates the estimator configuration, returning a description of the
+    /// first problem. A spec that passes builds without panicking.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            EstimatorSpec::GradientIs { config } => config.validate(),
+            EstimatorSpec::MonteCarlo { config } => config.validate(),
+            EstimatorSpec::MinimumNormIs { config } => config.validate(),
+            EstimatorSpec::SphericalSampling { config } => config.validate(),
+            EstimatorSpec::ScaledSigmaSampling { config } => config.validate(),
+        }
+    }
+
     /// Builds the live estimator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid ([`EstimatorSpec::validate`]).
     pub fn build(&self) -> Box<dyn Estimator> {
         match self {
             EstimatorSpec::GradientIs { config } => {
@@ -391,8 +407,10 @@ pub enum JobError {
         /// The offending name.
         suite: String,
     },
-    /// The problem specification is invalid (bad axis, bad timing, bad
-    /// spec factor, or a model-domain violation).
+    /// The problem, estimator or policy specification is invalid (bad axis,
+    /// bad timing, bad spec factor, a model-domain violation, an estimator
+    /// configuration its constructor would reject, or a policy with a zero
+    /// budget or a non-positive target).
     BadSpec {
         /// Human-readable detail.
         detail: String,
@@ -415,7 +433,7 @@ impl std::fmt::Display for JobError {
                     "unknown suite {suite:?} (expected \"fast\" or \"standard\")"
                 )
             }
-            JobError::BadSpec { detail } => write!(f, "invalid problem spec: {detail}"),
+            JobError::BadSpec { detail } => write!(f, "invalid job spec: {detail}"),
         }
     }
 }
@@ -493,6 +511,14 @@ pub fn plan_job(spec: &JobSpec, execution: ExecutionConfig) -> Result<JobPlan, J
                 name: estimator.method_name().to_string(),
             });
         }
+        estimator.validate().map_err(|detail| JobError::BadSpec {
+            detail: format!("{}: {detail}", estimator.method_name()),
+        })?;
+    }
+    if let Some(policy) = &spec.policy {
+        policy
+            .validate()
+            .map_err(|detail| JobError::BadSpec { detail })?;
     }
     let problems = spec.problem.build()?;
     {

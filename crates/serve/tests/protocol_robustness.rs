@@ -6,11 +6,14 @@
 // Test code: panicking is the correct failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use gis_core::{
+    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig,
+};
 use gis_serve::protocol::{
     encode_request, parse_reply, parse_request, read_frame, write_request, ProtocolError, Reply,
     Request, PROTOCOL_VERSION,
 };
-use gis_serve::{Server, ServerConfig};
+use gis_serve::{plan_job, EstimatorSpec, JobSpec, ProblemSpec, Server, ServerConfig};
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Write};
 use std::net::TcpStream;
@@ -296,35 +299,107 @@ fn truncated_frame_gets_torn_frame_error_and_connection_closes() {
     write_request(&mut writer, &Request::Shutdown).expect("shutdown request");
 }
 
+/// A fast-suite job running one GIS estimator with `config`.
+fn gis_job(config: GisConfig) -> JobSpec {
+    JobSpec {
+        problem: ProblemSpec::Suite {
+            suite: "fast".to_string(),
+        },
+        estimators: vec![EstimatorSpec::GradientIs { config }],
+        master_seed: 1,
+        policy: None,
+        warm_start: None,
+        deadline_ms: None,
+    }
+}
+
 #[test]
 fn invalid_job_gets_typed_error_and_connection_survives() {
     let addr = start_server(ServerConfig::default());
     let (mut reader, mut writer) = raw_connect(&addr);
 
-    // Well-formed frame, invalid job: unknown suite name.
-    writer
-        .write_all(
-            concat!(
-                "{\"v\":1,\"request\":{\"Submit\":{\"job\":{",
-                "\"problem\":{\"Suite\":{\"suite\":\"bogus\"}},",
-                "\"estimators\":[],\"master_seed\":1,\"policy\":null}}}}\n"
-            )
-            .as_bytes(),
-        )
-        .expect("write");
-    writer.flush().expect("flush");
-    match read_one_reply(&mut reader) {
-        Reply::Error { code, .. } => assert_eq!(code, "bad-job"),
-        other => panic!("expected Error, got {other:?}"),
-    }
+    // Well-formed frames, invalid jobs. An unknown suite name:
+    let unknown_suite = concat!(
+        "{\"v\":1,\"request\":{\"Submit\":{\"job\":{",
+        "\"problem\":{\"Suite\":{\"suite\":\"bogus\"}},",
+        "\"estimators\":[],\"master_seed\":1,\"policy\":null}}}}\n"
+    )
+    .to_string();
+    // Estimator configs the estimators' constructors would reject:
+    let zero_batch = encode_request(&Request::Submit {
+        job: gis_job(GisConfig {
+            sampling: ImportanceSamplingConfig {
+                batch_size: 0,
+                ..ImportanceSamplingConfig::default()
+            },
+            ..GisConfig::default()
+        }),
+    });
+    let zero_mpfp_step = encode_request(&Request::Submit {
+        job: gis_job(GisConfig {
+            mpfp: MpfpConfig {
+                max_step: 0.0,
+                ..MpfpConfig::default()
+            },
+            ..GisConfig::default()
+        }),
+    });
+    // The first-passage stopping rule is gone; a client that still asks for
+    // it is told so instead of silently getting the one remaining rule.
+    let legacy_rule = encode_request(&Request::Submit {
+        job: gis_job(GisConfig::default()),
+    })
+    .replace(
+        "\"corrected_stopping\":true",
+        "\"corrected_stopping\":false",
+    );
+    assert!(legacy_rule.contains("\"corrected_stopping\":false"));
+    // A policy the analysis would reject:
+    let zero_budget_policy = encode_request(&Request::Submit {
+        job: JobSpec {
+            policy: Some(ConvergencePolicy::with_budget(0)),
+            ..gis_job(GisConfig::default())
+        },
+    });
 
-    write_request(&mut writer, &Request::Status).expect("status request");
-    match read_one_reply(&mut reader) {
-        Reply::Status { status } => assert_eq!(status.cells_executed, 0),
-        other => panic!("expected Status, got {other:?}"),
+    for line in [
+        unknown_suite,
+        zero_batch,
+        zero_mpfp_step,
+        legacy_rule,
+        zero_budget_policy,
+    ] {
+        writer.write_all(line.as_bytes()).expect("write");
+        writer.flush().expect("flush");
+        match read_one_reply(&mut reader) {
+            Reply::Error { code, .. } => assert_eq!(code, "bad-job"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        // The connection thread survived and still serves requests.
+        write_request(&mut writer, &Request::Status).expect("status request");
+        match read_one_reply(&mut reader) {
+            Reply::Status { status } => assert_eq!(status.cells_executed, 0),
+            other => panic!("expected Status, got {other:?}"),
+        }
     }
 
     write_request(&mut writer, &Request::Shutdown).expect("shutdown request");
+}
+
+#[test]
+fn monte_carlo_spec_with_the_removed_stopping_toggle_still_plans() {
+    // Monte Carlo configs no longer carry the stopping-rule toggle; a request
+    // from an older client that still sends it parses and plans.
+    let job: JobSpec = serde_json::from_str(concat!(
+        "{\"problem\":{\"Suite\":{\"suite\":\"fast\"}},",
+        "\"estimators\":[{\"MonteCarlo\":{\"config\":{",
+        "\"max_samples\":1000,\"batch_size\":100,\"target_relative_error\":0.1,",
+        "\"min_failures\":10,\"corrected_stopping\":true}}}],",
+        "\"master_seed\":1,\"policy\":null,\"warm_start\":null,\"deadline_ms\":null}"
+    ))
+    .expect("old Monte Carlo spec parses");
+    let plan = plan_job(&job, ExecutionConfig::serial()).expect("old Monte Carlo spec plans");
+    assert_eq!(plan.keys.len(), 7);
 }
 
 #[test]

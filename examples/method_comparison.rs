@@ -74,7 +74,6 @@ fn main() {
         // Brute-force Monte Carlo with a 500k budget: demonstrates why it
         // cannot reach high sigma.
         Box::new(MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 500_000,
             batch_size: 50_000,
             target_relative_error: 0.1,

@@ -52,11 +52,11 @@ fn main() {
 
     let gis = GradientImportanceSampling::new(GisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 3_000,
             batch_size: 250,
             target_relative_error: 0.15,
             min_failures: 20,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     });

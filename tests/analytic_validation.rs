@@ -22,11 +22,11 @@ use sram_highsigma::stats::RngStream;
 fn gis_quick() -> GradientImportanceSampling {
     GradientImportanceSampling::new(GisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 40_000,
             batch_size: 1_000,
             target_relative_error: 0.05,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     })
@@ -74,11 +74,11 @@ fn gis_and_mnis_agree_with_each_other() {
     let gis_outcome = gis_quick().estimate(&problem.fork(), &mut RngStream::from_seed(5));
     let mnis = MinimumNormIs::new(MnisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 40_000,
             batch_size: 1_000,
             target_relative_error: 0.05,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         },
         ..MnisConfig::default()
     });
@@ -112,7 +112,6 @@ fn monte_carlo_agrees_at_low_sigma() {
     let problem = FailureProblem::from_model(limit_state, LinearLimitState::spec());
 
     let mc = MonteCarlo::new(MonteCarloConfig {
-        corrected_stopping: true,
         max_samples: 400_000,
         batch_size: 20_000,
         target_relative_error: 0.05,
@@ -294,11 +293,11 @@ impl IsPin {
 fn gis_adaptive(max_samples: u64, target_relative_error: f64) -> GradientImportanceSampling {
     GradientImportanceSampling::new(GisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples,
             batch_size: 200,
             target_relative_error,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         },
         recenter_every_batches: 2,
         recenter_min_failures: 10,
@@ -366,11 +365,11 @@ fn adaptive_gis_and_mnis_are_pinned_bit_for_bit() {
     );
     let mnis = MinimumNormIs::new(MnisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 20_000,
             batch_size: 200,
             target_relative_error: 0.1,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         },
         ..MnisConfig::default()
     })
@@ -441,7 +440,6 @@ fn monte_carlo_and_spherical_are_pinned_bit_for_bit() {
     );
     let monte_carlo = |max_samples: u64| {
         MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples,
             batch_size: 2_000,
             target_relative_error: 0.1,
@@ -489,7 +487,6 @@ fn monte_carlo_and_spherical_are_pinned_bit_for_bit() {
             bisection_steps: 12,
             target_relative_error: 0.1,
             min_failing_directions: 10,
-            corrected_stopping: true,
         })
     };
 

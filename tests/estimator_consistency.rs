@@ -22,11 +22,11 @@ use sram_highsigma::stats::RngStream;
 /// problem, boxed so the test only ever touches `dyn Estimator`.
 fn validation_estimators() -> Vec<Box<dyn Estimator>> {
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: 60_000,
         batch_size: 1_000,
         target_relative_error: 0.05,
         min_failures: 50,
+        ..ImportanceSamplingConfig::default()
     };
     vec![
         Box::new(GradientImportanceSampling::new(GisConfig {
@@ -34,7 +34,6 @@ fn validation_estimators() -> Vec<Box<dyn Estimator>> {
             ..GisConfig::default()
         })),
         Box::new(MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 3_000_000,
             batch_size: 50_000,
             target_relative_error: 0.05,

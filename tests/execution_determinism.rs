@@ -31,11 +31,11 @@ use sram_highsigma::variation::PelgromModel;
 
 fn quick_estimators() -> Vec<Box<dyn Estimator>> {
     let sampling = ImportanceSamplingConfig {
-        corrected_stopping: true,
         max_samples: 8_000,
         batch_size: 500,
         target_relative_error: 0.05,
         min_failures: 30,
+        ..ImportanceSamplingConfig::default()
     };
     vec![
         Box::new(GradientImportanceSampling::new(GisConfig {
@@ -43,7 +43,6 @@ fn quick_estimators() -> Vec<Box<dyn Estimator>> {
             ..GisConfig::default()
         })),
         Box::new(MonteCarlo::new(MonteCarloConfig {
-            corrected_stopping: true,
             max_samples: 40_000,
             batch_size: 2_000,
             target_relative_error: 0.05,

@@ -229,11 +229,11 @@ fn golden_metrics_and_gis_estimate_are_pinned() {
             ..MpfpConfig::default()
         },
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 200,
             batch_size: 50,
             target_relative_error: 0.3,
             min_failures: 10,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     });

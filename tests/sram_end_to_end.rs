@@ -30,7 +30,6 @@ fn gis_agrees_with_brute_force_at_moderate_sigma_on_surrogate() {
     let problem = FailureProblem::from_model(model, Spec::UpperLimit(1.25 * nominal));
 
     let mc = MonteCarlo::new(MonteCarloConfig {
-        corrected_stopping: true,
         max_samples: 400_000,
         batch_size: 20_000,
         target_relative_error: 0.05,
@@ -46,11 +45,11 @@ fn gis_agrees_with_brute_force_at_moderate_sigma_on_surrogate() {
 
     let gis = GradientImportanceSampling::new(GisConfig {
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 40_000,
             batch_size: 1_000,
             target_relative_error: 0.05,
             min_failures: 50,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     });
@@ -110,11 +109,11 @@ fn write_and_disturb_metrics_are_extractable() {
         let problem = FailureProblem::from_model(model, spec);
         let gis = GradientImportanceSampling::new(GisConfig {
             sampling: ImportanceSamplingConfig {
-                corrected_stopping: true,
                 max_samples: 60_000,
                 batch_size: 1_000,
                 target_relative_error: 0.1,
                 min_failures: 30,
+                ..ImportanceSamplingConfig::default()
             },
             ..GisConfig::default()
         });
@@ -184,11 +183,11 @@ fn gis_runs_against_the_full_transient_simulator() {
             ..MpfpConfig::default()
         },
         sampling: ImportanceSamplingConfig {
-            corrected_stopping: true,
             max_samples: 400,
             batch_size: 100,
             target_relative_error: 0.3,
             min_failures: 10,
+            ..ImportanceSamplingConfig::default()
         },
         ..GisConfig::default()
     });
