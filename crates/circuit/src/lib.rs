@@ -59,10 +59,10 @@ pub use mosfet::{MosfetOperatingPoint, MosfetParams, MosfetPolarity};
 pub use netlist::{Circuit, Device, NodeId, SourceWaveform, GROUND};
 pub use sweep::{dc_sweep, DcSweepResult};
 pub use transient::{
-    transient_analysis, transient_analysis_dense, transient_analysis_with, TransientConfig,
-    TransientKernel, TransientResult,
+    transient_analysis, transient_analysis_dense, transient_analysis_until,
+    transient_analysis_with, TransientConfig, TransientKernel, TransientResult,
 };
-pub use waveform::{CrossingDirection, Waveform, WaveformView};
+pub use waveform::{segment_crossing, CrossingDirection, Waveform, WaveformView};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, CircuitError>;

@@ -13,6 +13,9 @@
 //! [`crate::mna::SimulationWorkspace`]); [`transient_analysis_with`] is the
 //! Monte-Carlo hot path, reusing a caller-owned workspace across samples so
 //! even the per-call symbolic analysis disappears.
+//! [`transient_analysis_until`] is the one sparse time loop behind both: it
+//! also takes a stop predicate and returns the bit-identical prefix up to
+//! the first point the predicate accepts.
 //! [`transient_analysis_dense`] is the dense reference kernel kept for golden
 //! tests; all paths produce bit-identical results.
 
@@ -234,6 +237,30 @@ pub fn transient_analysis_with(
     config: &TransientConfig,
     workspace: &mut SimulationWorkspace,
 ) -> Result<TransientResult, CircuitError> {
+    transient_analysis_until(circuit, config, workspace, |_, _| false)
+}
+
+/// Runs a transient analysis on the sparse kernel, reusing `workspace`, and
+/// stops at the first recorded point where `stop` returns `true`.
+///
+/// `stop` sees every recorded point in order, `t = 0` included, as its time
+/// and node voltages (indexed by node id). The result is the prefix of the
+/// full-window result up to and including that point: every point is
+/// computed exactly as [`transient_analysis_with`] computes it, so the
+/// prefix is bit-identical. If `stop` never returns `true`, the whole window
+/// runs. This is SPICE's auto-stop: a measurement that is taken once an
+/// event has happened need not integrate the rest of the window.
+///
+/// # Errors
+///
+/// See [`transient_analysis`]. A time point after the stop is never solved,
+/// so it cannot fail the analysis.
+pub fn transient_analysis_until(
+    circuit: &Circuit,
+    config: &TransientConfig,
+    workspace: &mut SimulationWorkspace,
+    mut stop: impl FnMut(f64, &[f64]) -> bool,
+) -> Result<TransientResult, CircuitError> {
     config.validate()?;
     let system = MnaSystem::new(circuit)?;
     let num_nodes = circuit.num_nodes();
@@ -284,7 +311,8 @@ pub fn transient_analysis_with(
     record(0.0, &previous, &mut times, &mut node_voltages);
 
     let mut newton_total = 0usize;
-    for step in 1..=num_steps {
+    let steps = if stop(0.0, &previous) { 0 } else { num_steps };
+    for step in 1..=steps {
         let t = (step as f64 * config.time_step).min(config.stop_time);
         let dynamic = DynamicState {
             previous_node_voltages: &previous,
@@ -299,7 +327,7 @@ pub fn transient_analysis_with(
         )?;
         system.node_voltages_into(workspace.state(), &mut previous);
         record(t, &previous, &mut times, &mut node_voltages);
-        if t >= config.stop_time {
+        if t >= config.stop_time || stop(t, &previous) {
             break;
         }
     }
@@ -520,6 +548,29 @@ mod tests {
     #[test]
     fn sparse_and_dense_transients_are_bit_identical() {
         // Inverter + load: nonlinear devices, voltage sources, capacitor.
+        let (ckt, cfg) = inverter();
+        let sparse = transient_analysis(&ckt, &cfg).unwrap();
+        let dense = transient_analysis_dense(&ckt, &cfg).unwrap();
+        assert_eq!(
+            sparse.newton_iterations_total(),
+            dense.newton_iterations_total()
+        );
+        assert_eq!(sparse.times().len(), dense.times().len());
+        for node in 0..ckt.num_nodes() {
+            let s = sparse.node_voltage_samples(node).unwrap();
+            let d = dense.node_voltage_samples(node).unwrap();
+            for (i, (a, b)) in s.iter().zip(d).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "node {node} step {i}: {a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    /// The CMOS inverter of the kernel-equivalence test, with its config.
+    fn inverter() -> (Circuit, TransientConfig) {
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
         let input = ckt.node("in");
@@ -538,23 +589,50 @@ mod tests {
         ckt.add_capacitor("CL", out, GROUND, 2e-15).unwrap();
         let cfg =
             TransientConfig::new(1e-9, 2e-12).with_initial_conditions(vec![0.0, 1.0, 0.0, 1.0]);
-        let sparse = transient_analysis(&ckt, &cfg).unwrap();
-        let dense = transient_analysis_dense(&ckt, &cfg).unwrap();
-        assert_eq!(
-            sparse.newton_iterations_total(),
-            dense.newton_iterations_total()
-        );
-        assert_eq!(sparse.times().len(), dense.times().len());
-        for node in 0..ckt.num_nodes() {
-            let s = sparse.node_voltage_samples(node).unwrap();
-            let d = dense.node_voltage_samples(node).unwrap();
-            for (i, (a, b)) in s.iter().zip(d).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "node {node} step {i}: {a:e} vs {b:e}"
-                );
+        (ckt, cfg)
+    }
+
+    #[test]
+    fn never_stopping_runs_the_whole_window() {
+        let (ckt, cfg) = inverter();
+        let mut ws = SimulationWorkspace::new();
+        let full = transient_analysis_with(&ckt, &cfg, &mut ws).unwrap();
+        let mut seen = 0usize;
+        let until = transient_analysis_until(&ckt, &cfg, &mut ws, |_, _| {
+            seen += 1;
+            false
+        })
+        .unwrap();
+        assert_eq!(until, full);
+        // Every point but the last is offered to the predicate.
+        assert_eq!(seen, full.num_points() - 1);
+    }
+
+    #[test]
+    fn stopping_at_point_k_returns_a_bit_identical_prefix() {
+        let (ckt, cfg) = inverter();
+        let mut ws = SimulationWorkspace::new();
+        let full = transient_analysis_with(&ckt, &cfg, &mut ws).unwrap();
+        for k in [0, 1, 37, full.num_points() - 2] {
+            let mut index = 0usize;
+            let stopped = transient_analysis_until(&ckt, &cfg, &mut ws, |t, voltages| {
+                assert_eq!(t.to_bits(), full.times()[index].to_bits());
+                assert_eq!(voltages.len(), ckt.num_nodes());
+                index += 1;
+                index > k
+            })
+            .unwrap();
+            assert_eq!(stopped.num_points(), k + 1, "stop at point {k}");
+            assert_eq!(stopped.times(), &full.times()[..=k]);
+            for node in 0..ckt.num_nodes() {
+                let prefix = &full.node_voltage_samples(node).unwrap()[..=k];
+                let got = stopped.node_voltage_samples(node).unwrap();
+                assert_eq!(got.len(), prefix.len());
+                for (i, (a, b)) in got.iter().zip(prefix).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "node {node} point {i} (stop {k})");
+                }
             }
+            assert!(stopped.newton_iterations_total() <= full.newton_iterations_total());
         }
     }
 

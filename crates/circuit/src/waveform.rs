@@ -24,6 +24,48 @@ pub enum CrossingDirection {
     Either,
 }
 
+/// Time at which the sampled segment from `(t0, v0)` to `(t1, v1)` crosses
+/// `level` in `direction`, by linear interpolation, or `None` if it does not.
+///
+/// A segment crosses going up when `v0 < level <= v1` and going down when
+/// `v0 > level >= v1`. This is the per-segment step of
+/// [`WaveformView::crossing_time`]; a caller that watches a transient point
+/// by point (to stop it at a measured event) uses it so that its test and the
+/// later measurement cannot disagree.
+///
+/// ```
+/// use gis_circuit::{segment_crossing, CrossingDirection};
+///
+/// let t = segment_crossing(0.0, 1.0, 2.0, 0.0, 0.25, CrossingDirection::Falling);
+/// assert_eq!(t, Some(1.5));
+/// assert_eq!(segment_crossing(0.0, 1.0, 2.0, 0.0, 0.25, CrossingDirection::Rising), None);
+/// ```
+pub fn segment_crossing(
+    t0: f64,
+    v0: f64,
+    t1: f64,
+    v1: f64,
+    level: f64,
+    direction: CrossingDirection,
+) -> Option<f64> {
+    let rising = v0 < level && v1 >= level;
+    let falling = v0 > level && v1 <= level;
+    let hit = match direction {
+        CrossingDirection::Rising => rising,
+        CrossingDirection::Falling => falling,
+        CrossingDirection::Either => rising || falling,
+    };
+    if !hit {
+        return None;
+    }
+    let frac = if (v1 - v0).abs() < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        (level - v0) / (v1 - v0)
+    };
+    Some(t0 + frac * (t1 - t0))
+}
+
 /// A sampled signal: strictly increasing time points with one value each.
 ///
 /// ```
@@ -299,23 +341,9 @@ impl<'a> WaveformView<'a> {
                 continue;
             }
             let (v0, v1) = (self.values[i - 1], self.values[i]);
-            let rising = v0 < level && v1 >= level;
-            let falling = v0 > level && v1 <= level;
-            let hit = match direction {
-                CrossingDirection::Rising => rising,
-                CrossingDirection::Falling => falling,
-                CrossingDirection::Either => rising || falling,
-            };
-            if hit {
-                let frac = if (v1 - v0).abs() < f64::MIN_POSITIVE {
-                    0.0
-                } else {
-                    (level - v0) / (v1 - v0)
-                };
-                let t_cross = t0 + frac * (t1 - t0);
-                if t_cross >= after {
-                    return Ok(t_cross);
-                }
+            match segment_crossing(t0, v0, t1, v1, level, direction) {
+                Some(t_cross) if t_cross >= after => return Ok(t_cross),
+                _ => {}
             }
         }
         Err(CircuitError::MeasurementFailed(format!(
@@ -410,6 +438,55 @@ mod tests {
         assert!(w
             .crossing_time(1.5, CrossingDirection::Rising, 3.0)
             .is_err());
+    }
+
+    #[test]
+    fn segment_crossings_interpolate_rising_falling_and_flat_segments() {
+        use CrossingDirection::{Either, Falling, Rising};
+        // Rising 0 → 2 over [1, 3]: level 0.5 is a quarter of the way.
+        assert_eq!(segment_crossing(1.0, 0.0, 3.0, 2.0, 0.5, Rising), Some(1.5));
+        assert_eq!(segment_crossing(1.0, 0.0, 3.0, 2.0, 0.5, Either), Some(1.5));
+        assert_eq!(segment_crossing(1.0, 0.0, 3.0, 2.0, 0.5, Falling), None);
+        // Falling 2 → 0 over [1, 3]; ending exactly on the level counts.
+        assert_eq!(
+            segment_crossing(1.0, 2.0, 3.0, 0.0, 0.5, Falling),
+            Some(2.5)
+        );
+        assert_eq!(
+            segment_crossing(1.0, 2.0, 3.0, 0.0, 0.0, Falling),
+            Some(3.0)
+        );
+        assert_eq!(segment_crossing(1.0, 2.0, 3.0, 0.0, 0.5, Rising), None);
+        // Starting on the level is not a crossing.
+        assert_eq!(segment_crossing(1.0, 0.5, 3.0, 0.0, 0.5, Falling), None);
+        // A flat segment never crosses, and a step smaller than the
+        // smallest normal number crosses at its start (frac = 0).
+        assert_eq!(segment_crossing(1.0, 0.5, 3.0, 0.5, 0.5, Either), None);
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        assert_eq!(
+            segment_crossing(1.0, 0.0, 3.0, tiny, tiny, Rising),
+            Some(1.0)
+        );
+        // crossing_time is the first segment_crossing at or after `after`.
+        let w = ramp();
+        let times = w.times();
+        let values = w.values();
+        for (level, direction) in [(1.5, Rising), (1.5, Falling), (0.25, Either)] {
+            let expected = (1..times.len())
+                .find_map(|i| {
+                    segment_crossing(
+                        times[i - 1],
+                        values[i - 1],
+                        times[i],
+                        values[i],
+                        level,
+                        direction,
+                    )
+                })
+                .unwrap();
+            let got = w.crossing_time(level, direction, 0.0).unwrap();
+            assert_eq!(got.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

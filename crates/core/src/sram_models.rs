@@ -139,11 +139,18 @@ impl PerformanceModel for SramSurrogateModel {
 
 /// [`PerformanceModel`] backed by the full transient testbench.
 ///
-/// Every evaluation builds the 6T netlist with the sampled threshold shifts and
-/// runs one backward-Euler transient — this is the "SPICE-accurate" model of
-/// the evaluation. Simulation errors (non-convergence) are mapped to
+/// Every evaluation injects the sampled threshold shifts into the 6T netlist
+/// and runs one backward-Euler transient — this is the "SPICE-accurate" model
+/// of the evaluation. Simulation errors (non-convergence) are mapped to
 /// `f64::INFINITY`, i.e. counted as failures, mirroring how a production flow
 /// treats a sample whose simulation dies.
+///
+/// The read access time stops each transient at its sense event (see
+/// [`gis_sram::ReadSession::access_time`]); the value keeps its bits, but a
+/// sample whose transient would stop converging only *after* it senses now
+/// reports its access time instead of `f64::INFINITY`. The dense kernel runs
+/// the whole window, as the reference. Read disturb and write delay always
+/// run the whole window.
 #[derive(Debug, Clone)]
 pub struct SramTransientModel {
     testbench: SramTestbench,
@@ -193,40 +200,11 @@ impl SramTransientModel {
         self.metric
     }
 
-    /// Metric value of the nominal (unvaried) cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the nominal simulation itself fails, which indicates a broken
-    /// testbench configuration rather than a statistical event.
+    /// Metric value of the nominal (unvaried) cell, or `f64::INFINITY` if
+    /// its simulation fails (a broken testbench configuration rather than a
+    /// statistical event).
     pub fn nominal_metric(&self) -> f64 {
-        self.evaluate_deltas(&[0.0; 6])
-    }
-
-    fn evaluate_deltas(&self, deltas: &[f64]) -> f64 {
-        match self.metric {
-            SramMetric::ReadAccessTime => self
-                .testbench
-                .read_session()
-                .map(|s| s.with_kernel(self.kernel))
-                .and_then(|mut s| s.run(deltas))
-                .map(|r| r.access_time)
-                .unwrap_or(f64::INFINITY),
-            SramMetric::WriteDelay => self
-                .testbench
-                .write_session()
-                .map(|s| s.with_kernel(self.kernel))
-                .and_then(|mut s| s.run(deltas))
-                .map(|w| w.write_delay)
-                .unwrap_or(f64::INFINITY),
-            SramMetric::ReadDisturb => self
-                .testbench
-                .read_session()
-                .map(|s| s.with_kernel(self.kernel))
-                .and_then(|mut s| s.run(deltas))
-                .map(|r| r.disturb_peak)
-                .unwrap_or(f64::INFINITY),
-        }
+        self.evaluate(&Vector::zeros(6))
     }
 }
 
@@ -235,10 +213,10 @@ impl PerformanceModel for SramTransientModel {
         6
     }
 
+    /// One point through [`SramTransientModel::evaluate_batch`], so the
+    /// scalar and batched paths are one code path and agree bit for bit.
     fn evaluate(&self, z: &Vector) -> f64 {
-        assert_eq!(z.len(), 6, "dimension mismatch");
-        let deltas = self.space.to_physical(z);
-        self.evaluate_deltas(deltas.as_slice())
+        self.evaluate_batch(std::slice::from_ref(z))[0]
     }
 
     /// Batched transient evaluation: one [`gis_sram::ReadSession`] /
@@ -246,9 +224,14 @@ impl PerformanceModel for SramTransientModel {
     /// construction and solver setup out of the per-point loop; each point then
     /// only injects its six threshold shifts and solves the transient. The
     /// executor calls this once per work chunk, so batches evaluate
-    /// concurrently on worker threads while every metric stays bit-identical
-    /// to the scalar path; failed points — rejected shifts or non-converging
-    /// transients — evaluate to `f64::INFINITY` individually.
+    /// concurrently on worker threads; failed points — rejected shifts or
+    /// non-converging transients — evaluate to `f64::INFINITY` individually.
+    ///
+    /// The read access time goes through [`gis_sram::ReadSession::access_time`],
+    /// which stops each transient at its sense event with the same bits as
+    /// the full window. The read-disturb peak is a maximum over the whole
+    /// window and the write delay reads the latched state at its end, so both
+    /// run the full window.
     fn evaluate_batch(&self, points: &[Vector]) -> Vec<f64> {
         let deltas: Vec<Vector> = points
             .iter()
@@ -258,35 +241,30 @@ impl PerformanceModel for SramTransientModel {
             })
             .collect();
         let delta_refs: Vec<&[f64]> = deltas.iter().map(Vector::as_slice).collect();
-        match self.metric {
-            SramMetric::ReadAccessTime | SramMetric::ReadDisturb => {
-                match self.testbench.read_session() {
-                    Ok(session) => session
-                        .with_kernel(self.kernel)
-                        .run_batch(&delta_refs)
-                        .into_iter()
-                        .map(|result| {
-                            result
-                                .map(|r| match self.metric {
-                                    SramMetric::ReadAccessTime => r.access_time,
-                                    _ => r.disturb_peak,
-                                })
-                                .unwrap_or(f64::INFINITY)
-                        })
-                        .collect(),
-                    Err(_) => vec![f64::INFINITY; points.len()],
-                }
-            }
-            SramMetric::WriteDelay => match self.testbench.write_session() {
-                Ok(session) => session
-                    .with_kernel(self.kernel)
-                    .run_batch(&delta_refs)
+        let metrics = match self.metric {
+            SramMetric::ReadAccessTime => self.testbench.read_session().map(|session| {
+                let mut session = session.with_kernel(self.kernel);
+                delta_refs
+                    .iter()
+                    .map(|d| session.access_time(d).unwrap_or(f64::INFINITY))
+                    .collect()
+            }),
+            SramMetric::ReadDisturb => self.testbench.read_session().map(|session| {
+                let results = session.with_kernel(self.kernel).run_batch(&delta_refs);
+                results
                     .into_iter()
-                    .map(|result| result.map(|w| w.write_delay).unwrap_or(f64::INFINITY))
-                    .collect(),
-                Err(_) => vec![f64::INFINITY; points.len()],
-            },
-        }
+                    .map(|r| r.map_or(f64::INFINITY, |r| r.disturb_peak))
+                    .collect()
+            }),
+            SramMetric::WriteDelay => self.testbench.write_session().map(|session| {
+                let results = session.with_kernel(self.kernel).run_batch(&delta_refs);
+                results
+                    .into_iter()
+                    .map(|w| w.map_or(f64::INFINITY, |w| w.write_delay))
+                    .collect()
+            }),
+        };
+        metrics.unwrap_or_else(|_| vec![f64::INFINITY; points.len()])
     }
 
     fn name(&self) -> &str {

@@ -29,13 +29,28 @@
 //! thin wrappers over a fresh session, so both paths produce bit-identical
 //! metrics. [`ReadSession::run_batch`]/[`WriteSession::run_batch`] run the
 //! samples one after another on the session's workspace.
+//!
+//! Only the read access time stops early. [`ReadSession::access_time`] ends
+//! the transient at the first recorded point where the bitline has crossed
+//! the sense level after the wordline's half-rise, as SPICE's auto-stop ends
+//! a run once its last `.measure` is taken; a nominal read needs about 35 of
+//! the window's 501 points. The result is exact: every point up to the stop
+//! is computed as in the full window, the stop test and the measurement use
+//! the same per-segment crossing ([`gis_circuit::segment_crossing`]), and the
+//! stopped prefix therefore holds the same first crossings. A read that
+//! never senses runs the whole window and is censored as usual. One edge
+//! differs: a transient that would stop converging only *after* its sense
+//! event used to fail and now reports its access time. [`ReadSession::run`],
+//! the disturb peak (a maximum over the whole window) and the write delay
+//! (which reads the latched state at the window's end) always run the whole
+//! window, and so does the dense reference kernel.
 
 use crate::cell::{build_6t_cell, CellNodes, CellTransistor, SramCellConfig};
 use crate::error::SramError;
 use gis_circuit::{
-    transient_analysis_dense, transient_analysis_with, Circuit, CircuitError, CrossingDirection,
-    Device, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel,
-    TransientResult,
+    segment_crossing, transient_analysis_dense, transient_analysis_until, transient_analysis_with,
+    Circuit, CircuitError, CrossingDirection, Device, MosfetParams, SimulationWorkspace,
+    SourceWaveform, TransientConfig, TransientKernel, TransientResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -387,6 +402,11 @@ impl CellParameterInjector {
 /// session owns a [`SimulationWorkspace`], so the sparse kernel's symbolic
 /// plan and numeric buffers are shared by every sample of a batch; metric
 /// extraction measures zero-copy [`gis_circuit::WaveformView`]s.
+///
+/// [`ReadSession::access_time`] is the fast path for the access time alone:
+/// it stops the transient at the sense event and returns the same bits as
+/// `run(..)?.access_time`, except that a transient failing only after it
+/// sensed reports its access time instead of an error.
 #[derive(Debug, Clone)]
 pub struct ReadSession {
     circuit: Circuit,
@@ -439,25 +459,98 @@ impl ReadSession {
         samples.iter().map(|deltas| self.run(deltas)).collect()
     }
 
+    /// Runs one read transient and returns only its access time,
+    /// bit-identical to `self.run(vth_deltas)?.access_time`.
+    ///
+    /// On the sparse kernel the transient stops at the first recorded point
+    /// where the bitline has crossed the sense level after the wordline's
+    /// half-rise; a nominal read ends about 35 steps into a 501-step window.
+    /// The crossings are tracked point by point with
+    /// [`gis_circuit::segment_crossing`], the step that
+    /// [`gis_circuit::WaveformView::crossing_time`] repeats, and the stopped
+    /// prefix is then measured exactly as [`ReadSession::run`] measures the
+    /// full window. Every recorded point is computed as before, so the prefix
+    /// holds the same first crossings and the access time keeps its bits. A
+    /// sample that never senses runs the whole window and is censored as
+    /// usual. The dense kernel always runs the whole window, as the
+    /// reference the early stop is checked against.
+    ///
+    /// One edge differs from `run`: a transient that would stop converging
+    /// only *after* its sense event is an `Err` from `run` but reports its
+    /// access time here, since the failing point is never solved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::Circuit`] for an invalid shift vector or a
+    /// transient that does not converge before it senses.
+    pub fn access_time(&mut self, vth_deltas: &[f64]) -> Result<f64, SramError> {
+        let result = self.run_until_sensed(vth_deltas)?;
+        Ok(self.measure_access(&result)?.0)
+    }
+
+    /// The transient behind [`ReadSession::access_time`]: on the sparse
+    /// kernel, the prefix of the window up to the sense event.
+    fn run_until_sensed(&mut self, vth_deltas: &[f64]) -> Result<TransientResult, SramError> {
+        self.cell.inject(&mut self.circuit, vth_deltas)?;
+        Ok(match self.kernel {
+            TransientKernel::Sparse => {
+                use CrossingDirection::{Falling, Rising};
+                let (wordline, bitline) = (self.nodes.wordline, self.nodes.bitline);
+                let (half_rise, sense_level) = (self.vdd / 2.0, self.sense_level);
+                // Previous point (t, wordline, bitline) and the wordline's
+                // half-rise time once it has been seen.
+                let mut previous: Option<(f64, f64, f64)> = None;
+                let mut t_wl: Option<f64> = None;
+                transient_analysis_until(
+                    &self.circuit,
+                    &self.config,
+                    &mut self.workspace,
+                    |t, voltages| {
+                        let (wl, bl) = (voltages[wordline], voltages[bitline]);
+                        let mut sensed = false;
+                        if let Some((t0, wl0, bl0)) = previous {
+                            t_wl = t_wl
+                                .or_else(|| segment_crossing(t0, wl0, t, wl, half_rise, Rising));
+                            // The scan of `crossing_time(sense_level, Falling, after)`.
+                            if let Some(after) = t_wl {
+                                sensed = t >= after
+                                    && segment_crossing(t0, bl0, t, bl, sense_level, Falling)
+                                        .is_some_and(|t_sense| t_sense >= after);
+                            }
+                        }
+                        previous = Some((t, wl, bl));
+                        sensed
+                    },
+                )?
+            }
+            TransientKernel::Dense => transient_analysis_dense(&self.circuit, &self.config)?,
+        })
+    }
+
     /// Extracts the read metrics from a solved transient.
     fn measure(&self, result: &TransientResult) -> Result<ReadResult, SramError> {
-        let wl = result.waveform_view(self.nodes.wordline)?;
-        let bl = result.waveform_view(self.nodes.bitline)?;
-        let q = result.waveform_view(self.nodes.q)?;
-
-        let t_wl = wl.crossing_time(self.vdd / 2.0, CrossingDirection::Rising, 0.0)?;
-        let (access_time, sensed) =
-            match bl.crossing_time(self.sense_level, CrossingDirection::Falling, t_wl) {
-                Ok(t_sense) => (t_sense - t_wl, true),
-                Err(_) => (self.config.stop_time, false),
-            };
-        let disturb_peak = q.max_value();
-
+        let (access_time, sensed) = self.measure_access(result)?;
+        let disturb_peak = result.waveform_view(self.nodes.q)?.max_value();
         Ok(ReadResult {
             access_time,
             disturb_peak,
             sensed,
         })
+    }
+
+    /// Measures the access time of a solved (possibly stopped) transient:
+    /// wordline half-rise to the bitline falling to the sense level, or the
+    /// censored window length with `false` when it never does.
+    fn measure_access(&self, result: &TransientResult) -> Result<(f64, bool), SramError> {
+        let wl = result.waveform_view(self.nodes.wordline)?;
+        let bl = result.waveform_view(self.nodes.bitline)?;
+        let t_wl = wl.crossing_time(self.vdd / 2.0, CrossingDirection::Rising, 0.0)?;
+        Ok(
+            match bl.crossing_time(self.sense_level, CrossingDirection::Falling, t_wl) {
+                Ok(t_sense) => (t_sense - t_wl, true),
+                Err(_) => (self.config.stop_time, false),
+            },
+        )
     }
 }
 
@@ -767,6 +860,107 @@ mod tests {
         assert!(session.run(&[f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0]).is_err());
         // The session stays usable after a rejected sample.
         assert!(session.run(&[0.0; 6]).is_ok());
+    }
+
+    /// Checks [`ReadSession::access_time`] against the full-window
+    /// [`ReadSession::run`] on a seeded cloud of `samples` ΔV_T vectors,
+    /// spread from the nominal cell out to censored reads, after the nominal
+    /// cell, a censored read and two malformed vectors (indices 2 and 3).
+    /// Returns how many reads were censored and how many full windows
+    /// failed only after the sense event.
+    fn assert_access_time_matches_run(samples: usize) -> (usize, usize) {
+        let tb = SramTestbench::typical_45nm();
+        let mut full = tb.read_session().unwrap();
+        let mut stopped = tb.read_session().unwrap();
+        let mut rng = gis_stats::RngStream::from_seed(17);
+        let mut censored_deltas = [0.0; 6];
+        censored_deltas[CellTransistor::PassGateLeft.index()] = 0.6;
+        censored_deltas[CellTransistor::PullDownLeft.index()] = 0.6;
+        let mut cloud: Vec<Vec<f64>> = vec![
+            vec![0.0; 6],
+            censored_deltas.to_vec(),
+            vec![f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0; 5],
+        ];
+        // Per-transistor sigma grows linearly to 0.3 V, so the far end of
+        // the cloud reaches reads that never sense.
+        cloud.extend((0..samples).map(|i| {
+            let sigma = 0.3 * i as f64 / samples as f64;
+            (0..6).map(|_| sigma * rng.standard_normal()).collect()
+        }));
+        let (mut censored, mut post_sense_failures) = (0, 0);
+        for (i, deltas) in cloud.iter().enumerate() {
+            match (full.run(deltas), stopped.access_time(deltas)) {
+                (Ok(reference), Ok(access_time)) => {
+                    assert!(i != 2 && i != 3, "malformed vector {deltas:?} was accepted");
+                    assert_eq!(
+                        access_time.to_bits(),
+                        reference.access_time.to_bits(),
+                        "access time diverged at {deltas:?}"
+                    );
+                    censored += usize::from(!reference.sensed);
+                }
+                // Rejected shifts, and far-out transients that stop
+                // converging before they sense, fail on both paths.
+                (Err(_), Err(_)) => {}
+                // The documented edge: the full window fails to converge
+                // only after the stopped transient has already sensed.
+                (
+                    Err(SramError::Circuit(CircuitError::NewtonDidNotConverge { time, .. })),
+                    Ok(_),
+                ) => {
+                    let prefix = stopped.run_until_sensed(deltas).unwrap();
+                    assert!(time > prefix.times()[prefix.num_points() - 1]);
+                    post_sense_failures += 1;
+                }
+                (reference, access_time) => {
+                    panic!("paths disagree at {deltas:?}: {reference:?} vs {access_time:?}")
+                }
+            }
+        }
+        assert!(censored >= 1);
+        (censored, post_sense_failures)
+    }
+
+    #[test]
+    fn stopped_access_time_matches_the_full_window() {
+        assert_eq!(assert_access_time_matches_run(200).1, 0);
+        // The nominal read senses early, so its transient stops early.
+        let tb = SramTestbench::typical_45nm();
+        let mut session = tb.read_session().unwrap();
+        let stopped = session.run_until_sensed(&[0.0; 6]).unwrap();
+        assert!(
+            stopped.num_points() <= 40,
+            "nominal read ran {} points",
+            stopped.num_points()
+        );
+        // A read that never senses runs the whole window.
+        let mut censored = [0.0; 6];
+        censored[CellTransistor::PassGateLeft.index()] = 0.6;
+        censored[CellTransistor::PullDownLeft.index()] = 0.6;
+        let full_window = session.run_until_sensed(&censored).unwrap();
+        assert_eq!(full_window.times().last(), Some(&tb.timing().stop_time));
+        // The dense reference session always runs the whole window.
+        let mut dense = tb
+            .read_session()
+            .unwrap()
+            .with_kernel(TransientKernel::Dense);
+        let dense_nominal = dense.run_until_sensed(&[0.0; 6]).unwrap();
+        assert_eq!(dense_nominal.num_points(), full_window.num_points());
+        assert_eq!(
+            dense.access_time(&[0.0; 6]).unwrap().to_bits(),
+            session.access_time(&[0.0; 6]).unwrap().to_bits()
+        );
+    }
+
+    /// The same check on 10 000 samples; run with
+    /// `cargo test --release -p gis-sram -- --ignored`.
+    #[test]
+    #[ignore = "about 10 000 transients; run in release with --ignored"]
+    fn stopped_access_time_matches_the_full_window_at_scale() {
+        let (censored, post_sense_failures) = assert_access_time_matches_run(10_000);
+        eprintln!("{censored} censored reads, {post_sense_failures} post-sense failures");
+        assert!(censored > 1);
     }
 
     #[test]

@@ -183,7 +183,9 @@ fn is_accumulator_push_and_merge_do_not_allocate() {
 /// *constant* per-sample allocation count: whatever a run allocates is result
 /// storage with a fixed shape, not traffic that grows or varies with reuse.
 /// (The Newton/LU inner loops contribute zero — the test above — so any
-/// constant here is parameter injection and waveform bookkeeping.)
+/// constant here is parameter injection and waveform bookkeeping.) The read
+/// session's early-stopping `access_time` path is held to the same contract
+/// and may allocate no more than a full-window `run`.
 #[test]
 fn transient_sessions_have_constant_per_eval_allocations() {
     let _serial = serial();
@@ -198,6 +200,26 @@ fn transient_sessions_have_constant_per_eval_allocations() {
     assert_eq!(
         read_allocs_1, read_allocs_2,
         "per-eval allocation count of a warm read session must be constant"
+    );
+
+    // The early-stopping access-time path stores a shorter prefix of the
+    // same result shape, so it allocates no more than a full run.
+    read.access_time(&deltas).unwrap(); // warm-up on the stopping path
+    let (access_allocs_1, a1) = allocations_during(|| read.access_time(&deltas).unwrap());
+    let (access_allocs_2, a2) = allocations_during(|| read.access_time(&deltas).unwrap());
+    assert_eq!(
+        a1.to_bits(),
+        a2.to_bits(),
+        "warm access-time path must stay bit-identical"
+    );
+    assert_eq!(a1.to_bits(), r1.access_time.to_bits());
+    assert_eq!(
+        access_allocs_1, access_allocs_2,
+        "per-eval allocation count of the access-time path must be constant"
+    );
+    assert!(
+        access_allocs_1 <= read_allocs_1,
+        "access-time path allocated {access_allocs_1} times, a full read {read_allocs_1}"
     );
 
     let mut write = tb.write_session().unwrap();
