@@ -11,7 +11,7 @@ mod common;
 
 use common::{assert_close_abs, assert_close_rel};
 use sram_highsigma::highsigma::{
-    required_samples, Estimator, EstimatorOutcome, FailureProblem, GisConfig,
+    required_samples, BenchmarkProblem, Estimator, EstimatorOutcome, FailureProblem, GisConfig,
     GradientImportanceSampling, ImportanceSamplingConfig, LinearLimitState, MinimumNormIs,
     MnisConfig, MonteCarlo, MonteCarloConfig, QuadraticLimitState, ScaledSigmaSampling,
     SphericalSampling, SphericalSamplingConfig, SssConfig,
@@ -388,6 +388,127 @@ fn adaptive_gis_and_mnis_are_pinned_bit_for_bit() {
                 13831238282530165255
             ],
             shift_history_len: None,
+        }
+    );
+}
+
+/// Default-config GIS on the 96-d rung of the dimensionality ladder. The
+/// other pins are at most 6-d; this one pins proposal sampling and density
+/// evaluation at a dimension where most terms of a dense covariance are
+/// zero. At this size the run stops before its first re-centring, so the
+/// shift is the MPFP.
+#[test]
+fn default_gis_on_96d_ladder_rung_is_pinned_bit_for_bit() {
+    let bench = BenchmarkProblem::linear(96, 4.0);
+    let outcome = GradientImportanceSampling::new(GisConfig::default())
+        .estimate(bench.problem(), &mut RngStream::from_seed(196));
+    assert_eq!(
+        IsPin::of(&outcome),
+        IsPin {
+            probability: 4540075651994662007,
+            standard_error: 4521831190902650738,
+            evaluations: 1986,
+            failures_observed: 653,
+            converged: true,
+            shift: vec![
+                4601562355341872778,
+                4603218330087828824,
+                4603520324703271390,
+                4602884538317149139,
+                4600541163229936761,
+                4597651633227971733,
+                4594710605712008801,
+                4595467235562289774,
+                4598870443741418331,
+                4601626782798616460,
+                4603236357285220185,
+                4603515686897065950,
+                4602859416740073298,
+                4600473582674512759,
+                4597545365696958611,
+                4594683211041145441,
+                4595531597893333616,
+                4598933368102905692,
+                4601690856045641101,
+                4603253901026876505,
+                4603510486661037790,
+                4602833918278620498,
+                4600405973950448758,
+                4597440519525200529,
+                4594658046938599520,
+                4595597950930630257,
+                4598996699756355933,
+                4601754556967692942,
+                4603270956352704985,
+                4603504725465435229,
+                4602808050141899217,
+                4600338356172572277,
+                4597337124355562127,
+                4594635120518954080,
+                4595666275914369138,
+                4599060420796189535,
+                4601817867554786703,
+                4603287518440699866,
+                4603498404939104349,
+                4602781819643536977,
+                4600270748458269556,
+                4597235209420675726,
+                4594614438264124000,
+                4595736553527215219,
+                4599124513206729056,
+                4601880769907294864,
+                4603303582608308186,
+                4603491526869030109,
+                4602755234199609936,
+                4600203169922083955,
+                4597134803534664844,
+                4594596006021551199,
+                4595808763899772020,
+                4599188958867307617,
+                4601943246241011345,
+                4603319144313752026,
+                4603484093199831389,
+                4602728301326546896,
+                4600135639670307953,
+                4597035935085013642,
+                4594579829002532959,
+                4595882886616205942,
+                4599253739557379938,
+                4602005278892172946,
+                4603334199157313626,
+                4603476106033208029,
+                4602701028639004495,
+                4600068176795582832,
+                4596938632024520840,
+                4594565911780749919,
+                4595958900720001143,
+                4599318836961682019,
+                4602066850322461587,
+                4603348742882578907,
+                4603467567627350109,
+                4602668028522781598,
+                4600000800371499631,
+                4596842921863414919,
+                4594554258290983518,
+                4596036784719903864,
+                4599384232675404900,
+                4602127943123956628,
+                4603362771377640027,
+                4603458480396296669,
+                4602612170341958557,
+                4599933529447209070,
+                4596748831661561477,
+                4594544871827989598,
+                4596116516595981946,
+                4599449908209399141,
+                4602188540024059029,
+                4603376280676259547,
+                4603448846909255389,
+                4602555679355520156,
+                4599866383042034029,
+                4596656388020824195
+            ],
+            shift_history_len: Some(1),
         }
     );
 }
