@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gis_linalg::{Matrix, Vector};
+use gis_linalg::Vector;
 use gis_stats::{latin_hypercube, normal, MultivariateNormal, RngStream};
 use std::hint::black_box;
 
@@ -29,12 +29,14 @@ fn bench_primitives(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("correlated_mvn_sample_12d", |b| {
+    group.bench_function("mvn_sample_and_logpdf_576d", |b| {
         let mut rng = RngStream::from_seed(3);
-        let dim = 12;
-        let cov = Matrix::from_fn(dim, dim, |i, j| if i == j { 1.0 } else { 0.3 });
-        let dist = MultivariateNormal::new(Vector::zeros(dim), &cov).expect("SPD covariance");
-        b.iter(|| dist.sample(&mut rng))
+        let shift = Vector::filled(576, 4.0 / 24.0);
+        let dist = MultivariateNormal::shifted_standard(shift);
+        b.iter(|| {
+            let x = dist.sample(&mut rng);
+            dist.log_pdf(black_box(&x)).expect("dimension matches")
+        })
     });
 
     group.bench_function("latin_hypercube_1000x6", |b| {

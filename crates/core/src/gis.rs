@@ -183,7 +183,6 @@ fn shift_history_oscillates(history: &[Vector]) -> bool {
 }
 
 impl GradientImportanceSampling {
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     fn estimate_inner(
         &self,
         problem: &FailureProblem,
@@ -233,9 +232,9 @@ impl GradientImportanceSampling {
             for ((z, &weight), &failed) in points.iter().zip(weights).zip(failed) {
                 if failed && weight.is_finite() && weight > 0.0 {
                     failing_weight_sum += weight;
-                    failing_weighted_mean = failing_weighted_mean
-                        .axpy(weight, z)
-                        .expect("dimension fixed");
+                    for (m, &zi) in failing_weighted_mean.iter_mut().zip(z.iter()) {
+                        *m += weight * zi;
+                    }
                     failures_since_recenter += 1;
                 }
             }

@@ -8,8 +8,9 @@
 //! * accurate standard-normal `Φ`, `Φ⁻¹` and density functions (the tail
 //!   accuracy of `Φ⁻¹` directly controls how well failure probabilities map to
 //!   equivalent sigma levels),
-//! * multivariate normal proposal distributions with arbitrary mean shift and
-//!   covariance (for importance sampling),
+//! * isotropic multivariate normal proposal distributions `N(μ, s²·I)` with
+//!   arbitrary mean shift and scale, and mixtures of them (for importance
+//!   sampling),
 //! * reproducible, splittable random streams,
 //! * space-filling sampling plans (Latin hypercube, uniform-on-sphere shells)
 //!   used by the spherical-presampling baseline, and

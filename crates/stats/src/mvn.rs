@@ -1,13 +1,14 @@
 //! Multivariate normal distributions used as importance-sampling proposals.
 //!
-//! The key operations are drawing samples (`x = μ + L z` with `L` the Cholesky
-//! factor of the covariance) and evaluating log-densities, which together give
-//! the importance weights `w(x) = f(x) / q(x)`.
+//! Every proposal in the estimators is an isotropic normal `N(μ, σ²·I)` in the
+//! whitened variation space, so drawing a sample (`x = μ + σ z`) and evaluating
+//! a log-density are both O(d). Together they give the importance weights
+//! `w(x) = f(x) / q(x)`.
 
 use crate::{Result, RngStream, StatsError};
-use gis_linalg::{Cholesky, Matrix, Vector};
+use gis_linalg::Vector;
 
-/// A multivariate normal distribution `N(μ, Σ)`.
+/// An isotropic multivariate normal distribution `N(μ, σ²·I)`.
 ///
 /// # Examples
 ///
@@ -29,65 +30,48 @@ use gis_linalg::{Cholesky, Matrix, Vector};
 #[derive(Debug, Clone)]
 pub struct MultivariateNormal {
     mean: Vector,
-    chol: Cholesky,
+    /// Standard deviation of every coordinate.
+    sigma: f64,
     log_norm_constant: f64,
 }
 
 impl MultivariateNormal {
-    /// Creates a distribution with the given mean and covariance matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidArgument`] if the dimensions of `mean` and
-    /// `covariance` do not agree, or [`StatsError::Linalg`] if the covariance is
-    /// not symmetric positive definite.
-    pub fn new(mean: Vector, covariance: &Matrix) -> Result<Self> {
-        if covariance.rows() != mean.len() || covariance.cols() != mean.len() {
-            return Err(StatsError::InvalidArgument(format!(
-                "covariance is {}x{} but mean has length {}",
-                covariance.rows(),
-                covariance.cols(),
-                mean.len()
-            )));
-        }
-        let chol = Cholesky::new(covariance)?;
-        let dim = mean.len() as f64;
+    fn with_sigma(mean: Vector, sigma: f64) -> Self {
+        let dim = mean.len();
+        // log det(σ²·I) = 2 Σ ln σ, summed term by term rather than taken as
+        // 2·d·ln σ, so it rounds like a Cholesky log-determinant.
+        let log_determinant = (0..dim).map(|_| sigma.ln()).sum::<f64>() * 2.0;
         let log_norm_constant =
-            -0.5 * (dim * (2.0 * std::f64::consts::PI).ln() + chol.log_determinant());
-        Ok(MultivariateNormal {
+            -0.5 * (dim as f64 * (2.0 * std::f64::consts::PI).ln() + log_determinant);
+        MultivariateNormal {
             mean,
-            chol,
+            sigma,
             log_norm_constant,
-        })
+        }
     }
 
     /// The standard normal `N(0, I)` in `dim` dimensions.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn standard(dim: usize) -> Self {
-        MultivariateNormal::new(Vector::zeros(dim), &Matrix::identity(dim))
-            .expect("identity covariance is always valid")
+        MultivariateNormal::with_sigma(Vector::zeros(dim), 1.0)
     }
 
     /// A mean-shifted standard normal `N(μ, I)` — the canonical mean-shift
     /// importance-sampling proposal.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn shifted_standard(mean: Vector) -> Self {
-        let dim = mean.len();
-        MultivariateNormal::new(mean, &Matrix::identity(dim))
-            .expect("identity covariance is always valid")
+        MultivariateNormal::with_sigma(mean, 1.0)
     }
 
     /// An isotropic normal `N(μ, s²·I)` — used by scaled-sigma sampling.
     ///
     /// # Panics
     ///
-    /// Panics if `scale <= 0`.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    /// Panics if `scale <= 0` or `scale²` underflows to zero.
     pub fn isotropic(mean: Vector, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        let dim = mean.len();
-        MultivariateNormal::new(mean, &Matrix::from_diagonal(&vec![scale * scale; dim]))
-            .expect("positive isotropic covariance is always valid")
+        // √(s²) is the Cholesky diagonal of `s²·I`; taking it rather than `s`
+        // keeps every result bit-identical to the dense factorisation.
+        let sigma = (scale * scale).sqrt();
+        assert!(scale > 0.0 && sigma > 0.0, "scale must be positive");
+        MultivariateNormal::with_sigma(mean, sigma)
     }
 
     /// Dimensionality of the distribution.
@@ -100,22 +84,22 @@ impl MultivariateNormal {
         &self.mean
     }
 
-    /// Draws one sample `x = μ + L z`.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    /// Draws one sample `x = μ + σ z` with `z` standard normal.
     pub fn sample(&self, rng: &mut RngStream) -> Vector {
-        let z = rng.standard_normal_vector(self.dim());
-        let colored = self
-            .chol
-            .color(&z)
-            .expect("dimension fixed at construction");
-        &self.mean + &colored
+        let mut x = rng.standard_normal_vector(self.dim());
+        for (xi, mi) in x.iter_mut().zip(self.mean.iter()) {
+            // `0.0 + σ z` rounds like a dense `L z` row whose off-diagonal
+            // terms are zero (a `-0.0` product becomes `+0.0`).
+            *xi = mi + (0.0 + self.sigma * *xi);
+        }
+        x
     }
 
-    /// Log-density `log N(x | μ, Σ)`.
+    /// Log-density `log N(x | μ, σ²·I)`.
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::Linalg`] if `x` has the wrong dimension.
+    /// Returns [`StatsError::InvalidArgument`] if `x` has the wrong dimension.
     pub fn log_pdf(&self, x: &Vector) -> Result<f64> {
         if x.len() != self.dim() {
             return Err(StatsError::InvalidArgument(format!(
@@ -124,12 +108,18 @@ impl MultivariateNormal {
                 self.dim()
             )));
         }
-        let centered = x - &self.mean;
-        let maha = self.chol.mahalanobis_squared(&centered)?;
+        let maha = x
+            .iter()
+            .zip(self.mean.iter())
+            .map(|(xi, mi)| {
+                let w = (xi - mi) / self.sigma;
+                w * w
+            })
+            .sum::<f64>();
         Ok(self.log_norm_constant - 0.5 * maha)
     }
 
-    /// Density `N(x | μ, Σ)`.
+    /// Density `N(x | μ, σ²·I)`.
     ///
     /// # Errors
     ///
@@ -245,6 +235,7 @@ impl GaussianMixture {
 mod tests {
     use super::*;
     use crate::normal;
+    use gis_linalg::{Cholesky, Matrix};
 
     #[test]
     fn standard_log_pdf_matches_univariate_product() {
@@ -274,8 +265,7 @@ mod tests {
     #[test]
     fn sample_moments_match_parameters() {
         let mean = Vector::from_slice(&[1.0, -2.0]);
-        let cov = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]).unwrap();
-        let dist = MultivariateNormal::new(mean.clone(), &cov).unwrap();
+        let dist = MultivariateNormal::isotropic(mean, 1.5);
         let mut rng = RngStream::from_seed(31);
         let n = 50_000;
         let mut sum = Vector::zeros(2);
@@ -295,25 +285,94 @@ mod tests {
         let var0 = sum_sq[0] / n as f64 - m0 * m0;
         let var1 = sum_sq[1] / n as f64 - m1 * m1;
         let cov01 = cross / n as f64 - m0 * m1;
-        assert!((var0 - 2.0).abs() < 0.1);
-        assert!((var1 - 1.0).abs() < 0.05);
-        assert!((cov01 - 0.5).abs() < 0.05);
+        assert!((var0 - 2.25).abs() < 0.1);
+        assert!((var1 - 2.25).abs() < 0.1);
+        assert!(cov01.abs() < 0.05);
     }
 
     #[test]
     fn rejects_dimension_mismatch() {
-        assert!(MultivariateNormal::new(Vector::zeros(2), &Matrix::identity(3)).is_err());
         let d = MultivariateNormal::standard(2);
-        assert!(d.log_pdf(&Vector::zeros(3)).is_err());
+        assert!(matches!(
+            d.log_pdf(&Vector::zeros(3)),
+            Err(StatsError::InvalidArgument(_))
+        ));
+    }
+
+    /// Dense reference for `N(μ, s²·I)`: a Cholesky factor of the diagonal
+    /// covariance colors `z` for sampling and whitens `x − μ` for the density.
+    struct DenseReference<'a> {
+        mean: Vector,
+        chol: &'a Cholesky,
+        log_norm_constant: f64,
+    }
+
+    impl<'a> DenseReference<'a> {
+        fn new(mean: Vector, chol: &'a Cholesky) -> Self {
+            let dim = mean.len() as f64;
+            let log_norm_constant =
+                -0.5 * (dim * (2.0 * std::f64::consts::PI).ln() + chol.log_determinant());
+            DenseReference {
+                mean,
+                chol,
+                log_norm_constant,
+            }
+        }
+
+        fn sample(&self, rng: &mut RngStream) -> Vector {
+            let z = rng.standard_normal_vector(self.mean.len());
+            &self.mean + &self.chol.color(&z).unwrap()
+        }
+
+        fn log_pdf(&self, x: &Vector) -> f64 {
+            let centered = x - &self.mean;
+            self.log_norm_constant - 0.5 * self.chol.mahalanobis_squared(&centered).unwrap()
+        }
+    }
+
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn rejects_non_spd_covariance() {
-        let cov = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            MultivariateNormal::new(Vector::zeros(2), &cov),
-            Err(StatsError::Linalg(_))
-        ));
+    fn isotropic_path_matches_dense_cholesky_bit_for_bit() {
+        let mut rng = RngStream::from_seed(577);
+        let mut stream = 0;
+        for dim in [1, 6, 96, 576] {
+            let shift = rng.standard_normal_vector(dim).scaled(2.0);
+            for scale in [1.0, 0.5, 2.5, 3.0] {
+                let chol =
+                    Cholesky::new(&Matrix::from_diagonal(&vec![scale * scale; dim])).unwrap();
+                let mut cases = vec![(
+                    MultivariateNormal::isotropic(shift.clone(), scale),
+                    shift.clone(),
+                )];
+                if scale == 1.0 {
+                    cases.push((MultivariateNormal::standard(dim), Vector::zeros(dim)));
+                    cases.push((
+                        MultivariateNormal::shifted_standard(shift.clone()),
+                        shift.clone(),
+                    ));
+                }
+                for (dist, mean) in cases {
+                    let reference = DenseReference::new(mean, &chol);
+                    stream += 1;
+                    let mut fast_rng = rng.split(stream);
+                    let mut dense_rng = rng.split(stream);
+                    for _ in 0..4 {
+                        let x = dist.sample(&mut fast_rng);
+                        assert_eq!(bits(&x), bits(&reference.sample(&mut dense_rng)));
+                        for point in [&x, dist.mean(), &Vector::zeros(dim)] {
+                            assert_eq!(
+                                dist.log_pdf(point).unwrap().to_bits(),
+                                reference.log_pdf(point).to_bits(),
+                                "d = {dim}, s = {scale}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! README "Static analysis & invariants"): a counting global allocator proves
 //! that the paths *marked* `gis-analyze: no_alloc` — the sparse Newton kernel
 //! and the estimator accumulators — really perform zero steady-state heap
-//! allocations, and that a full transient evaluation settles to a constant
-//! per-sample allocation count once its workspace is warm.
+//! allocations, that a full transient evaluation settles to a constant
+//! per-sample allocation count once its workspace is warm, and that an
+//! importance-sampling proposal needs memory linear in its dimension.
 //!
 //! The static analyzer rejects allocation *syntax* inside marked functions;
 //! this test closes the remaining gap (allocations reached through calls into
@@ -18,15 +19,17 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
 use sram_highsigma::circuit::{Circuit, MnaSystem, SimulationWorkspace, SourceWaveform};
-use sram_highsigma::highsigma::IsAccumulator;
+use sram_highsigma::highsigma::{IsAccumulator, Proposal};
+use sram_highsigma::linalg::Vector;
 use sram_highsigma::sram::{build_6t_cell, SramCellConfig, SramTestbench};
+use sram_highsigma::stats::RngStream;
 
 /// A pass-through allocator over [`System`] that counts every allocation
-/// request (`alloc`, `alloc_zeroed`, `realloc`) of a thread inside an
-/// [`allocations_during`] window. Deallocations are not counted: the
-/// contract under test is "no new heap traffic", and a free without a
-/// matching measured alloc cannot occur inside a measurement window that
-/// starts and ends on the same thread.
+/// request (`alloc`, `alloc_zeroed`, `realloc`) of a thread, and the bytes
+/// each one asks for, inside a [`measured`] window. Deallocations are not
+/// counted: the contract under test is "no new heap traffic", and a free
+/// without a matching measured alloc cannot occur inside a measurement
+/// window that starts and ends on the same thread.
 struct CountingAllocator;
 
 thread_local! {
@@ -36,30 +39,34 @@ thread_local! {
     /// thread keeps the test harness's own threads (spawning tests,
     /// capturing output) out of every measurement.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those requests asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation request if the current thread is armed. Both
-/// thread-locals are const-initialised without a destructor, so touching
-/// them never allocates and never fails, even during thread teardown.
-fn count_allocation() {
+/// Counts one allocation request of `bytes` if the current thread is armed.
+/// The thread-locals are const-initialised without a destructor, so
+/// touching them never allocates and never fails, even during thread
+/// teardown.
+fn count_allocation(bytes: usize) {
     if ARMED.get() {
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        BYTES.set(BYTES.get() + bytes as u64);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,13 +88,21 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Runs `f` and returns how many allocation requests it issued on this
-/// thread.
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+/// thread and how many bytes they asked for.
+fn measured<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     ALLOCATIONS.set(0);
+    BYTES.set(0);
     ARMED.set(true);
     let result = f();
     ARMED.set(false);
-    (ALLOCATIONS.get(), result)
+    (ALLOCATIONS.get(), BYTES.get(), result)
+}
+
+/// Runs `f` and returns how many allocation requests it issued on this
+/// thread.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (allocations, _, result) = measured(f);
+    (allocations, result)
 }
 
 /// Builds the read-condition 6T netlist from `SramTestbench::read_session`
@@ -230,5 +245,29 @@ fn transient_sessions_have_constant_per_eval_allocations() {
     assert_eq!(
         write_allocs_1, write_allocs_2,
         "per-eval allocation count of a warm write session must be constant"
+    );
+}
+
+/// Every proposal is an isotropic normal, so building one, drawing a sample
+/// and weighting it needs memory linear in the dimension: a few d-vectors,
+/// never a d×d covariance or factor (at 576-d one such matrix is 2.6 MB).
+#[test]
+fn isotropic_proposal_memory_is_linear_in_dimension() {
+    let _serial = serial();
+    let dim = 576;
+    let shift = Vector::filled(dim, 4.0 / 24.0);
+    let mut rng = RngStream::from_seed(576);
+
+    let (_, bytes, weight) = measured(|| {
+        let proposal = Proposal::defensive_mixture(shift, 0.1);
+        let z = proposal.sample(&mut rng);
+        proposal.importance_weight(&z)
+    });
+
+    assert!(weight.is_finite() && weight > 0.0);
+    let bound = 64 * dim as u64 * 8;
+    assert!(
+        bytes < bound,
+        "a {dim}-d defensive mixture requested {bytes} bytes, bound {bound}"
     );
 }
