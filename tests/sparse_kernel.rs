@@ -253,28 +253,17 @@ fn golden_metrics_and_gis_estimate_are_pinned() {
     assert_eq!(estimate, GIS_GOLDEN, "GIS estimate moved");
 }
 
-#[test]
-fn estimator_results_identical_across_kernels() {
-    // Driver-level: a fixed-seed analysis on the dense-kernel model must
-    // reproduce the sparse-kernel report bit for bit.
+/// Driver-level: a fixed-seed analysis of `metric` (registered as problem
+/// `label`, which seeds its runs) on the dense-kernel model must reproduce
+/// the sparse-kernel report bit for bit, estimator by estimator.
+fn assert_estimators_identical_across_kernels(metric: SramMetric, label: &str) {
     let run = |kernel: TransientKernel| {
-        let tb = SramTestbench::typical_45nm();
         let cell = SramCellConfig::typical_45nm();
-        let space = sram_highsigma::highsigma::default_sram_variation_space(
-            &cell,
-            &sram_highsigma::variation::PelgromModel::typical_45nm(),
-        );
-        let model = sram_highsigma::highsigma::SramTransientModel::new(
-            tb,
-            space,
-            SramMetric::ReadAccessTime,
-        )
-        .with_kernel(kernel);
+        let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
+        let model = SramTransientModel::new(SramTestbench::typical_45nm(), space, metric)
+            .with_kernel(kernel);
         let nominal = model.nominal_metric();
-        let problem = sram_highsigma::highsigma::FailureProblem::from_model(
-            model,
-            sram_highsigma::highsigma::Spec::UpperLimit(nominal * 1.3),
-        );
+        let problem = FailureProblem::from_model(model, Spec::UpperLimit(nominal * 1.3));
         YieldAnalysis::new()
             .master_seed(20180318)
             .convergence_policy(
@@ -282,7 +271,7 @@ fn estimator_results_identical_across_kernels() {
                     .target_relative_error(1e-12)
                     .min_failures(u64::MAX),
             )
-            .problem("read", problem)
+            .problem(label, problem)
             .estimators(standard_estimators())
             .run()
     };
@@ -303,6 +292,21 @@ fn estimator_results_identical_across_kernels() {
         );
         assert_eq!(s.outcome.result.evaluations, d.outcome.result.evaluations);
     }
+}
+
+#[test]
+fn estimator_results_identical_across_kernels() {
+    assert_estimators_identical_across_kernels(SramMetric::ReadAccessTime, "read");
+}
+
+/// The write twin of [`estimator_results_identical_across_kernels`]. The
+/// write transient runs its whole window on both kernels, so this takes about
+/// a minute in a debug build; run it in release with
+/// `cargo test --release --test sparse_kernel -- --ignored`.
+#[test]
+#[ignore = "slow in debug builds; run in release with --ignored"]
+fn write_estimator_results_identical_across_kernels() {
+    assert_estimators_identical_across_kernels(SramMetric::WriteDelay, "write");
 }
 
 #[test]
