@@ -28,10 +28,11 @@
 //! * `--warm-ab` — warm-vs-blind A/B mode: run a TT grid (5 supplies × 3
 //!   temperatures × all 5 estimators = 75 cells at the fast budget) once
 //!   blind and once in dependency-aware continuation mode, **assert** the
-//!   warm estimates agree with the blind ones within their 90% error bars,
-//!   and merge a `warm_vs_blind` block (`evals_saved`, `speedup_vs_blind`,
-//!   agreement counters) into `BENCH_evaluation.json`. Incompatible with
-//!   the checkpoint flags and `--connect`.
+//!   warm estimates agree with the blind ones within their 90% error bars
+//!   and that continuation saves evaluations, and write the measured block
+//!   (`evals_saved`, `speedup_vs_blind`, agreement counters) to
+//!   `results/warm_vs_blind.json`. Incompatible with the checkpoint flags and
+//!   `--connect`.
 //!
 //! The kill-and-resume smoke in CI is:
 //! `bench_sweep --fast --fresh --max-cells 7` (partial, "killed"), then
@@ -41,8 +42,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gis_bench::{
-    parse_flag_value, results_dir, submit_served_job, workspace_root, write_json_artifact,
-    MASTER_SEED,
+    parse_flag_value, results_dir, submit_served_job, write_json_artifact, MASTER_SEED,
 };
 use gis_core::sweep::clear_checkpoint;
 use gis_core::{
@@ -106,7 +106,7 @@ fn warm_ab_plan() -> SweepPlan {
         .temperatures([-40.0, 25.0, 125.0])
 }
 
-/// The `warm_vs_blind` block merged into `BENCH_evaluation.json`.
+/// The `results/warm_vs_blind.json` artifact of `--warm-ab`.
 #[derive(Debug, Serialize)]
 struct WarmVsBlindArtifact {
     master_seed: u64,
@@ -131,10 +131,8 @@ struct WarmVsBlindArtifact {
 
 /// Warm-vs-blind A/B mode: run the [`warm_ab_plan`] grid blind (the
 /// reproducibility reference) and warm (dependency-aware continuation),
-/// assert estimate agreement cell by cell, and merge the measured
-/// `evals_saved` / `speedup_vs_blind` block into `BENCH_evaluation.json`
-/// without disturbing the estimator-evaluation entries that
-/// `bench_evaluation` owns.
+/// assert estimate agreement cell by cell, and write the measured
+/// `evals_saved` / `speedup_vs_blind` block to `results/warm_vs_blind.json`.
 fn run_warm_ab(matrix: &ExecutionConfig) {
     let plan = warm_ab_plan();
     // A/B budget: 4x the fast sweep budget. At 2 000 the minimum-norm
@@ -231,31 +229,7 @@ fn run_warm_ab(matrix: &ExecutionConfig) {
         artifact.evals_saved,
         artifact.speedup_vs_blind
     );
-    merge_warm_vs_blind(&artifact);
-}
-
-/// Read-modify-write of `BENCH_evaluation.json`: replace or insert the
-/// `warm_vs_blind` key, preserving everything `bench_evaluation` wrote. If
-/// the file does not exist yet (A/B run before the evaluation bench), start
-/// from an empty object.
-fn merge_warm_vs_blind(artifact: &WarmVsBlindArtifact) {
-    let path = workspace_root().join("BENCH_evaluation.json");
-    let mut root = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str::<serde::Value>(&text)
-            .expect("BENCH_evaluation.json parses as JSON"),
-        Err(_) => serde::Value::Object(Vec::new()),
-    };
-    let serde::Value::Object(fields) = &mut root else {
-        panic!("BENCH_evaluation.json is not a JSON object");
-    };
-    let block = artifact.to_value();
-    match fields.iter_mut().find(|(key, _)| key == "warm_vs_blind") {
-        Some((_, value)) => *value = block,
-        None => fields.push(("warm_vs_blind".to_string(), block)),
-    }
-    let json = serde_json::to_string_pretty(&root).expect("merged report serializes");
-    std::fs::write(&path, json).expect("BENCH_evaluation.json is writable");
-    println!("warm_vs_blind block merged into {}", path.display());
+    write_json_artifact("warm_vs_blind", &artifact);
 }
 
 /// Thin-client mode: ship the sweep to a `gis-serve` daemon as a job. The

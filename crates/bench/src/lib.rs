@@ -2,11 +2,11 @@
 //! regenerate the tables and figures of the evaluation.
 //!
 //! Each table/figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see DESIGN.md for the index). The helpers here build the
-//! standard problems (read/write/disturb on the surrogate or the transient
-//! testbench), format comparison rows consistently, and dump machine-readable
-//! JSON next to the printed tables so EXPERIMENTS.md can reference stable
-//! artifacts.
+//! `src/bin/` (see the README section "Reproducing the paper's evaluation"
+//! for the index). The helpers here build the standard problems
+//! (read/write/disturb on the surrogate or the transient testbench), format
+//! comparison rows consistently, and dump machine-readable JSON next to the
+//! printed tables so the README can reference stable artifacts.
 
 // The workspace has zero unsafe code; lock that in per crate. (A crate
 // attribute rather than a workspace lint so the counting-allocator
@@ -125,22 +125,11 @@ pub fn surrogate_write_model() -> SramSurrogateModel {
 }
 
 /// Builds the default transient-simulation-backed model for `metric` on the
-/// sparse kernel. Harness code that *compares* kernels pins them explicitly
-/// via [`transient_model_with_kernel`].
+/// sparse kernel.
 pub fn transient_model(metric: SramMetric) -> SramTransientModel {
     let cell = SramCellConfig::typical_45nm();
     let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
     SramTransientModel::new(SramTestbench::typical_45nm(), space, metric)
-}
-
-/// Builds the default transient model on an explicit solver kernel — the
-/// dense variant backs the kernel-equivalence assertions of
-/// `bench_evaluation`.
-pub fn transient_model_with_kernel(
-    metric: SramMetric,
-    kernel: gis_core::TransientKernel,
-) -> SramTransientModel {
-    transient_model(metric).with_kernel(kernel)
 }
 
 /// Builds a failure problem whose spec is `spec_factor ×` the nominal metric of
@@ -194,37 +183,24 @@ pub fn print_analysis_report(report: &AnalysisReport) {
 }
 
 /// Resolves the workspace root (the directory holding the top-level
-/// `Cargo.toml` and `ROADMAP.md`), whether a binary is run from the root or
-/// from inside the crate. The `BENCH_*.json` harness artifacts anchor here.
+/// `Cargo.toml` and `ROADMAP.md`) regardless of the invoking cwd: this crate
+/// lives at `<workspace>/crates/bench`, so the root is two levels above the
+/// compile-time manifest dir. A binary moved away from its build tree falls
+/// back to the cwd. The `BENCH_*.json` harness artifacts and [`results_dir`]
+/// anchor here.
 pub fn workspace_root() -> PathBuf {
-    let candidates = [
-        Path::new(".").to_path_buf(),
-        Path::new("../..").to_path_buf(),
-    ];
-    for dir in candidates {
-        if dir.join("Cargo.toml").exists() && dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    if root.join("Cargo.toml").exists() {
+        root
+    } else {
+        Path::new(".").to_path_buf()
     }
-    Path::new(".").to_path_buf()
 }
 
-/// Resolves the results directory (creating it if needed), anchored at the
-/// workspace root regardless of the invoking cwd. The previous cwd-relative
-/// probing mis-resolved when `results/` did not exist yet: the first
-/// candidate's parent is the empty path (which never `exists()`), so the
-/// `../../` fallback fired even from the workspace root and escaped the
-/// repository.
+/// Resolves the results directory under [`workspace_root`], creating it if
+/// needed.
 pub fn results_dir() -> PathBuf {
-    // This crate lives at <workspace>/crates/bench, so the workspace root is
-    // two levels above the compile-time manifest dir.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let dir = if root.join("Cargo.toml").exists() {
-        root.join(RESULTS_DIR)
-    } else {
-        // The binary was moved away from its build tree: fall back to cwd.
-        Path::new(RESULTS_DIR).to_path_buf()
-    };
+    let dir = workspace_root().join(RESULTS_DIR);
     let _ = std::fs::create_dir_all(&dir);
     dir
 }

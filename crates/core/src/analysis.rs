@@ -71,7 +71,7 @@ use std::time::Instant;
 /// fixed configuration, so artifacts remain reproducible; runs at different
 /// thread counts produce artifacts differing in this one metadata field while
 /// every statistical field stays byte-identical. Timing artifacts belong to
-/// the perf harness (`bench_evaluation`), which records wall-clock through
+/// the repository benchmark (`perfbench`), which records wall-clock through
 /// its own schema.
 #[derive(Debug, Clone)]
 pub struct ComparisonRow {
