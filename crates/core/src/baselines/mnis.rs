@@ -129,7 +129,6 @@ impl MinimumNormIs {
     /// Derivative-free search with each presampling cloud evaluated as one
     /// batch on `exec`. The minimum-norm selection and the radial bisection
     /// reduce sequentially, so the outcome is identical at any thread count.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     fn search_on(
         &self,
         problem: &FailureProblem,
@@ -166,25 +165,7 @@ impl MinimumNormIs {
         }
 
         let (center, found_failure) = match best {
-            Some(mut z) => {
-                // Radial bisection towards the origin: find the smallest radius
-                // along this direction that still fails (assumes radial
-                // monotonicity, the standard MNIS assumption).
-                let direction = z.normalized().expect("failing point is non-zero");
-                let mut hi = z.norm();
-                let mut lo = 0.0;
-                for _ in 0..self.config.bisection_steps {
-                    let mid = 0.5 * (lo + hi);
-                    let candidate = direction.scaled(mid);
-                    if problem.is_failure(&candidate) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                z = direction.scaled(hi);
-                (z, true)
-            }
+            Some(z) => (self.bisect_radially(problem, &z), true),
             None => (Vector::zeros(dim), false),
         };
 
@@ -196,6 +177,25 @@ impl MinimumNormIs {
         }
     }
 
+    /// Radial bisection from the failing point `z` towards the origin: the
+    /// smallest radius along `z`'s direction that still fails (assumes radial
+    /// monotonicity, the standard MNIS assumption).
+    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    fn bisect_radially(&self, problem: &FailureProblem, z: &Vector) -> Vector {
+        let direction = z.normalized().expect("failing point is non-zero");
+        let mut hi = z.norm();
+        let mut lo = 0.0;
+        for _ in 0..self.config.bisection_steps {
+            let mid = 0.5 * (lo + hi);
+            if problem.is_failure(&direction.scaled(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        direction.scaled(hi)
+    }
+
     /// Warm search seeded at a neighbor's minimum-norm failing point: probe
     /// the hinted point (and a few outward inflations of it, in case this
     /// cell's boundary sits further out), then run the usual radial bisection
@@ -203,7 +203,6 @@ impl MinimumNormIs {
     /// where almost all of MNIS's warm-start evaluation savings come from. If
     /// no inflation of the hint fails, the hint is useless here and the
     /// search falls back to the full blind path.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     fn search_warm_on(
         &self,
         problem: &FailureProblem,
@@ -231,19 +230,7 @@ impl MinimumNormIs {
             return blind;
         };
 
-        let direction = z.normalized().expect("failing point is non-zero");
-        let mut hi = z.norm();
-        let mut lo = 0.0;
-        for _ in 0..self.config.bisection_steps {
-            let mid = 0.5 * (lo + hi);
-            let candidate = direction.scaled(mid);
-            if problem.is_failure(&candidate) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let center = direction.scaled(hi);
+        let center = self.bisect_radially(problem, &z);
         MnisSearchOutcome {
             beta: center.norm(),
             center,

@@ -225,7 +225,10 @@ impl GradientMpfpSearch {
                 evaluations: problem.evaluations() - start_evals,
             });
 
-            if gradient_norm < 1e-12 {
+            // Relative to the margin, so the test is as scale-free as the
+            // HL–RF step itself: metrics in seconds have gradients far below
+            // any absolute threshold. An infinite margin always plateaus.
+            if !(gradient_norm > 1e-12 * margin.abs()) {
                 // Plateau (deep inside a censored region or a totally flat
                 // passing region): take a random unit step to regain slope.
                 let direction = gis_stats::uniform_on_sphere(rng, dim);

@@ -146,11 +146,12 @@ impl PerformanceModel for SramSurrogateModel {
 /// treats a sample whose simulation dies.
 ///
 /// The read access time stops each transient at its sense event (see
-/// [`gis_sram::ReadSession::access_time`]); the value keeps its bits, but a
-/// sample whose transient would stop converging only *after* it senses now
-/// reports its access time instead of `f64::INFINITY`. The dense kernel runs
+/// [`gis_sram::testbench::Session::access_time`]); the value keeps its bits,
+/// but a sample whose transient would stop converging only *after* it senses
+/// now reports its access time instead of `f64::INFINITY`. The dense kernel runs
 /// the whole window, as the reference. Read disturb and write delay always
-/// run the whole window.
+/// run the whole window. The session makes the kernel choice in one place;
+/// [`SramTransientModel::with_kernel`] only hands it the selector.
 #[derive(Debug, Clone)]
 pub struct SramTransientModel {
     testbench: SramTestbench,
@@ -219,19 +220,20 @@ impl PerformanceModel for SramTransientModel {
         self.evaluate_batch(std::slice::from_ref(z))[0]
     }
 
-    /// Batched transient evaluation: one [`gis_sram::ReadSession`] /
-    /// [`gis_sram::WriteSession`] is built per batch, hoisting the netlist
-    /// construction and solver setup out of the per-point loop; each point then
-    /// only injects its six threshold shifts and solves the transient. The
-    /// executor calls this once per work chunk, so batches evaluate
-    /// concurrently on worker threads; failed points — rejected shifts or
-    /// non-converging transients — evaluate to `f64::INFINITY` individually.
+    /// Batched transient evaluation: one [`gis_sram::testbench::Session`] (a
+    /// [`gis_sram::ReadSession`] or [`gis_sram::WriteSession`] on this model's
+    /// kernel) is built per batch, hoisting the netlist construction and
+    /// solver setup out of the per-point loop; each point then only injects
+    /// its six threshold shifts and solves the transient. The executor calls
+    /// this once per work chunk, so batches evaluate concurrently on worker
+    /// threads; failed points — rejected shifts or non-converging transients
+    /// — evaluate to `f64::INFINITY` individually.
     ///
-    /// The read access time goes through [`gis_sram::ReadSession::access_time`],
-    /// which stops each transient at its sense event with the same bits as
-    /// the full window. The read-disturb peak is a maximum over the whole
-    /// window and the write delay reads the latched state at its end, so both
-    /// run the full window.
+    /// The read access time goes through
+    /// [`gis_sram::testbench::Session::access_time`], which stops each
+    /// transient at its sense event with the same bits as the full window.
+    /// The read-disturb peak is a maximum over the whole window and the write
+    /// delay reads the latched state at its end, so both run the full window.
     fn evaluate_batch(&self, points: &[Vector]) -> Vec<f64> {
         let deltas: Vec<Vector> = points
             .iter()

@@ -12,12 +12,18 @@
 //!    elimination along the expected (diagonal) pivot order.
 //! 2. **Numeric refactorization** ([`SparseLu::factorize`]) reuses the plan:
 //!    assembly writes straight into the factor workspace through the stamp
-//!    pattern ([`SparseLu::add_at`]), and elimination and the triangular
-//!    solves iterate only over the per-row fill pattern. When partial
-//!    pivoting deviates from the predicted order, the plan **grows** to cover
-//!    the new fill — an amortized cost: the first factorization of a topology
-//!    warms the plan, and every subsequent refactorization of the warmed plan
-//!    performs zero heap allocations.
+//!    pattern ([`SparseLu::add_at`]). The first factorization walks the
+//!    per-row fill pattern and **records** what it did as a straight-line
+//!    program: pivot-scan windows, multiplier slots, update pairs and the
+//!    triangular-solve schedule, every slot address resolved. Every later
+//!    factorization **replays** that program, and [`SparseLu::solve`] always
+//!    runs its recorded substitutions. A replay checks each step's pivot
+//!    against the recorded one; when partial pivoting deviates, it keeps the
+//!    validated prefix, grows the plan to cover the new fill and re-records
+//!    the rest. That is the factor-once, refactor-many design of KLU (Davis &
+//!    Palamadai Natarajan, ACM TOMS 2010). Growth is an amortized cost: once
+//!    a topology's plan is warm, refactorization performs zero heap
+//!    allocations.
 //!
 //! # Bit-exact equivalence with the dense kernel
 //!
@@ -45,9 +51,10 @@
 //! workspace keeps each row as a dense stride — scatter/gather indexing would
 //! cost more than it saves at this size — while *iteration* is driven
 //! exclusively by the per-row fill pattern (sorted column lists mirrored as
-//! bitmasks). Rows are never physically moved on pivoting; a position→row
-//! indirection plays the role of the dense kernel's row swaps, which keeps
-//! each row's fill pattern attached to its storage.
+//! bitmasks of `⌈n/64⌉` words per row, so every size takes the same path).
+//! Rows are never physically moved on pivoting; a position→row indirection
+//! plays the role of the dense kernel's row swaps, which keeps each row's
+//! fill pattern attached to its storage.
 //!
 //! # Example
 //!
@@ -182,6 +189,21 @@ fn set_bit(words: &mut [u64], col: usize) {
     words[col / 64] |= 1u64 << (col % 64);
 }
 
+/// Writes the columns of `row` strictly right of `k` into `upper`: the part
+/// of pivot row `k` that every row eliminated at step `k` absorbs.
+fn mask_right_of(row: &[u64], k: usize, upper: &mut [u64]) {
+    upper.copy_from_slice(row);
+    for (word_index, word) in upper.iter_mut().enumerate() {
+        let base = word_index * 64;
+        if base + 63 <= k {
+            *word = 0;
+        } else if base <= k {
+            let keep_from = k - base + 1; // 1..=63
+            *word &= !((1u64 << keep_from) - 1);
+        }
+    }
+}
+
 /// The reusable symbolic plan: the assembly (stamp) pattern plus a per-row
 /// fill pattern.
 ///
@@ -234,18 +256,11 @@ impl SymbolicLu {
         // so one ascending pass is complete.
         let mut upper = vec![0u64; words_per_row];
         for k in 0..n {
-            let pivot_row = &fill_mask[k * words_per_row..(k + 1) * words_per_row];
-            // upper = pattern(pivot row) ∩ {cols > k}
-            upper.copy_from_slice(pivot_row);
-            for (word_index, word) in upper.iter_mut().enumerate() {
-                let base = word_index * 64;
-                if base + 63 <= k {
-                    *word = 0;
-                } else if base <= k {
-                    let keep_from = k - base + 1; // 1..=63
-                    *word &= !((1u64 << keep_from) - 1);
-                }
-            }
+            mask_right_of(
+                &fill_mask[k * words_per_row..(k + 1) * words_per_row],
+                k,
+                &mut upper,
+            );
             for r in (k + 1)..n {
                 let row = &mut fill_mask[r * words_per_row..(r + 1) * words_per_row];
                 if bit_is_set(row, k) {
@@ -388,13 +403,16 @@ pub struct SparseLu {
     /// Scratch mask for the pivot row's right-of-k columns.
     upper: Vec<u64>,
     permutation_sign: f64,
+    /// Set by a successful [`SparseLu::factorize`], which always leaves a
+    /// recorded program behind; [`SparseLu::solve`] runs only that program.
     factored: bool,
-    /// Straight-line elimination program recorded by the first
-    /// factorization (KLU-style refactor): every slot address resolved, no
-    /// searches or mask tests left. Replay guards each step's pivot choice
-    /// against the recorded one and falls back to the recording path when
-    /// numeric pivoting deviates, so results stay bit-identical.
+    /// Straight-line elimination and solve program (KLU-style refactor):
+    /// every slot address resolved, no searches or mask tests left. The
+    /// first factorization records it; later ones replay it, guarding each
+    /// step's pivot choice against the recorded one and re-recording from
+    /// the first deviating step, so results stay bit-identical.
     program: EliminationProgram,
+    /// Whether `program` holds a complete recording to replay.
     has_program: bool,
 }
 
@@ -545,6 +563,7 @@ impl SparseLu {
     /// relative to the largest assembled magnitude.
     /// gis-analyze: no_alloc
     pub fn factorize(&mut self) -> Result<()> {
+        self.factored = false;
         for (pos, r) in self.row_at.iter_mut().enumerate() {
             *r = pos as u32;
         }
@@ -571,17 +590,13 @@ impl SparseLu {
         }
         let scale = m0.max(m1).max(m2).max(m3).max(1.0);
 
-        if self.symbolic.words_per_row == 1 {
-            if self.has_program {
-                self.replay(scale)
-            } else {
-                self.program.clear();
-                let outcome = self.record_from(0, scale);
-                self.has_program = outcome.is_ok();
-                outcome
-            }
+        if self.has_program {
+            self.replay(scale)
         } else {
-            self.factorize_general(scale)
+            self.program.clear();
+            let outcome = self.record_from(0, scale);
+            self.has_program = outcome.is_ok();
+            outcome
         }
     }
 
@@ -656,10 +671,9 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Elimination for `n <= 64` starting at step `k0`, recording the
-    /// schedule into the program buffers as it goes. Row masks are single
-    /// machine words on this path, so membership and coverage tests are one
-    /// AND each.
+    /// Elimination starting at step `k0`, recording the schedule into the
+    /// program buffers as it goes, and then the triangular-solve schedule of
+    /// the resulting pivot sequence.
     fn record_from(&mut self, k0: usize, scale: f64) -> Result<()> {
         let n = self.symbolic.n;
         for k in k0..n {
@@ -695,9 +709,7 @@ impl SparseLu {
             let pr = self.row_at[k] as usize;
             let pr_off = pr * n;
             let pivot = self.work[pr_off + k];
-            // Pivot-row columns strictly right of k, as a mask.
-            let upper: u64 = self.symbolic.fill_mask[pr] & !(u64::MAX >> (63 - k));
-            let col_k_bit: u64 = 1u64 << k;
+            mask_right_of(self.symbolic.fill_row_mask(pr), k, &mut self.upper);
 
             self.program
                 .factor_off
@@ -710,7 +722,7 @@ impl SparseLu {
                 // A row without column k in its fill pattern holds an exact
                 // structural zero there: the dense kernel computes multiplier
                 // 0.0 and skips the update, leaving the row untouched.
-                if self.symbolic.fill_mask[r] & col_k_bit == 0 {
+                if !bit_is_set(self.symbolic.fill_row_mask(r), k) {
                     continue;
                 }
                 ncand += 1;
@@ -720,43 +732,24 @@ impl SparseLu {
                 self.program.factor_ops.push((r_off + k) as u32);
                 let npairs_index = self.program.factor_ops.len();
                 self.program.factor_ops.push(0);
+                // If pivoting deviated from the symbolic prediction, grow the
+                // row's fill pattern (cold; the plan stays warm afterwards).
+                self.symbolic.absorb(r, &self.upper);
                 // The pair list is structural: it is recorded whether or not
                 // this multiplier happens to be zero right now.
-                if upper & !self.symbolic.fill_mask[r] != 0 {
-                    // Pivoting deviated from the symbolic prediction: grow
-                    // the row's fill pattern (cold; the plan stays warm
-                    // afterwards).
-                    self.upper[0] = upper;
-                    let upper_buf = std::mem::take(&mut self.upper);
-                    self.symbolic.absorb(r, &upper_buf);
-                    self.upper = upper_buf;
-                }
-                let mut npairs = 0u32;
-                // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
-                if multiplier != 0.0 {
-                    for &j in &self.symbolic.fill_cols[pr] {
-                        let j = j as usize;
-                        if j <= k {
-                            continue;
-                        }
+                let pivot_cols = &self.symbolic.fill_cols[pr];
+                let right_of_k = pivot_cols.partition_point(|&c| c as usize <= k);
+                for &j in &pivot_cols[right_of_k..] {
+                    let j = j as usize;
+                    // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
+                    if multiplier != 0.0 {
                         let delta = multiplier * self.work[pr_off + j];
                         self.work[r_off + j] -= delta;
-                        self.program.factor_ops.push((r_off + j) as u32);
-                        self.program.factor_ops.push((pr_off + j) as u32);
-                        npairs += 1;
                     }
-                } else {
-                    for &j in &self.symbolic.fill_cols[pr] {
-                        let j = j as usize;
-                        if j <= k {
-                            continue;
-                        }
-                        self.program.factor_ops.push((r * n + j) as u32);
-                        self.program.factor_ops.push((pr_off + j) as u32);
-                        npairs += 1;
-                    }
+                    self.program.factor_ops.push((r_off + j) as u32);
+                    self.program.factor_ops.push((pr_off + j) as u32);
                 }
-                self.program.factor_ops[npairs_index] = npairs;
+                self.program.factor_ops[npairs_index] = (pivot_cols.len() - right_of_k) as u32;
             }
             self.program.factor_ops[ncand_index] = ncand;
         }
@@ -804,80 +797,18 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Generic-width elimination for `n > 64` (multi-word row masks).
-    fn factorize_general(&mut self, scale: f64) -> Result<()> {
-        let n = self.symbolic.n;
-        for k in 0..n {
-            let mut pivot_pos = k;
-            let mut pivot_value = self.work[self.row_at[k] as usize * n + k].abs();
-            for pos in (k + 1)..n {
-                let v = self.work[self.row_at[pos] as usize * n + k].abs();
-                if v > pivot_value {
-                    pivot_value = v;
-                    pivot_pos = pos;
-                }
-            }
-            if pivot_value < SINGULARITY_TOLERANCE * scale {
-                return Err(LinalgError::Singular {
-                    pivot: k,
-                    value: pivot_value,
-                });
-            }
-            if pivot_pos != k {
-                self.row_at.swap(k, pivot_pos);
-                self.permutation_sign = -self.permutation_sign;
-            }
-            let pr = self.row_at[k] as usize;
-            let pivot = self.work[pr * n + k];
-
-            // upper = pattern(pivot row) ∩ {cols > k}, for fill propagation.
-            self.upper.copy_from_slice(self.symbolic.fill_row_mask(pr));
-            for (word_index, word) in self.upper.iter_mut().enumerate() {
-                let base = word_index * 64;
-                if base + 63 <= k {
-                    *word = 0;
-                } else if base <= k {
-                    let keep_from = k - base + 1; // 1..=63
-                    *word &= !((1u64 << keep_from) - 1);
-                }
-            }
-
-            for pos in (k + 1)..n {
-                let r = self.row_at[pos] as usize;
-                if !bit_is_set(self.symbolic.fill_row_mask(r), k) {
-                    continue;
-                }
-                let multiplier = self.work[r * n + k] / pivot;
-                self.work[r * n + k] = multiplier;
-                // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
-                if multiplier != 0.0 {
-                    self.symbolic.absorb(r, &self.upper);
-                    let pivot_cols = &self.symbolic.fill_cols[pr];
-                    let start = pivot_cols.partition_point(|&c| (c as usize) <= k);
-                    for &j in &pivot_cols[start..] {
-                        let j = j as usize;
-                        let delta = multiplier * self.work[pr * n + j];
-                        self.work[r * n + j] -= delta;
-                    }
-                }
-            }
-        }
-        self.factored = true;
-        Ok(())
-    }
-
     /// Solves `A x = b` with the current factors, writing into `x`.
     ///
-    /// The triangular substitutions iterate each row's fill pattern in the
-    /// same ascending order as the dense kernel's full-column loops; skipped
-    /// slots are exact zeros, so the solution is bit-identical to
+    /// The recorded substitutions walk each row's fill pattern in the same
+    /// ascending order as the dense kernel's full-column loops; skipped slots
+    /// are exact zeros, so the solution is bit-identical to
     /// [`crate::LuDecomposition::solve`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b`/`x` have the wrong
-    /// length, or [`LinalgError::InvalidArgument`] if [`SparseLu::factorize`]
-    /// has not succeeded since the last [`SparseLu::clear`].
+    /// length, or [`LinalgError::InvalidArgument`] unless the last
+    /// [`SparseLu::factorize`] since the last [`SparseLu::clear`] succeeded.
     /// gis-analyze: no_alloc
     pub fn solve(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
         let n = self.symbolic.n;
@@ -893,76 +824,39 @@ impl SparseLu {
                 "sparse LU must be factorized before solving".to_string(),
             ));
         }
-        if self.has_program {
-            // Straight-line replay of the recorded substitution schedule:
-            // the same operations as the generic loops below, with every
-            // slot/index pre-resolved.
-            for (pos, &r) in self.program.perm.iter().enumerate() {
-                x[pos] = b[r as usize];
-            }
-            let mut cursor = 0usize;
-            let ops = &self.program.fwd_ops;
-            for xi in 1..n {
-                let cnt = ops[cursor] as usize;
-                cursor += 1;
-                let mut acc = x[xi];
-                for _ in 0..cnt {
-                    let slot = ops[cursor] as usize;
-                    let j = ops[cursor + 1] as usize;
-                    cursor += 2;
-                    acc -= self.work[slot] * x[j];
-                }
-                x[xi] = acc;
-            }
-            let mut cursor = 0usize;
-            let ops = &self.program.bwd_ops;
-            for xi in (0..n).rev() {
-                let diag = ops[cursor] as usize;
-                let cnt = ops[cursor + 1] as usize;
-                cursor += 2;
-                let mut acc = x[xi];
-                for _ in 0..cnt {
-                    let slot = ops[cursor] as usize;
-                    let j = ops[cursor + 1] as usize;
-                    cursor += 2;
-                    acc -= self.work[slot] * x[j];
-                }
-                x[xi] = acc / self.work[diag];
-            }
-            return Ok(());
-        }
-        // Apply the permutation: x = P b.
-        for (pos, &r) in self.row_at.iter().enumerate() {
+        // Apply the permutation, x = P b, then forward substitution with
+        // unit-diagonal L and backward substitution with U.
+        for (pos, &r) in self.program.perm.iter().enumerate() {
             x[pos] = b[r as usize];
         }
-        // Forward substitution with unit-diagonal L (each row's pattern is
-        // sorted, so the sub-diagonal prefix ends at the first col >= i).
-        for i in 1..n {
-            let r = self.row_at[i] as usize;
-            let row = &self.work[r * n..(r + 1) * n];
-            let mut acc = x[i];
-            for &j in &self.symbolic.fill_cols[r] {
-                let j = j as usize;
-                if j >= i {
-                    break;
-                }
-                acc -= row[j] * x[j];
+        let mut cursor = 0usize;
+        let ops = &self.program.fwd_ops;
+        for xi in 1..n {
+            let cnt = ops[cursor] as usize;
+            cursor += 1;
+            let mut acc = x[xi];
+            for _ in 0..cnt {
+                let slot = ops[cursor] as usize;
+                let j = ops[cursor + 1] as usize;
+                cursor += 2;
+                acc -= self.work[slot] * x[j];
             }
-            x[i] = acc;
+            x[xi] = acc;
         }
-        // Backward substitution with U.
-        for i in (0..n).rev() {
-            let r = self.row_at[i] as usize;
-            let row = &self.work[r * n..(r + 1) * n];
-            let mut acc = x[i];
-            for &j in &self.symbolic.fill_cols[r] {
-                let j = j as usize;
-                if j <= i {
-                    continue;
-                }
-                acc -= row[j] * x[j];
+        let mut cursor = 0usize;
+        let ops = &self.program.bwd_ops;
+        for xi in (0..n).rev() {
+            let diag = ops[cursor] as usize;
+            let cnt = ops[cursor + 1] as usize;
+            cursor += 2;
+            let mut acc = x[xi];
+            for _ in 0..cnt {
+                let slot = ops[cursor] as usize;
+                let j = ops[cursor + 1] as usize;
+                cursor += 2;
+                acc -= self.work[slot] * x[j];
             }
-            x[i] = acc / row[i];
+            x[xi] = acc / self.work[diag];
         }
         Ok(())
     }
@@ -1119,7 +1013,49 @@ mod tests {
             sparse.factorize().unwrap();
             let b: Vector = (0..n).map(|i| (i as f64).cos() * 2.0 + 0.5).collect();
             assert_solutions_bit_identical(&dense, &sparse, &b);
+            if n == 70 {
+                assert_multi_word_refactorizations_bit_identical(&pattern, &dense, sparse, &b);
+            }
         }
+    }
+
+    /// Refactors an `n > 64` plan three more times: rescaled (a pure replay),
+    /// with a pivot flip (the replay deviates, the plan grows across both
+    /// mask words and the rest is re-recorded), and back to the original
+    /// (another deviation). Each is checked against [`LuDecomposition`].
+    fn assert_multi_word_refactorizations_bit_identical(
+        pattern: &SparsityPattern,
+        dense: &Matrix,
+        mut sparse: SparseLu,
+        b: &Vector,
+    ) {
+        let n = pattern.n();
+        let rescaled = dense.scaled(3.0);
+        // The last row's first sub-diagonal entry, made dominant, wins the
+        // pivot scan of its column: no earlier step updates it, and the
+        // diagonal entries are about n.
+        let (r, c) = (0..n)
+            .rev()
+            .find_map(|r| {
+                let c = *pattern.row_cols(r).first()? as usize;
+                (c < r).then_some((r, c))
+            })
+            .unwrap();
+        assert!(r >= 64, "the flipped pivot row spans both mask words");
+        let mut flipped = dense.clone();
+        flipped[(r, c)] = 1e3;
+
+        let fill_before = sparse.symbolic().fill_nnz();
+        for (matrix, pivot_row) in [(&rescaled, c), (&flipped, r), (dense, c)] {
+            stamp_from_dense(&mut sparse, pattern, matrix);
+            sparse.factorize().unwrap();
+            assert_eq!(sparse.row_at[c] as usize, pivot_row);
+            assert_solutions_bit_identical(matrix, &sparse, b);
+        }
+        assert!(
+            sparse.symbolic().fill_nnz() > fill_before,
+            "the flip grew the plan"
+        );
     }
 
     #[test]

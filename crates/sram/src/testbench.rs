@@ -20,37 +20,40 @@
 //! # Batched evaluation
 //!
 //! Statistical extraction runs these transients millions of times with only
-//! the six threshold voltages changing between samples. [`ReadSession`] and
-//! [`WriteSession`] hoist everything else — netlist construction, node lookup,
-//! initial conditions, integration config — out of the per-sample loop: a
-//! session is built once, and each [`ReadSession::run`] injects the sample's
-//! ΔV_T values into the prebuilt netlist before solving the transient. The
+//! the six threshold voltages changing between samples. A [`Session`] hoists
+//! everything else — netlist construction, node lookup, initial conditions,
+//! integration config — out of the per-sample loop: a session is built once,
+//! and each [`Session::run`] injects the sample's ΔV_T values into the
+//! prebuilt netlist before solving the transient. [`ReadSession`] and
+//! [`WriteSession`] are the two kinds; one builder makes both netlists, and
+//! one private solve step injects the shifts and picks the kernel. The
 //! scalar [`SramTestbench::read`]/[`SramTestbench::write`] entry points are
 //! thin wrappers over a fresh session, so both paths produce bit-identical
-//! metrics. [`ReadSession::run_batch`]/[`WriteSession::run_batch`] run the
-//! samples one after another on the session's workspace.
+//! metrics. [`Session::run_batch`] runs the samples one after another on the
+//! session's workspace.
 //!
-//! Only the read access time stops early. [`ReadSession::access_time`] ends
-//! the transient at the first recorded point where the bitline has crossed
-//! the sense level after the wordline's half-rise, as SPICE's auto-stop ends
-//! a run once its last `.measure` is taken; a nominal read needs about 35 of
+//! Only the read access time stops early. [`Session::access_time`] ends the
+//! transient at the first recorded point where the bitline has crossed the
+//! sense level after the wordline's half-rise, as SPICE's auto-stop ends a
+//! run once its last `.measure` is taken; a nominal read needs about 35 of
 //! the window's 501 points. The result is exact: every point up to the stop
 //! is computed as in the full window, the stop test and the measurement use
 //! the same per-segment crossing ([`gis_circuit::segment_crossing`]), and the
 //! stopped prefix therefore holds the same first crossings. A read that
 //! never senses runs the whole window and is censored as usual. One edge
 //! differs: a transient that would stop converging only *after* its sense
-//! event used to fail and now reports its access time. [`ReadSession::run`],
-//! the disturb peak (a maximum over the whole window) and the write delay
-//! (which reads the latched state at the window's end) always run the whole
-//! window, and so does the dense reference kernel.
+//! event used to fail and now reports its access time. [`Session::run`]
+//! passes a stop test that never fires, so it, the disturb peak (a maximum
+//! over the whole window) and the write delay (which reads the latched state
+//! at the window's end) always run the whole window, and so does the dense
+//! reference kernel.
 
 use crate::cell::{build_6t_cell, CellNodes, CellTransistor, SramCellConfig};
 use crate::error::SramError;
 use gis_circuit::{
-    segment_crossing, transient_analysis_dense, transient_analysis_until, transient_analysis_with,
-    Circuit, CircuitError, CrossingDirection, Device, MosfetParams, SimulationWorkspace,
-    SourceWaveform, TransientConfig, TransientKernel, TransientResult,
+    segment_crossing, transient_analysis_dense, transient_analysis_until, Circuit, CircuitError,
+    CrossingDirection, Device, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig,
+    TransientKernel, TransientResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -219,63 +222,14 @@ impl SramTestbench {
 
     /// Builds a reusable read-transient session: the netlist, initial
     /// conditions and integration config are constructed once; each
-    /// [`ReadSession::run`] only injects the sample's threshold shifts.
+    /// [`Session::run`] only injects the sample's threshold shifts.
     ///
     /// # Errors
     ///
     /// Returns [`SramError::Circuit`] if the nominal netlist cannot be built.
     pub fn read_session(&self) -> Result<ReadSession, SramError> {
-        let vdd = self.cell.vdd;
-        let mut ckt = Circuit::new();
-        let nodes = build_6t_cell(&mut ckt, &self.cell, &[0.0; 6])?;
-        ckt.add_voltage_source(
-            "V_VDD",
-            nodes.vdd,
-            Circuit::ground(),
-            SourceWaveform::dc(vdd),
-        );
-        ckt.add_voltage_source(
-            "V_WL",
-            nodes.wordline,
-            Circuit::ground(),
-            self.wordline_waveform(),
-        );
-        // Floating, precharged bitlines.
-        ckt.add_capacitor(
-            "C_BL",
-            nodes.bitline,
-            Circuit::ground(),
-            self.cell.bitline_capacitance,
-        )?;
-        ckt.add_capacitor(
-            "C_BLB",
-            nodes.bitline_bar,
-            Circuit::ground(),
-            self.cell.bitline_capacitance,
-        )?;
-
-        // Initial conditions: Q = 0 / QB = VDD, bitlines precharged, wordline low.
-        let mut ic = vec![0.0; ckt.num_nodes()];
-        ic[nodes.vdd] = vdd;
-        ic[nodes.wordline] = 0.0;
-        ic[nodes.bitline] = vdd;
-        ic[nodes.bitline_bar] = vdd;
-        ic[nodes.q] = 0.0;
-        ic[nodes.q_bar] = vdd;
-
-        let config = TransientConfig::new(self.timing.stop_time, self.timing.time_step)
-            .with_initial_conditions(ic);
-        let cell = CellParameterInjector::new(&ckt, &self.cell);
-        Ok(ReadSession {
-            circuit: ckt,
-            nodes,
-            cell,
-            config,
-            vdd,
-            sense_level: vdd - self.timing.sense_margin,
-            kernel: TransientKernel::Sparse,
-            workspace: SimulationWorkspace::new(),
-        })
+        let sense_level = self.cell.vdd - self.timing.sense_margin;
+        self.session(ReadBench { sense_level }, false)
     }
 
     /// Builds a reusable write-transient session (see
@@ -285,6 +239,15 @@ impl SramTestbench {
     ///
     /// Returns [`SramError::Circuit`] if the nominal netlist cannot be built.
     pub fn write_session(&self) -> Result<WriteSession, SramError> {
+        self.session(WriteBench, true)
+    }
+
+    /// Builds the nominal netlist, initial conditions and config of one
+    /// session: the cell, `V_VDD` and `V_WL`, then the bitlines. A read
+    /// leaves them floating on `C_BL`/`C_BLB`, precharged to VDD, with the
+    /// cell storing `Q = 0`. A write holds them with the drivers
+    /// `V_BL`/`V_BLB` at the opposite data, with the cell storing `Q = 1`.
+    fn session<B: Bench>(&self, bench: B, write: bool) -> Result<Session<B>, SramError> {
         let vdd = self.cell.vdd;
         let mut ckt = Circuit::new();
         let nodes = build_6t_cell(&mut ckt, &self.cell, &[0.0; 6])?;
@@ -300,33 +263,33 @@ impl SramTestbench {
             Circuit::ground(),
             self.wordline_waveform(),
         );
-        // Write drivers hold the bitlines at the target data.
-        ckt.add_voltage_source(
-            "V_BL",
-            nodes.bitline,
-            Circuit::ground(),
-            SourceWaveform::dc(0.0),
-        );
-        ckt.add_voltage_source(
-            "V_BLB",
-            nodes.bitline_bar,
-            Circuit::ground(),
-            SourceWaveform::dc(vdd),
-        );
+        let (bitline, q, q_bar) = if write {
+            for (name, node, level) in [
+                ("V_BL", nodes.bitline, 0.0),
+                ("V_BLB", nodes.bitline_bar, vdd),
+            ] {
+                ckt.add_voltage_source(name, node, Circuit::ground(), SourceWaveform::dc(level));
+            }
+            (0.0, vdd, 0.0)
+        } else {
+            for (name, node) in [("C_BL", nodes.bitline), ("C_BLB", nodes.bitline_bar)] {
+                ckt.add_capacitor(name, node, Circuit::ground(), self.cell.bitline_capacitance)?;
+            }
+            (vdd, 0.0, vdd)
+        };
 
-        // Initial conditions: Q = VDD / QB = 0, wordline low.
+        // The wordline starts low and BLB at VDD in both testbenches.
         let mut ic = vec![0.0; ckt.num_nodes()];
         ic[nodes.vdd] = vdd;
-        ic[nodes.wordline] = 0.0;
-        ic[nodes.bitline] = 0.0;
+        ic[nodes.bitline] = bitline;
         ic[nodes.bitline_bar] = vdd;
-        ic[nodes.q] = vdd;
-        ic[nodes.q_bar] = 0.0;
+        ic[nodes.q] = q;
+        ic[nodes.q_bar] = q_bar;
 
         let config = TransientConfig::new(self.timing.stop_time, self.timing.time_step)
             .with_initial_conditions(ic);
         let cell = CellParameterInjector::new(&ckt, &self.cell);
-        Ok(WriteSession {
+        Ok(Session {
             circuit: ckt,
             nodes,
             cell,
@@ -334,6 +297,7 @@ impl SramTestbench {
             vdd,
             kernel: TransientKernel::Sparse,
             workspace: SimulationWorkspace::new(),
+            bench,
         })
     }
 }
@@ -395,31 +359,69 @@ impl CellParameterInjector {
     }
 }
 
-/// A reusable read-access transient with the netlist built once.
+/// A reusable transient of one testbench with the netlist built once: a
+/// [`ReadSession`] or a [`WriteSession`].
 ///
-/// Produced by [`SramTestbench::read_session`]. Each [`ReadSession::run`] is
-/// bit-identical to [`SramTestbench::read`] for the same ΔV_T vector. The
-/// session owns a [`SimulationWorkspace`], so the sparse kernel's symbolic
-/// plan and numeric buffers are shared by every sample of a batch; metric
-/// extraction measures zero-copy [`gis_circuit::WaveformView`]s.
+/// Produced by [`SramTestbench::read_session`] and
+/// [`SramTestbench::write_session`]. Each [`Session::run`] is bit-identical
+/// to [`SramTestbench::read`] or [`SramTestbench::write`] for the same ΔV_T
+/// vector. The session owns a [`SimulationWorkspace`], so the sparse
+/// kernel's symbolic plan and numeric buffers are shared by every sample of
+/// a batch; metric extraction measures zero-copy
+/// [`gis_circuit::WaveformView`]s.
 ///
-/// [`ReadSession::access_time`] is the fast path for the access time alone:
-/// it stops the transient at the sense event and returns the same bits as
-/// `run(..)?.access_time`, except that a transient failing only after it
-/// sensed reports its access time instead of an error.
+/// [`Session::access_time`] is the read's fast path for the access time
+/// alone: it stops the transient at the sense event and returns the same
+/// bits as `run(..)?.access_time`, except that a transient failing only
+/// after it sensed reports its access time instead of an error.
 #[derive(Debug, Clone)]
-pub struct ReadSession {
+pub struct Session<B> {
     circuit: Circuit,
     nodes: CellNodes,
     cell: CellParameterInjector,
     config: TransientConfig,
     vdd: f64,
-    sense_level: f64,
     kernel: TransientKernel,
     workspace: SimulationWorkspace,
+    bench: B,
 }
 
-impl ReadSession {
+/// A reusable read-access transient; see [`Session`].
+pub type ReadSession = Session<ReadBench>;
+
+/// A reusable write transient; see [`Session`].
+pub type WriteSession = Session<WriteBench>;
+
+/// The testbench a [`Session`] runs, and what it measures from each
+/// transient: [`ReadBench`] or [`WriteBench`].
+pub trait Bench: Sized {
+    /// The metrics of one transient.
+    type Output;
+
+    /// Extracts the metrics from a solved full-window transient of `session`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::Circuit`] if `result` lacks a measured node or
+    /// its wordline never rises.
+    fn measure(
+        session: &Session<Self>,
+        result: &TransientResult,
+    ) -> Result<Self::Output, SramError>;
+}
+
+/// The read-access testbench: floating precharged bitlines, `Q = 0`.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadBench {
+    /// Bitline level (volts) at which the sense amplifier resolves.
+    sense_level: f64,
+}
+
+/// The write testbench: driven bitlines writing `0` over a stored `1`.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteBench;
+
+impl<B: Bench> Session<B> {
     /// Selects the solver kernel (default [`TransientKernel::Sparse`]). The
     /// dense kernel exists for end-to-end verification; results are
     /// bit-identical either way.
@@ -433,32 +435,85 @@ impl ReadSession {
         self.kernel
     }
 
-    /// Runs one read transient with the given per-transistor ΔV_T (canonical
-    /// order, volts).
+    /// Runs one transient over the whole window with the given
+    /// per-transistor ΔV_T (canonical order, volts).
     ///
     /// # Errors
     ///
     /// Returns [`SramError::Circuit`] for an invalid shift vector or a
     /// non-converging transient.
-    pub fn run(&mut self, vth_deltas: &[f64]) -> Result<ReadResult, SramError> {
-        self.cell.inject(&mut self.circuit, vth_deltas)?;
-        let result = run_transient(
-            &self.circuit,
-            &self.config,
-            self.kernel,
-            &mut self.workspace,
-        )?;
-        self.measure(&result)
+    pub fn run(&mut self, vth_deltas: &[f64]) -> Result<B::Output, SramError> {
+        let result = self.solve(vth_deltas, |_, _| false)?;
+        B::measure(self, &result)
     }
 
-    /// Runs one read transient per ΔV_T sample, in order. Each sample's
-    /// result slot is independent: a rejected shift vector or a
-    /// non-converging transient yields an `Err` in its own slot without
-    /// disturbing its neighbours.
-    pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<ReadResult, SramError>> {
+    /// Runs one transient per ΔV_T sample, in order. Each sample's result
+    /// slot is independent: a rejected shift vector or a non-converging
+    /// transient yields an `Err` in its own slot without disturbing its
+    /// neighbours.
+    pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<B::Output, SramError>> {
         samples.iter().map(|deltas| self.run(deltas)).collect()
     }
 
+    /// Injects the sample's threshold shifts and solves the transient. The
+    /// sparse kernel stops at the first recorded point where `stop` returns
+    /// `true`; the dense reference kernel always runs the whole window.
+    fn solve(
+        &mut self,
+        vth_deltas: &[f64],
+        stop: impl FnMut(f64, &[f64]) -> bool,
+    ) -> Result<TransientResult, SramError> {
+        self.cell.inject(&mut self.circuit, vth_deltas)?;
+        Ok(match self.kernel {
+            TransientKernel::Sparse => {
+                transient_analysis_until(&self.circuit, &self.config, &mut self.workspace, stop)?
+            }
+            TransientKernel::Dense => transient_analysis_dense(&self.circuit, &self.config)?,
+        })
+    }
+}
+
+impl Bench for ReadBench {
+    type Output = ReadResult;
+
+    fn measure(session: &ReadSession, result: &TransientResult) -> Result<ReadResult, SramError> {
+        let (access_time, sensed) = session.measure_access(result)?;
+        let disturb_peak = result.waveform_view(session.nodes.q)?.max_value();
+        Ok(ReadResult {
+            access_time,
+            disturb_peak,
+            sensed,
+        })
+    }
+}
+
+impl Bench for WriteBench {
+    type Output = WriteResult;
+
+    fn measure(session: &WriteSession, result: &TransientResult) -> Result<WriteResult, SramError> {
+        let half_vdd = session.vdd / 2.0;
+        let wl = result.waveform_view(session.nodes.wordline)?;
+        let q = result.waveform_view(session.nodes.q)?;
+        let q_bar = result.waveform_view(session.nodes.q_bar)?;
+
+        let t_wl = wl.crossing_time(half_vdd, CrossingDirection::Rising, 0.0)?;
+        // The cell has flipped when Q falls below VDD/2 *and* stays flipped
+        // (QB latched high by the end of the window).
+        let flipped_latched = q.final_value() < half_vdd && q_bar.final_value() > half_vdd;
+        let (write_delay, flipped) =
+            match q.crossing_time(half_vdd, CrossingDirection::Falling, t_wl) {
+                Ok(t_flip) if flipped_latched => (t_flip - t_wl, true),
+                _ => (session.config.stop_time, false),
+            };
+
+        Ok(WriteResult {
+            write_delay,
+            flipped,
+        })
+    }
+}
+
+impl ReadSession {
     /// Runs one read transient and returns only its access time,
     /// bit-identical to `self.run(vth_deltas)?.access_time`.
     ///
@@ -468,8 +523,8 @@ impl ReadSession {
     /// The crossings are tracked point by point with
     /// [`gis_circuit::segment_crossing`], the step that
     /// [`gis_circuit::WaveformView::crossing_time`] repeats, and the stopped
-    /// prefix is then measured exactly as [`ReadSession::run`] measures the
-    /// full window. Every recorded point is computed as before, so the prefix
+    /// prefix is then measured exactly as [`Session::run`] measures the full
+    /// window. Every recorded point is computed as before, so the prefix
     /// holds the same first crossings and the access time keeps its bits. A
     /// sample that never senses runs the whole window and is censored as
     /// usual. The dense kernel always runs the whole window, as the
@@ -488,53 +543,30 @@ impl ReadSession {
         Ok(self.measure_access(&result)?.0)
     }
 
-    /// The transient behind [`ReadSession::access_time`]: on the sparse
-    /// kernel, the prefix of the window up to the sense event.
+    /// The transient behind [`Session::access_time`]: on the sparse kernel,
+    /// the prefix of the window up to the sense event.
     fn run_until_sensed(&mut self, vth_deltas: &[f64]) -> Result<TransientResult, SramError> {
-        self.cell.inject(&mut self.circuit, vth_deltas)?;
-        Ok(match self.kernel {
-            TransientKernel::Sparse => {
-                use CrossingDirection::{Falling, Rising};
-                let (wordline, bitline) = (self.nodes.wordline, self.nodes.bitline);
-                let (half_rise, sense_level) = (self.vdd / 2.0, self.sense_level);
-                // Previous point (t, wordline, bitline) and the wordline's
-                // half-rise time once it has been seen.
-                let mut previous: Option<(f64, f64, f64)> = None;
-                let mut t_wl: Option<f64> = None;
-                transient_analysis_until(
-                    &self.circuit,
-                    &self.config,
-                    &mut self.workspace,
-                    |t, voltages| {
-                        let (wl, bl) = (voltages[wordline], voltages[bitline]);
-                        let mut sensed = false;
-                        if let Some((t0, wl0, bl0)) = previous {
-                            t_wl = t_wl
-                                .or_else(|| segment_crossing(t0, wl0, t, wl, half_rise, Rising));
-                            // The scan of `crossing_time(sense_level, Falling, after)`.
-                            if let Some(after) = t_wl {
-                                sensed = t >= after
-                                    && segment_crossing(t0, bl0, t, bl, sense_level, Falling)
-                                        .is_some_and(|t_sense| t_sense >= after);
-                            }
-                        }
-                        previous = Some((t, wl, bl));
-                        sensed
-                    },
-                )?
+        use CrossingDirection::{Falling, Rising};
+        let (wordline, bitline) = (self.nodes.wordline, self.nodes.bitline);
+        let (half_rise, sense_level) = (self.vdd / 2.0, self.bench.sense_level);
+        // Previous point (t, wordline, bitline) and the wordline's half-rise
+        // time once it has been seen.
+        let mut previous: Option<(f64, f64, f64)> = None;
+        let mut t_wl: Option<f64> = None;
+        self.solve(vth_deltas, |t, voltages| {
+            let (wl, bl) = (voltages[wordline], voltages[bitline]);
+            let mut sensed = false;
+            if let Some((t0, wl0, bl0)) = previous {
+                t_wl = t_wl.or_else(|| segment_crossing(t0, wl0, t, wl, half_rise, Rising));
+                // The scan of `crossing_time(sense_level, Falling, after)`.
+                if let Some(after) = t_wl {
+                    sensed = t >= after
+                        && segment_crossing(t0, bl0, t, bl, sense_level, Falling)
+                            .is_some_and(|t_sense| t_sense >= after);
+                }
             }
-            TransientKernel::Dense => transient_analysis_dense(&self.circuit, &self.config)?,
-        })
-    }
-
-    /// Extracts the read metrics from a solved transient.
-    fn measure(&self, result: &TransientResult) -> Result<ReadResult, SramError> {
-        let (access_time, sensed) = self.measure_access(result)?;
-        let disturb_peak = result.waveform_view(self.nodes.q)?.max_value();
-        Ok(ReadResult {
-            access_time,
-            disturb_peak,
-            sensed,
+            previous = Some((t, wl, bl));
+            sensed
         })
     }
 
@@ -546,102 +578,11 @@ impl ReadSession {
         let bl = result.waveform_view(self.nodes.bitline)?;
         let t_wl = wl.crossing_time(self.vdd / 2.0, CrossingDirection::Rising, 0.0)?;
         Ok(
-            match bl.crossing_time(self.sense_level, CrossingDirection::Falling, t_wl) {
+            match bl.crossing_time(self.bench.sense_level, CrossingDirection::Falling, t_wl) {
                 Ok(t_sense) => (t_sense - t_wl, true),
                 Err(_) => (self.config.stop_time, false),
             },
         )
-    }
-}
-
-/// A reusable write transient with the netlist built once.
-///
-/// Produced by [`SramTestbench::write_session`]. Each [`WriteSession::run`] is
-/// bit-identical to [`SramTestbench::write`] for the same ΔV_T vector. See
-/// [`ReadSession`] for the workspace/kernel mechanics.
-#[derive(Debug, Clone)]
-pub struct WriteSession {
-    circuit: Circuit,
-    nodes: CellNodes,
-    cell: CellParameterInjector,
-    config: TransientConfig,
-    vdd: f64,
-    kernel: TransientKernel,
-    workspace: SimulationWorkspace,
-}
-
-impl WriteSession {
-    /// Selects the solver kernel (default [`TransientKernel::Sparse`]). The
-    /// dense kernel exists for end-to-end verification; results are
-    /// bit-identical either way.
-    pub fn with_kernel(mut self, kernel: TransientKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The kernel this session solves on.
-    pub fn kernel(&self) -> TransientKernel {
-        self.kernel
-    }
-
-    /// Runs one write transient with the given per-transistor ΔV_T (canonical
-    /// order, volts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::Circuit`] for an invalid shift vector or a
-    /// non-converging transient.
-    pub fn run(&mut self, vth_deltas: &[f64]) -> Result<WriteResult, SramError> {
-        self.cell.inject(&mut self.circuit, vth_deltas)?;
-        let result = run_transient(
-            &self.circuit,
-            &self.config,
-            self.kernel,
-            &mut self.workspace,
-        )?;
-        self.measure(&result)
-    }
-
-    /// Runs one write transient per ΔV_T sample; see
-    /// [`ReadSession::run_batch`].
-    pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<WriteResult, SramError>> {
-        samples.iter().map(|deltas| self.run(deltas)).collect()
-    }
-
-    /// Extracts the write metrics from a solved transient.
-    fn measure(&self, result: &TransientResult) -> Result<WriteResult, SramError> {
-        let wl = result.waveform_view(self.nodes.wordline)?;
-        let q = result.waveform_view(self.nodes.q)?;
-        let q_bar = result.waveform_view(self.nodes.q_bar)?;
-
-        let t_wl = wl.crossing_time(self.vdd / 2.0, CrossingDirection::Rising, 0.0)?;
-        // The cell has flipped when Q falls below VDD/2 *and* stays flipped
-        // (QB latched high by the end of the window).
-        let flipped_latched =
-            q.final_value() < self.vdd / 2.0 && q_bar.final_value() > self.vdd / 2.0;
-        let (write_delay, flipped) =
-            match q.crossing_time(self.vdd / 2.0, CrossingDirection::Falling, t_wl) {
-                Ok(t_flip) if flipped_latched => (t_flip - t_wl, true),
-                _ => (self.config.stop_time, false),
-            };
-
-        Ok(WriteResult {
-            write_delay,
-            flipped,
-        })
-    }
-}
-
-/// Dispatches one transient to the selected kernel.
-fn run_transient(
-    circuit: &Circuit,
-    config: &TransientConfig,
-    kernel: TransientKernel,
-    workspace: &mut SimulationWorkspace,
-) -> Result<TransientResult, CircuitError> {
-    match kernel {
-        TransientKernel::Sparse => transient_analysis_with(circuit, config, workspace),
-        TransientKernel::Dense => transient_analysis_dense(circuit, config),
     }
 }
 
@@ -862,8 +803,8 @@ mod tests {
         assert!(session.run(&[0.0; 6]).is_ok());
     }
 
-    /// Checks [`ReadSession::access_time`] against the full-window
-    /// [`ReadSession::run`] on a seeded cloud of `samples` ΔV_T vectors,
+    /// Checks [`Session::access_time`] against the full-window
+    /// [`Session::run`] on a seeded cloud of `samples` ΔV_T vectors,
     /// spread from the nominal cell out to censored reads, after the nominal
     /// cell, a censored read and two malformed vectors (indices 2 and 3).
     /// Returns how many reads were censored and how many full windows

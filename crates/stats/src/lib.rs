@@ -51,7 +51,7 @@ pub mod summary;
 pub use histogram::Histogram;
 pub use mvn::{GaussianMixture, MultivariateNormal};
 pub use rng::RngStream;
-pub use sampling::{halton_sequence, latin_hypercube, uniform_on_sphere};
+pub use sampling::{latin_hypercube, uniform_on_sphere};
 pub use summary::{
     binomial_acceptance_band, binomial_cdf, chi_square_statistic, pearson_correlation, quantile_of,
     ConfidenceInterval, OnlineStats, WeightedStats,

@@ -4,8 +4,6 @@
 //!   well-spread starting points.
 //! * **Uniform-on-sphere sampling** drives the spherical (shell) presampling
 //!   baseline, which probes the failure region direction-by-direction.
-//! * **Halton sequences** provide a cheap low-discrepancy alternative for
-//!   deterministic sweeps in the benchmarks.
 
 use crate::{normal, RngStream};
 use gis_linalg::Vector;
@@ -76,82 +74,6 @@ pub fn uniform_on_sphere(rng: &mut RngStream, dim: usize) -> Vector {
     }
 }
 
-/// Draws `n` points uniformly on the sphere of radius `radius` in `dim`
-/// dimensions.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `radius < 0`.
-pub fn uniform_on_sphere_radius(
-    rng: &mut RngStream,
-    n: usize,
-    dim: usize,
-    radius: f64,
-) -> Vec<Vector> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    (0..n)
-        .map(|_| uniform_on_sphere(rng, dim).scaled(radius))
-        .collect()
-}
-
-/// The `index`-th element of the van der Corput sequence in the given `base`.
-///
-/// # Panics
-///
-/// Panics if `base < 2`.
-pub fn van_der_corput(mut index: u64, base: u64) -> f64 {
-    assert!(base >= 2, "van der Corput base must be at least 2");
-    let mut result = 0.0;
-    let mut denom = 1.0;
-    while index > 0 {
-        denom *= base as f64;
-        result += (index % base) as f64 / denom;
-        index /= base;
-    }
-    result
-}
-
-const HALTON_PRIMES: [u64; 16] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
-
-/// Generates the first `n` points of the Halton low-discrepancy sequence in
-/// `dim` dimensions (skipping the first point at the origin).
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `dim > 16` (only the first 16 primes are tabulated).
-pub fn halton_sequence(n: usize, dim: usize) -> Vec<Vector> {
-    assert!(
-        dim > 0 && dim <= HALTON_PRIMES.len(),
-        "halton_sequence supports 1..=16 dimensions"
-    );
-    (1..=n as u64)
-        .map(|i| {
-            (0..dim)
-                .map(|d| van_der_corput(i, HALTON_PRIMES[d]))
-                .collect()
-        })
-        .collect()
-}
-
-/// Stratified radii for spherical shell sampling: `count` radii covering
-/// `[min_radius, max_radius]` with equal spacing, inclusive of both endpoints.
-///
-/// # Panics
-///
-/// Panics if `count == 0` or `min_radius > max_radius` or either is negative.
-pub fn shell_radii(min_radius: f64, max_radius: f64, count: usize) -> Vec<f64> {
-    assert!(count > 0, "shell_radii requires count > 0");
-    assert!(
-        min_radius >= 0.0 && max_radius >= min_radius,
-        "invalid radius range"
-    );
-    if count == 1 {
-        return vec![min_radius];
-    }
-    let step = (max_radius - min_radius) / (count - 1) as f64;
-    (0..count).map(|i| min_radius + step * i as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,15 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn sphere_radius_scaling() {
-        let mut rng = RngStream::from_seed(4);
-        let pts = uniform_on_sphere_radius(&mut rng, 10, 3, 4.5);
-        for p in pts {
-            assert!((p.norm() - 4.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn sphere_is_roughly_isotropic() {
         let mut rng = RngStream::from_seed(21);
         let n = 20_000;
@@ -210,44 +123,5 @@ mod tests {
         }
         mean.scale_in_place(1.0 / n as f64);
         assert!(mean.norm() < 0.02, "mean norm {}", mean.norm());
-    }
-
-    #[test]
-    fn van_der_corput_base2_known_values() {
-        assert_eq!(van_der_corput(1, 2), 0.5);
-        assert_eq!(van_der_corput(2, 2), 0.25);
-        assert_eq!(van_der_corput(3, 2), 0.75);
-        assert_eq!(van_der_corput(4, 2), 0.125);
-    }
-
-    #[test]
-    fn halton_points_in_unit_cube_and_low_discrepancy() {
-        let pts = halton_sequence(256, 2);
-        assert_eq!(pts.len(), 256);
-        assert!(pts
-            .iter()
-            .all(|p| p.iter().all(|&x| (0.0..1.0).contains(&x))));
-        // Mean of a low-discrepancy sequence should be very close to 0.5.
-        let mean_x: f64 = pts.iter().map(|p| p[0]).sum::<f64>() / 256.0;
-        assert!((mean_x - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn shell_radii_endpoints() {
-        let r = shell_radii(2.0, 6.0, 5);
-        assert_eq!(r, vec![2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(shell_radii(3.0, 9.0, 1), vec![3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "supports 1..=16")]
-    fn halton_rejects_too_many_dims() {
-        let _ = halton_sequence(4, 17);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid radius range")]
-    fn shell_radii_rejects_inverted_range() {
-        let _ = shell_radii(5.0, 2.0, 3);
     }
 }
