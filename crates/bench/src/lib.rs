@@ -1,5 +1,5 @@
-//! Shared helpers for the experiment binaries and criterion benchmarks that
-//! regenerate the tables and figures of the evaluation.
+//! Shared helpers for the experiment binaries that regenerate the tables and
+//! figures of the evaluation.
 //!
 //! Each table/figure of the paper's evaluation has a dedicated binary in
 //! `src/bin/` (see the README section "Reproducing the paper's evaluation"

@@ -13,7 +13,7 @@
 //!   points ([`MnaSystem`]), and
 //! * fixed-step backward-Euler transient analysis with SPICE-style `.measure`
 //!   operations on the resulting waveforms ([`transient_analysis`],
-//!   [`Waveform`]).
+//!   [`WaveformView`]).
 //!
 //! # Quick example
 //!
@@ -62,7 +62,7 @@ pub use transient::{
     transient_analysis, transient_analysis_dense, transient_analysis_until,
     transient_analysis_with, TransientConfig, TransientKernel, TransientResult,
 };
-pub use waveform::{segment_crossing, CrossingDirection, Waveform, WaveformView};
+pub use waveform::{segment_crossing, CrossingDirection, WaveformView};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, CircuitError>;

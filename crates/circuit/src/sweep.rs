@@ -7,7 +7,6 @@
 use crate::error::CircuitError;
 use crate::mna::{MnaSystem, MAX_NEWTON_ITERATIONS};
 use crate::netlist::{Circuit, Device, NodeId, SourceWaveform};
-use crate::waveform::Waveform;
 use gis_linalg::Vector;
 
 /// Result of a DC sweep: the swept source values and the corresponding node
@@ -42,18 +41,6 @@ impl DcSweepResult {
             });
         }
         Ok(self.node_voltages.iter().map(|v| v[node]).collect())
-    }
-
-    /// Builds a transfer curve (`swept value` → `node voltage`) as a [`Waveform`]
-    /// so the crossing/interpolation helpers can be reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownNode`] for a bad node, or
-    /// [`CircuitError::MeasurementFailed`] if the swept values are not strictly
-    /// increasing.
-    pub fn transfer_curve(&self, node: NodeId) -> Result<Waveform, CircuitError> {
-        Waveform::from_samples(self.swept_values.clone(), self.node_voltage_samples(node)?)
     }
 }
 
@@ -119,6 +106,7 @@ mod tests {
     use super::*;
     use crate::mosfet::MosfetParams;
     use crate::netlist::GROUND;
+    use crate::waveform::{CrossingDirection, WaveformView};
 
     fn inverter_circuit() -> (Circuit, NodeId, NodeId) {
         let mut ckt = Circuit::new();
@@ -155,9 +143,9 @@ mod tests {
             assert!(pair[1] <= pair[0] + 1e-6, "VTC must be non-increasing");
         }
         // The switching threshold is somewhere mid-rail.
-        let curve = sweep.transfer_curve(out).unwrap();
+        let curve = WaveformView::new(sweep.swept_values(), &vtc);
         let trip = curve
-            .crossing_time(0.5, crate::waveform::CrossingDirection::Falling, 0.0)
+            .crossing_time(0.5, CrossingDirection::Falling, 0.0)
             .unwrap();
         assert!(trip > 0.3 && trip < 0.7, "trip point {trip}");
     }

@@ -22,10 +22,9 @@
 use crate::error::CircuitError;
 use crate::mna::{DynamicState, MnaSystem, SimulationWorkspace, MAX_NEWTON_ITERATIONS};
 use crate::netlist::{Circuit, NodeId};
-use crate::waveform::{Waveform, WaveformView};
+use crate::waveform::WaveformView;
 use gis_linalg::Vector;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which solver kernel a transient runs on. [`TransientKernel::Sparse`] is
 /// the production kernel; [`TransientKernel::Dense`] is the allocation-heavy
@@ -105,12 +104,11 @@ impl TransientConfig {
 
 /// Result of a transient analysis: node voltages over time.
 ///
-/// The time axis is stored once behind an [`Arc`] and shared by every
-/// [`Waveform`] extracted from the result; [`TransientResult::waveform_view`]
-/// avoids even the value copy.
+/// [`TransientResult::waveform_view`] measures a node in place, without
+/// copying either axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransientResult {
-    times: Arc<[f64]>,
+    times: Vec<f64>,
     /// `node_voltages[node][step]`.
     node_voltages: Vec<Vec<f64>>,
     newton_iterations_total: usize,
@@ -147,17 +145,6 @@ impl TransientResult {
                 node,
                 num_nodes: self.node_voltages.len(),
             })
-    }
-
-    /// Builds a [`Waveform`] for `node`. The returned waveform shares this
-    /// result's time axis (no time-vector copy); only the values are cloned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownNode`] if the node does not exist.
-    pub fn waveform(&self, node: NodeId) -> Result<Waveform, CircuitError> {
-        let values = self.node_voltage_samples(node)?.to_vec();
-        Waveform::from_shared(Arc::clone(&self.times), values)
     }
 
     /// A zero-copy measurement view of `node`'s waveform — the hot path for
@@ -333,7 +320,7 @@ pub fn transient_analysis_until(
     }
 
     Ok(TransientResult {
-        times: times.into(),
+        times,
         node_voltages,
         newton_iterations_total: newton_total,
     })
@@ -417,7 +404,7 @@ pub fn transient_analysis_dense(
     }
 
     Ok(TransientResult {
-        times: times.into(),
+        times,
         node_voltages,
         newton_iterations_total: newton_total,
     })
@@ -454,7 +441,7 @@ mod tests {
         let cfg = TransientConfig::new(5.0 * tau, tau / 200.0)
             .with_initial_conditions(vec![0.0, 1.0, 0.0]);
         let result = transient_analysis(&ckt, &cfg).unwrap();
-        let wave = result.waveform(out).unwrap();
+        let wave = result.waveform_view(out).unwrap();
         for &t_check in &[0.5 * tau, tau, 2.0 * tau, 4.0 * tau] {
             let expected = 1.0 - (-t_check / tau).exp();
             let got = wave.value_at(t_check);
@@ -465,6 +452,9 @@ mod tests {
         }
         assert!(result.newton_iterations_total() > 0);
         assert_eq!(result.num_points(), result.times().len());
+        // The view borrows the result's own axes.
+        assert_eq!(wave.times().as_ptr(), result.times().as_ptr());
+        assert_eq!(wave.final_value(), result.final_voltage(out).unwrap());
     }
 
     #[test]
@@ -477,7 +467,7 @@ mod tests {
         let cfg =
             TransientConfig::new(3.0 * tau, tau / 100.0).with_initial_conditions(vec![0.0, 1.0]);
         let result = transient_analysis(&ckt, &cfg).unwrap();
-        let wave = result.waveform(out).unwrap();
+        let wave = result.waveform_view(out).unwrap();
         let expected = (-1.0f64).exp();
         assert!((wave.value_at(tau) - expected).abs() < 0.01);
         assert!(wave.value_at(0.0) > 0.99);
@@ -505,8 +495,8 @@ mod tests {
         let cfg =
             TransientConfig::new(3e-9, 2e-12).with_initial_conditions(vec![0.0, 1.0, 0.0, 1.0]);
         let result = transient_analysis(&ckt, &cfg).unwrap();
-        let win = result.waveform(input).unwrap();
-        let wout = result.waveform(out).unwrap();
+        let win = result.waveform_view(input).unwrap();
+        let wout = result.waveform_view(out).unwrap();
         // Output falls after the input rises.
         let delay = win.delay_to(0.5, &wout, 0.5, 0.1e-9).unwrap();
         assert!(delay > 0.0 && delay < 1e-9, "implausible delay {delay:e}");
@@ -522,27 +512,9 @@ mod tests {
         ckt.add_capacitor("C1", out, GROUND, 1e-9).unwrap();
         let cfg = TransientConfig::new(1e-6, 1e-8);
         let result = transient_analysis(&ckt, &cfg).unwrap();
-        assert!(result.waveform(57).is_err());
         assert!(result.waveform_view(57).is_err());
         assert!(result.final_voltage(57).is_err());
         assert!(result.node_voltage_samples(out).is_ok());
-    }
-
-    #[test]
-    fn waveforms_share_the_result_time_axis() {
-        let mut ckt = Circuit::new();
-        let out = ckt.node("out");
-        ckt.add_resistor("R1", out, GROUND, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, GROUND, 1e-9).unwrap();
-        let cfg = TransientConfig::new(1e-6, 1e-8).with_initial_conditions(vec![0.0, 0.5]);
-        let result = transient_analysis(&ckt, &cfg).unwrap();
-        let w0 = result.waveform(0).unwrap();
-        let w1 = result.waveform(out).unwrap();
-        assert!(Arc::ptr_eq(&w0.shared_times(), &w1.shared_times()));
-        // Views borrow the same axis without any clone.
-        let v = result.waveform_view(out).unwrap();
-        assert_eq!(v.times().as_ptr(), result.times().as_ptr());
-        assert_eq!(v.final_value(), result.final_voltage(out).unwrap());
     }
 
     #[test]

@@ -1,17 +1,12 @@
 //! Sampled waveforms and SPICE-style `.measure` operations.
 //!
-//! Two representations share one set of measurement algorithms:
-//!
-//! * [`Waveform`] — an owning waveform whose time axis is an `Arc<[f64]>`, so
-//!   the many waveforms extracted from one transient share a single time-axis
-//!   allocation instead of cloning it per node;
-//! * [`WaveformView`] — a zero-copy borrowed view used on the metric hot path
-//!   (the SRAM sessions measure thousands of transients per second and never
-//!   need an owned copy).
+//! [`WaveformView`] is a zero-copy view over a borrowed time axis and value
+//! axis: a node of a transient result, or a DC transfer curve. The SRAM
+//! sessions measure thousands of transients per second and never need an
+//! owned copy.
 
 use crate::error::CircuitError;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Direction of a threshold crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,169 +61,20 @@ pub fn segment_crossing(
     Some(t0 + frac * (t1 - t0))
 }
 
-/// A sampled signal: strictly increasing time points with one value each.
+/// A borrowed, zero-copy waveform: a strictly increasing time axis with one
+/// value each, and the `.measure` operations on it.
+///
+/// Obtained from [`crate::TransientResult::waveform_view`] or built with
+/// [`WaveformView::new`]. The constructor does *not* validate monotonicity:
+/// a transient result's time axis is strictly increasing by construction.
 ///
 /// ```
-/// use gis_circuit::{Waveform, CrossingDirection};
+/// use gis_circuit::{CrossingDirection, WaveformView};
 ///
-/// let w = Waveform::from_samples(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 0.0]).unwrap();
+/// let w = WaveformView::new(&[0.0, 1.0, 2.0], &[0.0, 1.0, 0.0]);
 /// let t = w.crossing_time(0.5, CrossingDirection::Rising, 0.0).unwrap();
 /// assert!((t - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Waveform {
-    times: Arc<[f64]>,
-    values: Vec<f64>,
-}
-
-/// Validates parallel time/value axes for waveform construction.
-fn validate_samples(times: &[f64], values: &[f64]) -> Result<(), CircuitError> {
-    if times.is_empty() || times.len() != values.len() {
-        return Err(CircuitError::MeasurementFailed(format!(
-            "waveform needs equal, non-zero numbers of times and values (got {} / {})",
-            times.len(),
-            values.len()
-        )));
-    }
-    if times.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(CircuitError::MeasurementFailed(
-            "waveform times must be strictly increasing".to_string(),
-        ));
-    }
-    Ok(())
-}
-
-impl Waveform {
-    /// Creates a waveform from parallel time/value vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::MeasurementFailed`] if the vectors are empty,
-    /// have different lengths, or the times are not strictly increasing.
-    pub fn from_samples(times: Vec<f64>, values: Vec<f64>) -> Result<Self, CircuitError> {
-        Waveform::from_shared(times.into(), values)
-    }
-
-    /// Creates a waveform that shares an existing time axis (no copy of
-    /// `times`). This is how [`crate::TransientResult::waveform`] hands every
-    /// node's waveform the same time-axis allocation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Waveform::from_samples`].
-    pub fn from_shared(times: Arc<[f64]>, values: Vec<f64>) -> Result<Self, CircuitError> {
-        validate_samples(&times, &values)?;
-        Ok(Waveform { times, values })
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Returns `true` if the waveform has no samples (never true for a
-    /// successfully constructed waveform).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Sampled time points.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// The shared time axis (cheap to clone into another waveform).
-    pub fn shared_times(&self) -> Arc<[f64]> {
-        Arc::clone(&self.times)
-    }
-
-    /// Sampled values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// A zero-copy view of this waveform.
-    pub fn view(&self) -> WaveformView<'_> {
-        WaveformView {
-            times: &self.times,
-            values: &self.values,
-        }
-    }
-
-    /// First time point.
-    pub fn start_time(&self) -> f64 {
-        self.times[0]
-    }
-
-    /// Last time point.
-    pub fn end_time(&self) -> f64 {
-        self.view().end_time()
-    }
-
-    /// Value at the final time point.
-    pub fn final_value(&self) -> f64 {
-        self.view().final_value()
-    }
-
-    /// Minimum value over the whole waveform.
-    pub fn min_value(&self) -> f64 {
-        self.view().min_value()
-    }
-
-    /// Maximum value over the whole waveform.
-    pub fn max_value(&self) -> f64 {
-        self.view().max_value()
-    }
-
-    /// Linearly interpolated value at time `t`. Clamps to the first/last sample
-    /// outside the sampled range.
-    pub fn value_at(&self, t: f64) -> f64 {
-        self.view().value_at(t)
-    }
-
-    /// Time of the first crossing of `level` in the given `direction` at or
-    /// after `after` (linear interpolation between samples).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::MeasurementFailed`] if no such crossing exists.
-    pub fn crossing_time(
-        &self,
-        level: f64,
-        direction: CrossingDirection,
-        after: f64,
-    ) -> Result<f64, CircuitError> {
-        self.view().crossing_time(level, direction, after)
-    }
-
-    /// Convenience: 50%-to-50% delay between this waveform and `other`, i.e.
-    /// the time from this signal crossing `level_self` to `other` crossing
-    /// `level_other`, both measured at or after `after`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::MeasurementFailed`] if either crossing is missing
-    /// or the measured delay is negative.
-    pub fn delay_to(
-        &self,
-        level_self: f64,
-        other: &Waveform,
-        level_other: f64,
-        after: f64,
-    ) -> Result<f64, CircuitError> {
-        self.view()
-            .delay_to(level_self, &other.view(), level_other, after)
-    }
-}
-
-/// A borrowed, zero-copy waveform: the same `.measure` operations as
-/// [`Waveform`], without owning (or copying) either axis.
-///
-/// Obtained from [`Waveform::view`] or
-/// [`crate::TransientResult::waveform_view`]. The constructor does *not*
-/// re-validate monotonicity — views are taken from already-validated sources
-/// (a constructed [`Waveform`] or a transient result, whose time axis is
-/// strictly increasing by construction).
 #[derive(Debug, Clone, Copy)]
 pub struct WaveformView<'a> {
     times: &'a [f64],
@@ -380,26 +226,20 @@ impl<'a> WaveformView<'a> {
 mod tests {
     use super::*;
 
-    fn ramp() -> Waveform {
-        Waveform::from_samples(vec![0.0, 1.0, 2.0, 3.0, 4.0], vec![0.0, 1.0, 2.0, 1.0, 0.0])
-            .unwrap()
-    }
+    const RAMP_TIMES: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
+    const RAMP_VALUES: [f64; 5] = [0.0, 1.0, 2.0, 1.0, 0.0];
 
-    #[test]
-    fn construction_validation() {
-        assert!(Waveform::from_samples(vec![], vec![]).is_err());
-        assert!(Waveform::from_samples(vec![0.0], vec![1.0, 2.0]).is_err());
-        assert!(Waveform::from_samples(vec![0.0, 0.0], vec![1.0, 2.0]).is_err());
-        assert!(Waveform::from_samples(vec![1.0, 0.5], vec![1.0, 2.0]).is_err());
-        let w = ramp();
-        assert_eq!(w.len(), 5);
-        assert!(!w.is_empty());
-        assert_eq!(w.times().len(), w.values().len());
+    fn ramp() -> WaveformView<'static> {
+        WaveformView::new(&RAMP_TIMES, &RAMP_VALUES)
     }
 
     #[test]
     fn basic_accessors() {
         let w = ramp();
+        assert_eq!(w.len(), 5);
+        assert!(!w.is_empty());
+        assert_eq!(w.times(), &RAMP_TIMES);
+        assert_eq!(w.values(), &RAMP_VALUES);
         assert_eq!(w.start_time(), 0.0);
         assert_eq!(w.end_time(), 4.0);
         assert_eq!(w.final_value(), 0.0);
@@ -491,67 +331,18 @@ mod tests {
 
     #[test]
     fn delay_measurement() {
-        let a = Waveform::from_samples(vec![0.0, 1.0], vec![0.0, 1.0]).unwrap();
-        let b = Waveform::from_samples(vec![0.0, 1.0, 2.0], vec![0.0, 0.0, 1.0]).unwrap();
+        let a = WaveformView::new(&[0.0, 1.0], &[0.0, 1.0]);
+        let b = WaveformView::new(&[0.0, 1.0, 2.0], &[0.0, 0.0, 1.0]);
         let d = a.delay_to(0.5, &b, 0.5, 0.0).unwrap();
         assert!((d - 1.0).abs() < 1e-12);
         // Missing crossing propagates an error.
-        let flat = Waveform::from_samples(vec![0.0, 1.0], vec![0.0, 0.0]).unwrap();
+        let flat = WaveformView::new(&[0.0, 1.0], &[0.0, 0.0]);
         assert!(a.delay_to(0.5, &flat, 0.5, 0.0).is_err());
-    }
-
-    #[test]
-    fn shared_time_axis_is_one_allocation() {
-        let w = ramp();
-        let sibling = Waveform::from_shared(w.shared_times(), vec![5.0; 5]).unwrap();
-        assert!(Arc::ptr_eq(&w.times, &sibling.times));
-        assert_eq!(sibling.max_value(), 5.0);
-        // from_shared still validates the value axis length.
-        assert!(Waveform::from_shared(w.shared_times(), vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn views_measure_identically_to_owned_waveforms() {
-        let w = ramp();
-        let v = w.view();
-        assert_eq!(v.len(), w.len());
-        assert!(!v.is_empty());
-        assert_eq!(v.start_time(), w.start_time());
-        assert_eq!(v.end_time(), w.end_time());
-        assert_eq!(v.min_value(), w.min_value());
-        assert_eq!(v.max_value(), w.max_value());
-        assert_eq!(v.final_value(), w.final_value());
-        for t in [-1.0, 0.3, 1.7, 2.5, 6.0] {
-            assert_eq!(v.value_at(t).to_bits(), w.value_at(t).to_bits());
-        }
-        assert_eq!(
-            v.crossing_time(1.5, CrossingDirection::Falling, 0.0)
-                .unwrap()
-                .to_bits(),
-            w.crossing_time(1.5, CrossingDirection::Falling, 0.0)
-                .unwrap()
-                .to_bits()
-        );
-        let other = Waveform::from_samples(vec![0.0, 1.0, 2.0], vec![0.0, 0.0, 2.0]).unwrap();
-        assert_eq!(
-            v.delay_to(0.5, &other.view(), 1.0, 0.0).unwrap().to_bits(),
-            w.delay_to(0.5, &other, 1.0, 0.0).unwrap().to_bits()
-        );
-        assert_eq!(v.times(), w.times());
-        assert_eq!(v.values(), w.values());
     }
 
     #[test]
     #[should_panic(expected = "equal, non-zero")]
     fn view_construction_validates_lengths() {
         let _ = WaveformView::new(&[0.0, 1.0], &[1.0]);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_shared_times() {
-        let w = ramp();
-        let json = serde_json::to_string(&w).unwrap();
-        let back: Waveform = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, w);
     }
 }

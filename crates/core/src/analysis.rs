@@ -311,6 +311,47 @@ pub(crate) fn fnv1a(text: &str) -> u64 {
     hash
 }
 
+/// Applies a driver's uniform [`ConvergencePolicy`] and [`ExecutionConfig`]
+/// to every estimator, after checking that the policy is valid. Shared by
+/// [`YieldAnalysis`] and [`crate::calibration::Calibrator`].
+///
+/// # Panics
+///
+/// Panics, naming `driver`, if `policy` is invalid.
+pub(crate) fn configure_estimators(
+    driver: &str,
+    estimators: &mut [Box<dyn Estimator>],
+    policy: Option<ConvergencePolicy>,
+    execution: Option<ExecutionConfig>,
+) {
+    if let Some(policy) = policy {
+        let verdict = policy.validate();
+        assert!(verdict.is_ok(), "{driver}: {verdict:?}");
+        for estimator in estimators.iter_mut() {
+            estimator.configure(&policy);
+        }
+    }
+    if let Some(execution) = execution {
+        for estimator in estimators.iter_mut() {
+            estimator.set_execution(execution);
+        }
+    }
+}
+
+/// Panics when `names` contains a duplicate. The drivers key and seed cells
+/// by name, so aliased names would silently clone one cell's results into
+/// another.
+pub(crate) fn assert_unique<'a>(kind: &str, names: impl IntoIterator<Item = &'a str>) {
+    let mut seen = std::collections::BTreeSet::new();
+    for name in names {
+        assert!(
+            seen.insert(name),
+            "duplicate {kind} name {name:?}: cells are keyed and seeded by \
+             name, so aliased {kind}s cannot be told apart"
+        );
+    }
+}
+
 /// The default estimator line-up of the paper's evaluation: all five methods
 /// with their default configurations, boxed for use with [`YieldAnalysis`].
 pub fn standard_estimators() -> Vec<Box<dyn Estimator>> {
@@ -411,18 +452,12 @@ impl YieldAnalysis {
             !self.estimators.is_empty(),
             "YieldAnalysis: no estimators registered"
         );
-        if let Some(policy) = self.policy {
-            let verdict = policy.validate();
-            assert!(verdict.is_ok(), "YieldAnalysis: {verdict:?}");
-            for estimator in &mut self.estimators {
-                estimator.configure(&policy);
-            }
-        }
-        if let Some(execution) = self.execution {
-            for estimator in &mut self.estimators {
-                estimator.set_execution(execution);
-            }
-        }
+        configure_estimators(
+            "YieldAnalysis",
+            &mut self.estimators,
+            self.policy,
+            self.execution,
+        );
     }
 
     /// The configured master seed (see [`master_seed`](Self::master_seed)).
@@ -467,11 +502,11 @@ impl YieldAnalysis {
     /// neighbor (the continuation-mode entry point; see [`crate::sweep`]).
     ///
     /// `run_cell_warm(pi, ei, None)` is exactly [`run_cell`](Self::run_cell):
-    /// the cell's seed, fork and estimator dispatch are identical, and
-    /// every estimator's `estimate_warm(.., None)` is bit-identical to its
-    /// blind `estimate`. The hint never touches the RNG derivation, so a
-    /// warm cell differs from its blind twin only through the estimator's
-    /// documented hint semantics.
+    /// the cell's seed, fork and estimator dispatch are identical, and an
+    /// estimator's blind `estimate` is its `estimate_warm(.., None)`. The
+    /// hint never touches the RNG derivation, so a warm cell differs from
+    /// its blind twin only through the estimator's documented hint
+    /// semantics.
     ///
     /// # Panics
     ///

@@ -240,8 +240,12 @@ impl MinimumNormIs {
     }
 }
 
-impl MinimumNormIs {
-    fn estimate_inner(
+impl Estimator for MinimumNormIs {
+    fn name(&self) -> &str {
+        "minimum-norm-is"
+    }
+
+    fn estimate_warm(
         &self,
         problem: &FailureProblem,
         rng: &mut RngStream,
@@ -318,25 +322,6 @@ impl MinimumNormIs {
                 search,
             },
         }
-    }
-}
-
-impl Estimator for MinimumNormIs {
-    fn name(&self) -> &str {
-        "minimum-norm-is"
-    }
-
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, None)
-    }
-
-    fn estimate_warm(
-        &self,
-        problem: &FailureProblem,
-        rng: &mut RngStream,
-        warm: Option<&WarmStart>,
-    ) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, warm)
     }
 
     fn configure(&mut self, policy: &ConvergencePolicy) {

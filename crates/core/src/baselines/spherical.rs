@@ -174,8 +174,12 @@ impl SphericalSampling {
     }
 }
 
-impl SphericalSampling {
-    fn estimate_inner(
+impl Estimator for SphericalSampling {
+    fn name(&self) -> &str {
+        "spherical-sampling"
+    }
+
+    fn estimate_warm(
         &self,
         problem: &FailureProblem,
         rng: &mut RngStream,
@@ -262,25 +266,6 @@ impl SphericalSampling {
                 min_beta: min_beta.is_finite().then_some(min_beta),
             },
         }
-    }
-}
-
-impl Estimator for SphericalSampling {
-    fn name(&self) -> &str {
-        "spherical-sampling"
-    }
-
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, None)
-    }
-
-    fn estimate_warm(
-        &self,
-        problem: &FailureProblem,
-        rng: &mut RngStream,
-        warm: Option<&WarmStart>,
-    ) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, warm)
     }
 
     fn configure(&mut self, policy: &ConvergencePolicy) {

@@ -146,9 +146,15 @@ impl ScaledSigmaSampling {
         }
         self.config.scales.clone()
     }
+}
+
+impl Estimator for ScaledSigmaSampling {
+    fn name(&self) -> &str {
+        "scaled-sigma-sampling"
+    }
 
     #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    fn estimate_inner(
+    fn estimate_warm(
         &self,
         problem: &FailureProblem,
         rng: &mut RngStream,
@@ -289,25 +295,6 @@ impl ScaledSigmaSampling {
                 scale_points: points,
             },
         }
-    }
-}
-
-impl Estimator for ScaledSigmaSampling {
-    fn name(&self) -> &str {
-        "scaled-sigma-sampling"
-    }
-
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, None)
-    }
-
-    fn estimate_warm(
-        &self,
-        problem: &FailureProblem,
-        rng: &mut RngStream,
-        warm: Option<&WarmStart>,
-    ) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, warm)
     }
 
     fn configure(&mut self, policy: &ConvergencePolicy) {

@@ -43,7 +43,7 @@
 //! assert!(row.coverage >= 0.0 && row.coverage <= 1.0);
 //! ```
 
-use crate::analysis::fnv1a;
+use crate::analysis::{assert_unique, configure_estimators, fnv1a};
 use crate::estimator::{ConvergencePolicy, Estimator};
 use crate::exec::ExecutionConfig;
 use crate::problems::BenchmarkProblem;
@@ -327,7 +327,8 @@ impl Calibrator {
     /// # Panics
     ///
     /// Panics if no problems, no estimators or zero replications are
-    /// registered.
+    /// registered, if two problems or two estimators share a name, or if a
+    /// configured [`ConvergencePolicy`] is invalid.
     pub fn run(&mut self) -> CalibrationReport {
         assert!(
             !self.problems.is_empty(),
@@ -338,16 +339,14 @@ impl Calibrator {
             "Calibrator: no estimators registered"
         );
         assert!(self.replications > 0, "Calibrator: zero replications");
-        if let Some(policy) = self.policy {
-            for estimator in &mut self.estimators {
-                estimator.configure(&policy);
-            }
-        }
-        if let Some(execution) = self.execution {
-            for estimator in &mut self.estimators {
-                estimator.set_execution(execution);
-            }
-        }
+        assert_unique("problem", self.problems.iter().map(BenchmarkProblem::name));
+        assert_unique("estimator", self.estimators.iter().map(|e| e.name()));
+        configure_estimators(
+            "Calibrator",
+            &mut self.estimators,
+            self.policy,
+            self.execution,
+        );
 
         let z = normal::quantile(0.5 + self.confidence_level / 2.0);
         let reps = self.replications as usize;
@@ -590,6 +589,31 @@ mod tests {
     #[should_panic(expected = "no problems registered")]
     fn empty_problems_rejected() {
         let _ = Calibrator::new()
+            .estimator(Box::new(MonteCarlo::new(MonteCarloConfig::default())))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "positive evaluation budget")]
+    fn zero_budget_policy_rejected() {
+        let _ = Calibrator::new()
+            .replications(2)
+            .convergence_policy(ConvergencePolicy::with_budget(0))
+            .problem(BenchmarkProblem::linear(3, 2.0))
+            .estimator(Box::new(MonteCarlo::new(MonteCarloConfig::default())))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate estimator name \"monte-carlo\"")]
+    fn duplicate_estimator_names_rejected() {
+        // Both would derive the same replication seeds, and the report's
+        // row lookup would only ever return the first.
+        let _ = Calibrator::new()
+            .replications(2)
+            .convergence_policy(ConvergencePolicy::with_budget(300))
+            .problem(BenchmarkProblem::linear(3, 2.0))
+            .estimator(Box::new(MonteCarlo::new(MonteCarloConfig::default())))
             .estimator(Box::new(MonteCarlo::new(MonteCarloConfig::default())))
             .run();
     }

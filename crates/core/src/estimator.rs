@@ -326,25 +326,24 @@ pub trait Estimator: Send + Sync {
     /// [`ExtractionResult`] (e.g. `"gradient-is"`).
     fn name(&self) -> &str;
 
-    /// Runs the full extraction on `problem`, drawing randomness from `rng`.
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome;
-
-    /// Runs the extraction seeded from a grid neighbor's [`WarmStart`] hint.
+    /// Runs the extraction on `problem`, drawing randomness from `rng`,
+    /// seeded from a grid neighbor's [`WarmStart`] hint when one is given.
     ///
-    /// Contract: `estimate_warm(problem, rng, None)` must be bit-identical
-    /// to [`estimate`](Estimator::estimate) — the blind path is the
-    /// reproducibility reference — and an inapplicable hint (wrong
-    /// dimension, non-finite, wrong variant) must fall back to it. The
-    /// default implementation ignores hints, which is the correct behavior
-    /// for estimators without a search phase (Monte Carlo).
+    /// `None` is the blind path, the reproducibility reference. An
+    /// inapplicable hint (wrong dimension, non-finite, wrong variant) must
+    /// fall back to it, and an estimator without a search phase (Monte
+    /// Carlo) ignores hints.
     fn estimate_warm(
         &self,
         problem: &FailureProblem,
         rng: &mut RngStream,
         warm: Option<&WarmStart>,
-    ) -> EstimatorOutcome {
-        let _ = warm;
-        self.estimate(problem, rng)
+    ) -> EstimatorOutcome;
+
+    /// Runs the full extraction on `problem` without a hint: exactly
+    /// `estimate_warm(problem, rng, None)`.
+    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
+        self.estimate_warm(problem, rng, None)
     }
 
     /// Maps a driver-imposed budget/stopping policy onto the method's own

@@ -182,8 +182,12 @@ fn shift_history_oscillates(history: &[Vector]) -> bool {
     })
 }
 
-impl GradientImportanceSampling {
-    fn estimate_inner(
+impl Estimator for GradientImportanceSampling {
+    fn name(&self) -> &str {
+        "gradient-is"
+    }
+
+    fn estimate_warm(
         &self,
         problem: &FailureProblem,
         rng: &mut RngStream,
@@ -289,25 +293,6 @@ impl GradientImportanceSampling {
                 shift_history,
             },
         }
-    }
-}
-
-impl Estimator for GradientImportanceSampling {
-    fn name(&self) -> &str {
-        "gradient-is"
-    }
-
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, None)
-    }
-
-    fn estimate_warm(
-        &self,
-        problem: &FailureProblem,
-        rng: &mut RngStream,
-        warm: Option<&WarmStart>,
-    ) -> EstimatorOutcome {
-        self.estimate_inner(problem, rng, warm)
     }
 
     fn configure(&mut self, policy: &ConvergencePolicy) {

@@ -10,7 +10,7 @@
 //! [`crate::exec::Executor`] worker threads, and reduced in sample order — so
 //! the estimate is bit-identical at every thread count.
 
-use crate::estimator::{ConvergencePolicy, Diagnostics, Estimator, EstimatorOutcome};
+use crate::estimator::{ConvergencePolicy, Diagnostics, Estimator, EstimatorOutcome, WarmStart};
 use crate::exec::ExecutionConfig;
 use crate::model::FailureProblem;
 use crate::result::{ConvergencePoint, ExtractionResult};
@@ -115,7 +115,12 @@ impl Estimator for MonteCarlo {
         "monte-carlo"
     }
 
-    fn estimate(&self, problem: &FailureProblem, rng: &mut RngStream) -> EstimatorOutcome {
+    fn estimate_warm(
+        &self,
+        problem: &FailureProblem,
+        rng: &mut RngStream,
+        _warm: Option<&WarmStart>,
+    ) -> EstimatorOutcome {
         let dim = problem.dim();
         let executor = self.exec.executor();
         let start_evals = problem.evaluations();

@@ -26,7 +26,7 @@
 //!   [`YieldAnalysis::run`] at any matrix thread count.
 //! * **Checkpoint / resume** — with [`SweepRunner::checkpoint`], every
 //!   completed cell is appended to a JSON-lines file the moment it finishes
-//!   (one [`SweepCellRecord`] per line, flushed). On the next run, records
+//!   (one sealed [`SweepLogEntry`] per line, flushed). On the next run, records
 //!   whose master seed, convergence policy and derived per-cell seed still
 //!   match are restored verbatim and only the missing cells execute; a
 //!   truncated trailing line
@@ -62,7 +62,7 @@
 //! }
 //! ```
 
-use crate::analysis::{AnalysisReport, MethodReport, YieldAnalysis};
+use crate::analysis::{assert_unique, AnalysisReport, MethodReport, YieldAnalysis};
 use crate::array_yield::ArrayYield;
 use crate::estimator::{ConvergencePolicy, WarmStart};
 use crate::exec::ExecutionConfig;
@@ -104,20 +104,6 @@ fn donor_depth(donors: &BTreeMap<String, String>, name: &str) -> usize {
         cursor = donor;
     }
     depth
-}
-
-/// Panics when `names` contains a duplicate — the sweep scheduler and
-/// checkpoint key cells by name, so aliased names would silently clone one
-/// cell's results into another.
-fn assert_unique(kind: &str, names: &[String]) {
-    let mut seen = std::collections::BTreeSet::new();
-    for name in names {
-        assert!(
-            seen.insert(name.as_str()),
-            "duplicate {kind} name {name:?}: the sweep scheduler keys cells by \
-             name and cannot tell aliased {kind}s apart"
-        );
-    }
 }
 
 /// Short lower-case tag of a corner, used in scenario names.
@@ -541,9 +527,8 @@ pub const SWEEP_LOG_KIND_JOB: &str = "job";
 /// One line of a sweep checkpoint / job-server journal: a protocol-versioned
 /// envelope around either a completed-cell record or a job submission.
 ///
-/// The batch [`SweepRunner`] writes `kind = "cell"` lines and, on restore,
-/// accepts both enveloped lines and the pre-envelope bare
-/// [`SweepCellRecord`] format (so existing checkpoints stay replayable).
+/// The batch [`SweepRunner`] writes sealed `kind = "cell"` lines and, on
+/// restore, accepts only sealed lines whose checksum verifies.
 /// A job server (the `gis-serve` daemon) additionally writes `kind = "job"`
 /// lines carrying the submitted job spec (opaque to this crate) and tags its
 /// cell lines with the content-addressed cache `key`; the batch runner
@@ -563,9 +548,8 @@ pub struct SweepLogEntry {
     /// The completed cell (`kind = "cell"` lines only).
     pub record: Option<SweepCellRecord>,
     /// CRC-32 ([`crate::fault::crc32`]) of the entry's serialization with
-    /// this field set to `None` — see [`SweepLogEntry::sealed`]. `None` on
-    /// lines written before checksumming existed; such legacy lines still
-    /// replay (validated by JSON parse alone).
+    /// this field set to `None` — see [`SweepLogEntry::sealed`]. `None`
+    /// only before sealing; an unsealed line is discarded on replay.
     pub crc: Option<u32>,
 }
 
@@ -614,14 +598,14 @@ impl SweepLogEntry {
         self
     }
 
-    /// Verifies the line checksum. `true` for unsealed legacy lines (no
-    /// `crc` recorded); a sealed line must re-serialize (with `crc = None`)
-    /// to exactly the bytes its checksum was computed over — the vendored
+    /// Verifies the line checksum. `false` for an unsealed line (no `crc`
+    /// recorded); a sealed line must re-serialize (with `crc = None`) to
+    /// exactly the bytes its checksum was computed over — the vendored
     /// serializer's canonical field order and shortest-roundtrip float
     /// formatting make that re-serialization deterministic.
     pub fn crc_valid(&self) -> bool {
         let Some(expected) = self.crc else {
-            return true;
+            return false;
         };
         let mut unsealed = self.clone();
         unsealed.crc = None;
@@ -703,13 +687,12 @@ impl SweepLog {
 /// is the one validator of the log-line format, behind both the checkpoint
 /// restore and the `gis-serve` journal replay.
 ///
-/// A line is discarded when it is torn or corrupt (it does not parse, or a
-/// sealed line fails its CRC), has another version or kind, is a cell line
-/// without a record, or records a quarantined failure: quarantine is never
-/// sticky, so a resume gives that cell a fresh chance. Job lines are
-/// skipped without counting as discarded. Unsealed legacy lines and bare
-/// pre-envelope [`SweepCellRecord`] lines (which have no key) still read.
-/// A missing file reads as empty.
+/// A line is discarded when it is torn or corrupt (it does not parse as a
+/// [`SweepLogEntry`], or fails its CRC), is unsealed, has another version or
+/// kind, is a cell line without a record, or records a quarantined failure:
+/// quarantine is never sticky, so a resume gives that cell a fresh chance.
+/// Sealed job lines are skipped without counting as discarded. A missing
+/// file reads as empty.
 pub fn read_log(path: &Path) -> (Vec<(Option<String>, SweepCellRecord)>, usize) {
     let mut cells = Vec::new();
     let mut discarded = 0usize;
@@ -725,9 +708,7 @@ pub fn read_log(path: &Path) -> (Vec<(Option<String>, SweepCellRecord)>, usize) 
             Ok(entry) if entry.v == SWEEP_LOG_VERSION && entry.kind == SWEEP_LOG_KIND_CELL => {
                 entry.record.map(|record| (entry.key, record))
             }
-            _ => serde_json::from_str::<SweepCellRecord>(line)
-                .ok()
-                .map(|record| (None, record)),
+            _ => None,
         };
         match cell {
             Some((key, record)) if !record.report.is_failed() => cells.push((key, record)),
@@ -1108,8 +1089,8 @@ impl SweepRunner {
         // The scheduler keys cells by (problem, estimator) name; duplicate
         // names would silently alias cells that the sequential path computes
         // independently, so reject them up front.
-        assert_unique("problem", &problem_names);
-        assert_unique("estimator", &estimator_names);
+        assert_unique("problem", problem_names.iter().map(String::as_str));
+        assert_unique("estimator", estimator_names.iter().map(String::as_str));
         let (mut completed, discarded) = store.restore(analysis);
         let total_cells = problem_names.len() * estimator_names.len();
         let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -1620,8 +1601,8 @@ mod tests {
             assert!(entry.record.is_some());
         }
 
-        // A job envelope interleaved into the log is tolerated: it is
-        // neither restored nor counted as discarded.
+        // A sealed job envelope interleaved into the log is tolerated: it
+        // is neither restored nor counted as discarded.
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
@@ -1629,7 +1610,8 @@ mod tests {
                 .open(&path)
                 .unwrap();
             let job = SweepLogEntry::job(serde_json::to_value(&"fast-suite".to_string()).unwrap())
-                .with_key("job-demo");
+                .with_key("job-demo")
+                .sealed();
             writeln!(f, "{}", serde_json::to_string(&job).unwrap()).unwrap();
         }
 
@@ -1950,10 +1932,51 @@ mod tests {
         let mut tampered = sealed.clone();
         tampered.kind = "job".to_string();
         assert!(!tampered.crc_valid());
-        // Legacy lines without a checksum still verify (parse-only trust).
-        let mut legacy = sealed;
-        legacy.crc = None;
-        assert!(legacy.crc_valid());
+        // A line without a checksum does not verify.
+        let mut unsealed = sealed;
+        unsealed.crc = None;
+        assert!(!unsealed.crc_valid());
+    }
+
+    #[test]
+    fn unsealed_and_bare_checkpoint_lines_are_discarded_and_rerun() {
+        let dir = std::env::temp_dir().join("gis_sweep_unit");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("unsealed.jsonl");
+        clear_checkpoint(&path).unwrap();
+
+        let reference = tiny_analysis().run();
+        let first = SweepRunner::new()
+            .checkpoint(&path)
+            .run(&mut tiny_analysis());
+        assert!(first.status.is_complete());
+
+        // Rewrite the two sealed cell lines: the first without its
+        // checksum, the second as a bare record without the envelope.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let entries: Vec<SweepLogEntry> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        assert_eq!(entries.len(), 2);
+        let mut unsealed = entries[0].clone();
+        unsealed.crc = None;
+        let bare = entries[1].record.clone().unwrap();
+        let rewritten = format!(
+            "{}\n{}\n",
+            serde_json::to_string(&unsealed).unwrap(),
+            serde_json::to_string(&bare).unwrap()
+        );
+        std::fs::write(&path, rewritten).unwrap();
+
+        let resumed = SweepRunner::new()
+            .checkpoint(&path)
+            .run(&mut tiny_analysis());
+        assert!(resumed.status.is_complete());
+        assert_eq!(resumed.status.restored_cells, 0);
+        assert_eq!(resumed.status.discarded_records, 2);
+        assert_eq!(resumed.report.expect("complete"), reference);
+        clear_checkpoint(&path).unwrap();
     }
 
     #[test]

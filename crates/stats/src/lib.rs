@@ -14,8 +14,8 @@
 //! * reproducible, splittable random streams,
 //! * space-filling sampling plans (Latin hypercube, uniform-on-sphere shells)
 //!   used by the spherical-presampling baseline, and
-//! * streaming summary statistics (Welford), weighted statistics for
-//!   self-normalized importance sampling, histograms and confidence intervals.
+//! * streaming summary statistics (Welford), histograms and the binomial and
+//!   chi-square tests the calibration harness applies.
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@ pub use rng::RngStream;
 pub use sampling::{latin_hypercube, uniform_on_sphere};
 pub use summary::{
     binomial_acceptance_band, binomial_cdf, chi_square_statistic, pearson_correlation, quantile_of,
-    ConfidenceInterval, OnlineStats, WeightedStats,
+    OnlineStats,
 };
 
 /// Error type for statistics routines.

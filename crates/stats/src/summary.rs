@@ -1,10 +1,9 @@
-//! Streaming and weighted summary statistics.
+//! Summary statistics: a streaming mean and variance, binomial and
+//! chi-square tests, correlation and empirical quantiles.
 //!
 //! Failure-probability estimators accumulate millions of indicator evaluations;
 //! [`OnlineStats`] keeps mean and variance in a numerically stable, single-pass
-//! (Welford) form. Self-normalized importance sampling needs the weighted
-//! counterpart, [`WeightedStats`], along with the effective sample size that
-//! diagnoses weight degeneracy.
+//! (Welford) form.
 
 use serde::{Deserialize, Serialize};
 
@@ -125,26 +124,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Normal-approximation confidence interval for the mean at the given
-    /// confidence level (e.g. 0.95).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is not in `(0, 1)`.
-    pub fn confidence_interval(&self, level: f64) -> ConfidenceInterval {
-        assert!(
-            level > 0.0 && level < 1.0,
-            "confidence level must be in (0,1)"
-        );
-        let z = crate::normal::quantile(0.5 + level / 2.0);
-        let half = z * self.standard_error();
-        ConfidenceInterval {
-            lower: self.mean - half,
-            upper: self.mean + half,
-            level,
-        }
-    }
 }
 
 impl Extend<f64> for OnlineStats {
@@ -160,160 +139,6 @@ impl FromIterator<f64> for OnlineStats {
         let mut s = OnlineStats::new();
         s.extend(iter);
         s
-    }
-}
-
-/// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConfidenceInterval {
-    /// Lower bound.
-    pub lower: f64,
-    /// Upper bound.
-    pub upper: f64,
-    /// Confidence level, e.g. `0.95`.
-    pub level: f64,
-}
-
-impl ConfidenceInterval {
-    /// Width of the interval.
-    pub fn width(&self) -> f64 {
-        self.upper - self.lower
-    }
-
-    /// Half-width relative to the centre of the interval; `inf` when the centre
-    /// is zero. This is the "relative error" stopping criterion used throughout
-    /// the high-sigma literature (stop when the 90% CI is within ±10%).
-    pub fn relative_half_width(&self) -> f64 {
-        let centre = 0.5 * (self.lower + self.upper);
-        // gis-analyze: allow(float-eq, division guard against an exactly-zero interval centre)
-        if centre == 0.0 {
-            f64::INFINITY
-        } else {
-            0.5 * self.width() / centre.abs()
-        }
-    }
-
-    /// Returns `true` if `value` lies inside the interval (inclusive).
-    pub fn contains(&self, value: f64) -> bool {
-        value >= self.lower && value <= self.upper
-    }
-}
-
-/// Weighted streaming statistics for self-normalized importance sampling.
-///
-/// Accumulates `Σw`, `Σw²`, `Σw·h` and `Σw·h²` so that the self-normalized
-/// estimate, its delta-method variance and the effective sample size can all be
-/// reported without storing samples.
-///
-/// ```
-/// use gis_stats::WeightedStats;
-/// let mut s = WeightedStats::new();
-/// s.push(1.0, 2.0);
-/// s.push(3.0, 4.0);
-/// assert!((s.weighted_mean() - 3.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WeightedStats {
-    count: u64,
-    sum_w: f64,
-    sum_w_sq: f64,
-    sum_wh: f64,
-    sum_wh_sq: f64,
-}
-
-impl WeightedStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        WeightedStats::default()
-    }
-
-    /// Adds one observation `h` with weight `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is negative or not finite.
-    /// gis-analyze: no_alloc
-    pub fn push(&mut self, weight: f64, value: f64) {
-        assert!(
-            weight >= 0.0 && weight.is_finite(),
-            "importance weights must be non-negative and finite, got {weight}"
-        );
-        self.count += 1;
-        self.sum_w += weight; // gis-analyze: allow(naive-accum, asserted non-negative weights: no cancellation in the sum)
-        self.sum_w_sq += weight * weight; // gis-analyze: allow(naive-accum, non-negative squared weights: no cancellation possible)
-        self.sum_wh += weight * value; // gis-analyze: allow(naive-accum, delta-method moment; terms bounded by the asserted-finite weight)
-        self.sum_wh_sq += (weight * value) * (weight * value); // gis-analyze: allow(naive-accum, non-negative squared terms: no cancellation possible)
-    }
-
-    /// Merges another accumulator into this one.
-    /// gis-analyze: no_alloc
-    pub fn merge(&mut self, other: &WeightedStats) {
-        self.count += other.count;
-        self.sum_w += other.sum_w; // gis-analyze: allow(naive-accum, merge of non-negative partial sums in deterministic lane order)
-        self.sum_w_sq += other.sum_w_sq; // gis-analyze: allow(naive-accum, merge of non-negative partial sums in deterministic lane order)
-        self.sum_wh += other.sum_wh; // gis-analyze: allow(naive-accum, merge of partial moments in deterministic lane order)
-        self.sum_wh_sq += other.sum_wh_sq; // gis-analyze: allow(naive-accum, merge of non-negative partial sums in deterministic lane order)
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of weights.
-    pub fn sum_weights(&self) -> f64 {
-        self.sum_w
-    }
-
-    /// Unnormalized importance-sampling mean `Σ(w·h)/N`. This is the unbiased
-    /// estimator when the weights are exact density ratios.
-    pub fn unnormalized_mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_wh / self.count as f64
-        }
-    }
-
-    /// Variance of the unnormalized estimator of the mean, estimated from the
-    /// sample: `Var[Σ(w·h)/N] = (E[(w·h)²] − E[w·h]²) / (N − 1)`.
-    pub fn unnormalized_variance_of_mean(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.sum_wh / n;
-        let second_moment = self.sum_wh_sq / n;
-        ((second_moment - mean * mean).max(0.0)) / (n - 1.0)
-    }
-
-    /// Self-normalized importance-sampling mean `Σ(w·h)/Σw`.
-    pub fn weighted_mean(&self) -> f64 {
-        // gis-analyze: allow(float-eq, division guard: the weight sum is exactly 0.0 only when empty)
-        if self.sum_w == 0.0 {
-            0.0
-        } else {
-            self.sum_wh / self.sum_w
-        }
-    }
-
-    /// Kish effective sample size `(Σw)² / Σw²`; `0` when empty.
-    pub fn effective_sample_size(&self) -> f64 {
-        // gis-analyze: allow(float-eq, division guard: exact 0.0 only before any push)
-        if self.sum_w_sq == 0.0 {
-            0.0
-        } else {
-            self.sum_w * self.sum_w / self.sum_w_sq
-        }
-    }
-
-    /// Fraction of nominal sample size retained, `ESS / N`.
-    pub fn efficiency(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.effective_sample_size() / self.count as f64
-        }
     }
 }
 
@@ -532,13 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn confidence_interval_behaviour() {
+    fn standard_error_of_a_balanced_indicator() {
         let stats: OnlineStats = (0..10_000).map(|i| (i % 2) as f64).collect();
-        let ci = stats.confidence_interval(0.95);
-        assert!(ci.contains(0.5));
-        assert!(ci.width() < 0.03);
-        assert!(ci.relative_half_width() < 0.03);
-        assert!(ci.level == 0.95);
+        assert_eq!(stats.mean(), 0.5);
+        // s = 0.5·sqrt(n/(n−1)), so the standard error is about 0.005.
+        let expected = 0.5 * (10_000.0f64 / 9_999.0).sqrt() / 100.0;
+        assert!((stats.standard_error() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -547,57 +371,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.standard_error(), 0.0);
-        let ci = s.confidence_interval(0.9);
-        assert_eq!(ci.width(), 0.0);
-    }
-
-    #[test]
-    fn weighted_mean_and_ess() {
-        let mut s = WeightedStats::new();
-        s.push(1.0, 10.0);
-        s.push(1.0, 20.0);
-        assert!((s.weighted_mean() - 15.0).abs() < 1e-12);
-        // Equal weights: ESS equals N.
-        assert!((s.effective_sample_size() - 2.0).abs() < 1e-12);
-        assert!((s.efficiency() - 1.0).abs() < 1e-12);
-
-        // One dominant weight collapses the ESS towards 1.
-        let mut t = WeightedStats::new();
-        t.push(1000.0, 1.0);
-        t.push(0.001, 0.0);
-        assert!(t.effective_sample_size() < 1.1);
-    }
-
-    #[test]
-    fn unnormalized_mean_for_indicator() {
-        // Importance sampling of an indicator: values are 0/1, weights are
-        // density ratios. Unnormalized mean = Σ w·1 / N.
-        let mut s = WeightedStats::new();
-        s.push(0.5, 1.0);
-        s.push(0.25, 0.0);
-        s.push(0.125, 1.0);
-        s.push(2.0, 0.0);
-        assert!((s.unnormalized_mean() - (0.5 + 0.125) / 4.0).abs() < 1e-12);
-        assert!(s.unnormalized_variance_of_mean() >= 0.0);
-        assert_eq!(s.count(), 4);
-        assert!((s.sum_weights() - 2.875).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "importance weights must be non-negative")]
-    fn negative_weight_rejected() {
-        WeightedStats::new().push(-1.0, 0.0);
-    }
-
-    #[test]
-    fn weighted_merge() {
-        let mut a = WeightedStats::new();
-        a.push(1.0, 1.0);
-        let mut b = WeightedStats::new();
-        b.push(3.0, 0.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.weighted_mean() - 0.25).abs() < 1e-12);
     }
 
     #[test]

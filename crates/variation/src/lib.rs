@@ -10,7 +10,7 @@
 //! * [`VariationParameter`] / [`VariationSpace`] — the mapping between the
 //!   *whitened* space (independent standard normal `z` variables, where all
 //!   estimators operate) and physical parameter deltas (ΔV_T per transistor),
-//!   optionally with a correlation structure, and
+//!   one independent Gaussian per parameter, and
 //! * [`GlobalCorner`] — systematic (die-to-die) shifts that can be layered on
 //!   top of the local mismatch.
 //!
@@ -40,29 +40,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![deny(missing_docs)]
 
-use gis_linalg::{Cholesky, Matrix, Vector};
+use gis_linalg::Vector;
 use gis_stats::RngStream;
 use serde::{Deserialize, Serialize};
-
-/// Error type for variation-space construction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum VariationError {
-    /// An argument was invalid (empty parameter list, non-positive sigma, …).
-    InvalidArgument(String),
-    /// The supplied correlation matrix is not valid (wrong size or not SPD).
-    InvalidCorrelation(String),
-}
-
-impl std::fmt::Display for VariationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VariationError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
-            VariationError::InvalidCorrelation(m) => write!(f, "invalid correlation matrix: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for VariationError {}
 
 /// Pelgrom mismatch model for threshold voltage variation.
 ///
@@ -187,8 +167,6 @@ impl VariationParameter {
 #[derive(Debug, Clone)]
 pub struct VariationSpace {
     parameters: Vec<VariationParameter>,
-    /// Cholesky factor of the correlation matrix (None = independent).
-    correlation_chol: Option<Cholesky>,
 }
 
 impl VariationSpace {
@@ -203,52 +181,7 @@ impl VariationSpace {
             !parameters.is_empty(),
             "variation space needs at least one parameter"
         );
-        VariationSpace {
-            parameters,
-            correlation_chol: None,
-        }
-    }
-
-    /// Creates a space of correlated parameters from a correlation matrix
-    /// (unit diagonal, symmetric positive definite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VariationError::InvalidCorrelation`] if the matrix has the
-    /// wrong size, an off-unit diagonal, or is not positive definite, and
-    /// [`VariationError::InvalidArgument`] if no parameters are given.
-    pub fn correlated(
-        parameters: Vec<VariationParameter>,
-        correlation: &Matrix,
-    ) -> Result<Self, VariationError> {
-        if parameters.is_empty() {
-            return Err(VariationError::InvalidArgument(
-                "variation space needs at least one parameter".to_string(),
-            ));
-        }
-        let n = parameters.len();
-        if correlation.shape() != (n, n) {
-            return Err(VariationError::InvalidCorrelation(format!(
-                "expected a {n}x{n} matrix, got {}x{}",
-                correlation.rows(),
-                correlation.cols()
-            )));
-        }
-        for i in 0..n {
-            if (correlation[(i, i)] - 1.0).abs() > 1e-9 {
-                return Err(VariationError::InvalidCorrelation(format!(
-                    "diagonal entry {i} is {}, expected 1",
-                    correlation[(i, i)]
-                )));
-            }
-        }
-        let chol = Cholesky::new(correlation).map_err(|e| {
-            VariationError::InvalidCorrelation(format!("not positive definite: {e}"))
-        })?;
-        Ok(VariationSpace {
-            parameters,
-            correlation_chol: Some(chol),
-        })
+        VariationSpace { parameters }
     }
 
     /// Number of variation parameters (the dimension of `z`-space).
@@ -272,21 +205,16 @@ impl VariationSpace {
     }
 
     /// Maps a whitened point `z` to physical parameter deltas
-    /// `Δ = diag(σ) · L · z` (with `L = I` for independent parameters).
+    /// `Δ = diag(σ) · z`.
     ///
     /// # Panics
     ///
     /// Panics if `z.len() != dim()`.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn to_physical(&self, z: &Vector) -> Vector {
         assert_eq!(z.len(), self.dim(), "dimension mismatch in to_physical");
-        let correlated = match &self.correlation_chol {
-            Some(chol) => chol.color(z).expect("dimension checked above"),
-            None => z.clone(),
-        };
         self.parameters
             .iter()
-            .zip(correlated.iter())
+            .zip(z.iter())
             .map(|(p, &c)| p.std_dev * c)
             .collect()
     }
@@ -297,23 +225,17 @@ impl VariationSpace {
     /// # Panics
     ///
     /// Panics if `deltas.len() != dim()`.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn to_whitened(&self, deltas: &Vector) -> Vector {
         assert_eq!(
             deltas.len(),
             self.dim(),
             "dimension mismatch in to_whitened"
         );
-        let scaled: Vector = self
-            .parameters
+        self.parameters
             .iter()
             .zip(deltas.iter())
             .map(|(p, &d)| d / p.std_dev)
-            .collect();
-        match &self.correlation_chol {
-            Some(chol) => chol.whiten(&scaled).expect("dimension checked above"),
-            None => scaled,
-        }
+            .collect()
     }
 
     /// Draws one sample: a whitened point and its physical deltas.
@@ -411,56 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn correlated_space_reproduces_correlation() {
-        let corr = Matrix::from_rows(&[&[1.0, 0.8], &[0.8, 1.0]]).unwrap();
-        let space = VariationSpace::correlated(
-            vec![
-                VariationParameter::new("a", 1.0),
-                VariationParameter::new("b", 1.0),
-            ],
-            &corr,
-        )
-        .unwrap();
-        let mut rng = RngStream::from_seed(5);
-        let n = 50_000;
-        let mut sum_ab = 0.0;
-        let mut sum_aa = 0.0;
-        let mut sum_bb = 0.0;
-        for _ in 0..n {
-            let (_, p) = space.sample(&mut rng);
-            sum_ab += p[0] * p[1];
-            sum_aa += p[0] * p[0];
-            sum_bb += p[1] * p[1];
-        }
-        let corr_hat = sum_ab / (sum_aa.sqrt() * sum_bb.sqrt());
-        assert!((corr_hat - 0.8).abs() < 0.02, "correlation {corr_hat}");
-        // Round trip through the correlated transform.
-        let z = Vector::from_slice(&[1.0, -2.0]);
-        let back = space.to_whitened(&space.to_physical(&z));
-        assert!((&back - &z).norm() < 1e-10);
-    }
-
-    #[test]
-    fn correlated_space_validation() {
-        let params = vec![
-            VariationParameter::new("a", 1.0),
-            VariationParameter::new("b", 1.0),
-        ];
-        // Wrong size.
-        assert!(VariationSpace::correlated(params.clone(), &Matrix::identity(3)).is_err());
-        // Non-unit diagonal.
-        let bad = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 1.0]]).unwrap();
-        assert!(VariationSpace::correlated(params.clone(), &bad).is_err());
-        // Not positive definite.
-        let bad = Matrix::from_rows(&[&[1.0, 1.5], &[1.5, 1.0]]).unwrap();
-        assert!(VariationSpace::correlated(params.clone(), &bad).is_err());
-        // Empty parameters.
-        assert!(VariationSpace::correlated(vec![], &Matrix::identity(0)).is_err());
-        // Valid.
-        assert!(VariationSpace::correlated(params, &Matrix::identity(2)).is_ok());
-    }
-
-    #[test]
     fn sample_moments() {
         let space = VariationSpace::independent([VariationParameter::new("a", 0.03)]);
         let mut rng = RngStream::from_seed(9);
@@ -486,16 +358,6 @@ mod tests {
         assert_eq!(space.dim(), 6);
         assert!(space.names()[0].contains("PGL"));
         assert!(space.names()[5].contains("PUR"));
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(VariationError::InvalidArgument("x".into())
-            .to_string()
-            .contains('x'));
-        assert!(VariationError::InvalidCorrelation("y".into())
-            .to_string()
-            .contains('y'));
     }
 
     #[test]
