@@ -25,12 +25,15 @@
 //! stopping rule (±10% target, ≥20 failures, early stops allowed) and
 //! asserts that every cell of that report is within the band.
 //!
-//! Output: `BENCH_calibration.json` at the workspace root.
+//! Output: the full matrix writes the committed `BENCH_calibration.json` at
+//! the workspace root; `--fast` writes `BENCH_calibration_fast.json` under
+//! the git-ignored `results/`, so a local gate run never replaces the
+//! committed artifact.
 
 // Experiment driver: abort-on-error is the right failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gis_bench::{workspace_root, MASTER_SEED};
+use gis_bench::{results_dir, workspace_root, MASTER_SEED};
 use gis_core::{
     standard_estimators, BenchmarkProblem, CalibrationReport, Calibrator, ConvergencePolicy,
     ExecutionConfig,
@@ -260,7 +263,11 @@ fn main() {
         production_rule: production,
         report,
     };
-    let path = workspace_root().join("BENCH_calibration.json");
+    let path = if fast {
+        results_dir().join("BENCH_calibration_fast.json")
+    } else {
+        workspace_root().join("BENCH_calibration.json")
+    };
     let json = serde_json::to_string_pretty(&artifact).expect("calibration report serializes");
     std::fs::write(&path, json).expect("calibration report is writable");
     println!("[artifact] {}", path.display());

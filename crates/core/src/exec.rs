@@ -253,7 +253,6 @@ impl Executor {
         if items.is_empty() {
             return Vec::new();
         }
-        let chunks: Vec<&[T]> = items.chunks(self.chunk_size).collect();
         let run_chunk = |chunk: &[T]| {
             let out = f(chunk);
             assert_eq!(
@@ -265,9 +264,14 @@ impl Executor {
         };
         // Serial executors and sub-threshold batches skip the scoped-thread
         // machinery entirely; see [`INLINE_CHUNK_THRESHOLD`].
-        if self.threads == 1 || chunks.len() <= INLINE_CHUNK_THRESHOLD {
-            return chunks.into_iter().flat_map(run_chunk).collect();
+        if self.threads == 1 || items.len().div_ceil(self.chunk_size) <= INLINE_CHUNK_THRESHOLD {
+            let mut out = Vec::with_capacity(items.len());
+            for chunk in items.chunks(self.chunk_size) {
+                out.extend(run_chunk(chunk));
+            }
+            return out;
         }
+        let chunks: Vec<&[T]> = items.chunks(self.chunk_size).collect();
 
         // Fault containment: each chunk runs behind `catch_unwind`, so one
         // panicking chunk no longer tears down the scope (and poisons the

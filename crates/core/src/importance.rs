@@ -129,9 +129,21 @@ impl Proposal {
 
     /// Draws one sample.
     pub fn sample(&self, rng: &mut RngStream) -> Vector {
+        let mut z = Vector::zeros(self.dim());
+        self.sample_into(rng, z.as_mut_slice());
+        z
+    }
+
+    /// Draws one sample into `z`, overwriting it. Consumes the stream exactly
+    /// as [`Proposal::sample`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len()` differs from the proposal's dimension.
+    pub fn sample_into(&self, rng: &mut RngStream, z: &mut [f64]) {
         match self {
-            Proposal::Gaussian(g) => g.sample(rng),
-            Proposal::Mixture(m) => m.sample(rng),
+            Proposal::Gaussian(g) => g.sample_into(rng, z),
+            Proposal::Mixture(m) => m.sample_into(rng, z),
         }
     }
 
@@ -438,7 +450,9 @@ pub type Adaptation<'a> = dyn FnMut(&[Vector], &[f64], &[bool]) -> Option<Propos
 ///
 /// Each batch is generated sequentially from `rng` (fixed draw order),
 /// evaluated on the worker threads of `exec`, and reduced in sample order, so
-/// the result is bit-identical at every thread count.
+/// the result is bit-identical at every thread count. Every batch is drawn
+/// into the same point and weight buffers, so the loop's memory scales with
+/// the batch size, not with the budget.
 #[allow(clippy::expect_used)] // invariants stated in the expect messages
 #[allow(clippy::too_many_arguments)] // the optional adaptation step is the one input fixed-proposal IS lacks
 pub fn run_importance_sampling(
@@ -465,17 +479,21 @@ pub fn run_importance_sampling(
     let mut trace = Vec::new();
     let mut converged = false;
     let mut stop = StoppingRule::new(config.target_relative_error, config.min_failures);
+    let largest_batch = config.batch_size.min(config.max_samples) as usize;
+    let mut buffer: Vec<Vector> = (0..largest_batch)
+        .map(|_| Vector::zeros(problem.dim()))
+        .collect();
+    let mut weights = Vec::with_capacity(largest_batch);
 
     while acc.samples() < config.max_samples {
-        let batch = config.batch_size.min(config.max_samples - acc.samples());
-        let mut points = Vec::with_capacity(batch as usize);
-        let mut weights = Vec::with_capacity(batch as usize);
-        for _ in 0..batch {
-            let z = proposal.sample(rng);
-            weights.push(proposal.importance_weight(&z));
-            points.push(z);
+        let batch = config.batch_size.min(config.max_samples - acc.samples()) as usize;
+        let points = &mut buffer[..batch];
+        weights.clear();
+        for z in points.iter_mut() {
+            proposal.sample_into(rng, z.as_mut_slice());
+            weights.push(proposal.importance_weight(z));
         }
-        let failed = problem.is_failure_batch_on(exec, &points);
+        let failed = problem.is_failure_batch_on(exec, points);
         for (&weight, &failed) in weights.iter().zip(&failed) {
             acc.push(weight, failed);
         }
@@ -493,7 +511,7 @@ pub fn run_importance_sampling(
         }
         if let Some(next) = adapt
             .as_mut()
-            .and_then(|step| step(&points, &weights, &failed))
+            .and_then(|step| step(points, &weights, &failed))
         {
             proposal = Cow::Owned(next);
         }
@@ -559,6 +577,28 @@ mod tests {
         for x in [-3.0, 0.0, 2.0, 4.0, 8.0] {
             let w = defensive.importance_weight(&Vector::from_slice(&[x]));
             assert!(w <= 5.0 + 1e-9, "weight {w} exceeds the defensive bound");
+        }
+    }
+
+    #[test]
+    fn proposal_sample_into_matches_sample_bit_for_bit() {
+        let shift = Vector::from_slice(&[3.0, -1.0, 0.5, 0.0, 2.0, -0.25]);
+        let proposals = [
+            Proposal::shifted(shift.clone()),
+            Proposal::scaled(6, 2.5),
+            Proposal::defensive_mixture(shift.clone(), 0.1),
+            Proposal::bridged_mixture(shift.clone(), shift.scaled(0.75), 0.2, 0.1),
+        ];
+        for (case, proposal) in proposals.iter().enumerate() {
+            let mut alloc_rng = RngStream::from_seed(90 + case as u64);
+            let mut fill_rng = alloc_rng.clone();
+            let mut z = Vector::filled(6, f64::NAN);
+            for _ in 0..32 {
+                let expected = proposal.sample(&mut alloc_rng);
+                proposal.sample_into(&mut fill_rng, z.as_mut_slice());
+                let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&z), bits(&expected), "proposal {case}");
+            }
         }
     }
 

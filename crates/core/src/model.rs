@@ -227,29 +227,11 @@ impl FailureProblem {
         exec.map_chunks(points, |chunk| self.model.evaluate_batch(chunk))
     }
 
-    /// Signed failure margins for a batch of points (counts one evaluation per
-    /// point).
-    pub fn failure_margins_batch(&self, points: &[Vector]) -> Vec<f64> {
-        self.metrics_batch(points)
-            .into_iter()
-            .map(|m| self.spec.failure_margin(m))
-            .collect()
-    }
-
     /// Signed failure margins for a batch, evaluated on `exec`.
     pub fn failure_margins_batch_on(&self, exec: &Executor, points: &[Vector]) -> Vec<f64> {
         self.metrics_batch_on(exec, points)
             .into_iter()
             .map(|m| self.spec.failure_margin(m))
-            .collect()
-    }
-
-    /// Pass/fail indicators for a batch of points (counts one evaluation per
-    /// point).
-    pub fn is_failure_batch(&self, points: &[Vector]) -> Vec<bool> {
-        self.metrics_batch(points)
-            .into_iter()
-            .map(|m| self.spec.is_failure(m))
             .collect()
     }
 
@@ -576,13 +558,17 @@ mod tests {
             }
         }
         assert_eq!(
-            problem.fork().failure_margins_batch(&points),
+            problem
+                .fork()
+                .failure_margins_batch_on(&Executor::serial(), &points),
             problem
                 .fork()
                 .failure_margins_batch_on(&Executor::new(8), &points)
         );
         assert_eq!(
-            problem.fork().is_failure_batch(&points),
+            problem
+                .fork()
+                .is_failure_batch_on(&Executor::serial(), &points),
             problem
                 .fork()
                 .is_failure_batch_on(&Executor::new(3), &points)

@@ -6,9 +6,10 @@
 //! estimator is the failure fraction with its binomial standard error.
 //!
 //! The inner loop is batched: each batch of points is generated sequentially
-//! (preserving the draw order of the stream), evaluated on the configured
-//! [`crate::exec::Executor`] worker threads, and reduced in sample order — so
-//! the estimate is bit-identical at every thread count.
+//! (preserving the draw order of the stream) into one reused buffer,
+//! evaluated on the configured [`crate::exec::Executor`] worker threads, and
+//! reduced in sample order — so the estimate is bit-identical at every thread
+//! count, and memory scales with the batch size, not with the budget.
 
 use crate::estimator::{ConvergencePolicy, Diagnostics, Estimator, EstimatorOutcome, WarmStart};
 use crate::exec::ExecutionConfig;
@@ -130,19 +131,23 @@ impl Estimator for MonteCarlo {
         let mut converged = false;
         let mut stop =
             StoppingRule::new(self.config.target_relative_error, self.config.min_failures);
+        let mut buffer: Vec<Vector> = (0..self.config.batch_size.min(self.config.max_samples))
+            .map(|_| Vector::zeros(dim))
+            .collect();
 
         while samples < self.config.max_samples {
             let batch = self
                 .config
                 .batch_size
                 .min(self.config.max_samples - samples);
-            // Generate sequentially (fixed draw order), evaluate on the
-            // executor, reduce in sample order.
-            let points: Vec<Vector> = (0..batch)
-                .map(|_| rng.standard_normal_vector(dim))
-                .collect();
+            // Generate sequentially (fixed draw order) into the reused batch
+            // buffer, evaluate on the executor, reduce in sample order.
+            let points = &mut buffer[..batch as usize];
+            for z in points.iter_mut() {
+                rng.fill_standard_normal(z.as_mut_slice());
+            }
             failures += problem
-                .is_failure_batch_on(&executor, &points)
+                .is_failure_batch_on(&executor, points)
                 .into_iter()
                 .filter(|&failed| failed)
                 .count() as u64;

@@ -127,12 +127,14 @@ impl GradientMpfpSearch {
     ///
     /// The `dim` forward probes are independent simulator calls and are
     /// evaluated as one batch on `exec` — for a simulation-backed metric this
-    /// is where the search's wall-clock goes.
+    /// is where the search's wall-clock goes. They are written into `probes`,
+    /// which the search allocates on first use and refills on every call.
     fn margin_and_gradient(
         &self,
         problem: &FailureProblem,
         z: &Vector,
         exec: &Executor,
+        probes: &mut Vec<Vector>,
     ) -> (f64, Vector) {
         let h = self.config.finite_difference_step;
         let margin = problem.failure_margin(z);
@@ -145,14 +147,14 @@ impl GradientMpfpSearch {
         if !margin.is_finite() {
             return (margin, gradient);
         }
-        let probes: Vec<Vector> = (0..z.len())
-            .map(|i| {
-                let mut z_step = z.clone();
-                z_step[i] += h;
-                z_step
-            })
-            .collect();
-        let forwards = problem.failure_margins_batch_on(exec, &probes);
+        if probes.is_empty() {
+            probes.resize_with(z.len(), || Vector::zeros(z.len()));
+        }
+        for (i, z_step) in probes.iter_mut().enumerate() {
+            z_step.as_mut_slice().copy_from_slice(z.as_slice());
+            z_step[i] += h;
+        }
+        let forwards = problem.failure_margins_batch_on(exec, probes);
         for (i, forward) in forwards.into_iter().enumerate() {
             gradient[i] = if forward.is_finite() {
                 (forward - margin) / h
@@ -208,13 +210,14 @@ impl GradientMpfpSearch {
         let mut converged = false;
         let mut iterations = 0;
         let mut last_margin = f64::NEG_INFINITY;
+        let mut probes = Vec::new();
 
         for iteration in 0..self.config.max_iterations {
             iterations = iteration + 1;
             if problem.evaluations() - start_evals >= self.config.max_evaluations {
                 break;
             }
-            let (margin, gradient) = self.margin_and_gradient(problem, &z, exec);
+            let (margin, gradient) = self.margin_and_gradient(problem, &z, exec, &mut probes);
             last_margin = margin;
             let gradient_norm = gradient.norm();
             trace.push(MpfpIteration {
@@ -253,7 +256,8 @@ impl GradientMpfpSearch {
             if moved < self.config.tolerance {
                 converged = true;
                 // Record the final point.
-                let (final_margin, final_gradient) = self.margin_and_gradient(problem, &z, exec);
+                let (final_margin, final_gradient) =
+                    self.margin_and_gradient(problem, &z, exec, &mut probes);
                 last_margin = final_margin;
                 trace.push(MpfpIteration {
                     iteration: iteration + 1,

@@ -117,12 +117,12 @@ impl PerformanceModel for SramSurrogateModel {
 
     fn evaluate(&self, z: &Vector) -> f64 {
         assert_eq!(z.len(), self.dim(), "dimension mismatch");
-        let cell_z: Vector = (0..6).map(|i| z[i]).collect();
-        let deltas = self.space.to_physical(&cell_z);
+        let mut deltas = [0.0; 6];
+        self.space.to_physical_into(&z.as_slice()[..6], &mut deltas);
         let base = match self.metric {
-            SramMetric::ReadAccessTime => self.surrogate.read_access_time(deltas.as_slice()),
-            SramMetric::WriteDelay => self.surrogate.write_delay(deltas.as_slice()),
-            SramMetric::ReadDisturb => self.surrogate.read_disturb_voltage(deltas.as_slice()),
+            SramMetric::ReadAccessTime => self.surrogate.read_access_time(&deltas),
+            SramMetric::WriteDelay => self.surrogate.write_delay(&deltas),
+            SramMetric::ReadDisturb => self.surrogate.read_disturb_voltage(&deltas),
         };
         if self.padded_dimensions == 0 {
             return base;

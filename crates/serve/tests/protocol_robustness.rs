@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gis_core::{
-    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig,
+    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig, SssConfig,
 };
 use gis_serve::protocol::{
     encode_request, parse_reply, parse_request, read_frame, write_request, ProtocolError, Reply,
@@ -354,6 +354,18 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
         "\"corrected_stopping\":false",
     );
     assert!(legacy_rule.contains("\"corrected_stopping\":false"));
+    // A scaled-sigma fit that would admit scales with no failures (ln 0):
+    let sss_without_failures = encode_request(&Request::Submit {
+        job: JobSpec {
+            estimators: vec![EstimatorSpec::ScaledSigmaSampling {
+                config: SssConfig {
+                    min_failures_per_scale: 0,
+                    ..SssConfig::default()
+                },
+            }],
+            ..gis_job(GisConfig::default())
+        },
+    });
     // A policy the analysis would reject:
     let zero_budget_policy = encode_request(&Request::Submit {
         job: JobSpec {
@@ -367,6 +379,7 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
         zero_batch,
         zero_mpfp_step,
         legacy_rule,
+        sss_without_failures,
         zero_budget_policy,
     ] {
         writer.write_all(line.as_bytes()).expect("write");

@@ -4,6 +4,13 @@
 //! whitened variation space, so drawing a sample (`x = μ + σ z`) and evaluating
 //! a log-density are both O(d). Together they give the importance weights
 //! `w(x) = f(x) / q(x)`.
+//!
+//! Sampling has one in-place primitive per distribution: `sample_into` writes
+//! a caller-owned buffer, and `sample` allocates a zero vector and calls it.
+//! The importance-sampling loop draws every batch into buffers it reuses, so
+//! its memory scales with the batch, not with the sample budget. A mixture's
+//! log-density works on a fixed stack array of at most
+//! [`MAX_MIXTURE_COMPONENTS`] terms, so it allocates nothing either.
 
 use crate::{Result, RngStream, StatsError};
 use gis_linalg::Vector;
@@ -86,13 +93,26 @@ impl MultivariateNormal {
 
     /// Draws one sample `x = μ + σ z` with `z` standard normal.
     pub fn sample(&self, rng: &mut RngStream) -> Vector {
-        let mut x = rng.standard_normal_vector(self.dim());
+        let mut x = Vector::zeros(self.dim());
+        self.sample_into(rng, x.as_mut_slice());
+        x
+    }
+
+    /// Draws one sample `x = μ + σ z` into `x`, overwriting it. Consumes the
+    /// stream exactly as [`MultivariateNormal::sample`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the dimension.
+    /// gis-analyze: no_alloc
+    pub fn sample_into(&self, rng: &mut RngStream, x: &mut [f64]) {
+        assert_eq!(x.len(), self.dim(), "sample buffer has the wrong dimension");
+        rng.fill_standard_normal(x);
         for (xi, mi) in x.iter_mut().zip(self.mean.iter()) {
             // `0.0 + σ z` rounds like a dense `L z` row whose off-diagonal
             // terms are zero (a `-0.0` product becomes `+0.0`).
             *xi = mi + (0.0 + self.sigma * *xi);
         }
-        x
     }
 
     /// Log-density `log N(x | μ, σ²·I)`.
@@ -129,6 +149,11 @@ impl MultivariateNormal {
     }
 }
 
+/// Largest number of components a [`GaussianMixture`] may have. The
+/// proposals built on it have two (defensive) or three (bridged) components,
+/// and the log-density sums its terms in a stack array of this length.
+pub const MAX_MIXTURE_COMPONENTS: usize = 3;
+
 /// A finite mixture of multivariate normals with fixed component weights.
 ///
 /// Mixture proposals are the standard "defensive" importance-sampling device:
@@ -147,13 +172,20 @@ impl GaussianMixture {
     /// # Errors
     ///
     /// Returns [`StatsError::InvalidArgument`] if the lists are empty, have
-    /// mismatched lengths, contain non-positive weights, or the components have
-    /// differing dimensions.
+    /// mismatched lengths or more than [`MAX_MIXTURE_COMPONENTS`] entries,
+    /// contain non-positive weights, or the components have differing
+    /// dimensions.
     pub fn new(components: Vec<MultivariateNormal>, weights: Vec<f64>) -> Result<Self> {
         if components.is_empty() || components.len() != weights.len() {
             return Err(StatsError::InvalidArgument(
                 "mixture needs equal, non-zero numbers of components and weights".to_string(),
             ));
+        }
+        if components.len() > MAX_MIXTURE_COMPONENTS {
+            return Err(StatsError::InvalidArgument(format!(
+                "mixture has {} components, at most {MAX_MIXTURE_COMPONENTS} are supported",
+                components.len()
+            )));
         }
         let dim = components[0].dim();
         if components.iter().any(|c| c.dim() != dim) {
@@ -198,8 +230,20 @@ impl GaussianMixture {
 
     /// Draws one sample: pick a component by weight, then sample from it.
     pub fn sample(&self, rng: &mut RngStream) -> Vector {
+        let mut x = Vector::zeros(self.dim());
+        self.sample_into(rng, x.as_mut_slice());
+        x
+    }
+
+    /// Draws one sample into `x`, overwriting it. Consumes the stream exactly
+    /// as [`GaussianMixture::sample`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the dimension.
+    pub fn sample_into(&self, rng: &mut RngStream, x: &mut [f64]) {
         let k = rng.weighted_index(&self.weights);
-        self.components[k].sample(rng)
+        self.components[k].sample_into(rng, x);
     }
 
     /// Log-density of the mixture, computed with the log-sum-exp trick.
@@ -208,9 +252,14 @@ impl GaussianMixture {
     ///
     /// Propagates dimension errors from the component densities.
     pub fn log_pdf(&self, x: &Vector) -> Result<f64> {
-        let mut terms = Vec::with_capacity(self.components.len());
-        for (c, lw) in self.components.iter().zip(self.log_weights.iter()) {
-            terms.push(lw + c.log_pdf(x)?);
+        let mut buffer = [0.0; MAX_MIXTURE_COMPONENTS];
+        let terms = &mut buffer[..self.components.len()];
+        for ((term, c), lw) in terms
+            .iter_mut()
+            .zip(&self.components)
+            .zip(&self.log_weights)
+        {
+            *term = lw + c.log_pdf(x)?;
         }
         let max = terms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         // gis-analyze: allow(float-eq, all-terms-at--inf sentinel before the log-sum-exp shift)
@@ -405,7 +454,98 @@ mod tests {
         assert!(GaussianMixture::new(vec![], vec![]).is_err());
         assert!(GaussianMixture::new(vec![c.clone()], vec![1.0, 2.0]).is_err());
         assert!(GaussianMixture::new(vec![c.clone()], vec![0.0]).is_err());
+        let too_many = MAX_MIXTURE_COMPONENTS + 1;
+        assert!(GaussianMixture::new(vec![c.clone(); too_many], vec![1.0; too_many]).is_err());
         let c2 = MultivariateNormal::standard(2);
         assert!(GaussianMixture::new(vec![c, c2], vec![1.0, 1.0]).is_err());
+    }
+
+    /// A defensive (two-component) and a bridged (three-component) mixture
+    /// in `dim` dimensions, as the importance-sampling proposals build them.
+    fn proposal_mixtures(rng: &mut RngStream, dim: usize) -> Vec<GaussianMixture> {
+        let shift = rng.standard_normal_vector(dim).scaled(2.0);
+        let shifted = MultivariateNormal::shifted_standard(shift.clone());
+        let bridge = MultivariateNormal::shifted_standard(shift.scaled(0.75));
+        let nominal = MultivariateNormal::standard(dim);
+        vec![
+            GaussianMixture::new(vec![shifted.clone(), nominal.clone()], vec![0.9, 0.1]).unwrap(),
+            GaussianMixture::new(vec![shifted, bridge, nominal], vec![0.6, 0.3, 0.1]).unwrap(),
+        ]
+    }
+
+    /// Draws 16 points from two copies of `stream` through both forms and
+    /// asserts equal bits and equal stream positions afterwards.
+    fn assert_in_place_matches(
+        stream: &RngStream,
+        dim: usize,
+        sample: impl Fn(&mut RngStream) -> Vector,
+        sample_into: impl Fn(&mut RngStream, &mut [f64]),
+    ) {
+        let mut alloc_rng = stream.clone();
+        let mut fill_rng = stream.clone();
+        let mut buf = vec![f64::NAN; dim];
+        for _ in 0..16 {
+            let x = sample(&mut alloc_rng);
+            sample_into(&mut fill_rng, &mut buf);
+            assert_eq!(bits(&x), bits(&Vector::from_slice(&buf)), "d = {dim}");
+        }
+        assert_eq!(alloc_rng.uniform().to_bits(), fill_rng.uniform().to_bits());
+    }
+
+    #[test]
+    fn sample_into_matches_sample_bit_for_bit() {
+        let mut rng = RngStream::from_seed(4242);
+        for dim in [1, 6, 96] {
+            let shift = rng.standard_normal_vector(dim);
+            for n in [
+                MultivariateNormal::standard(dim),
+                MultivariateNormal::isotropic(shift, 2.5),
+            ] {
+                assert_in_place_matches(
+                    &rng.split(1),
+                    dim,
+                    |r| n.sample(r),
+                    |r, x| n.sample_into(r, x),
+                );
+            }
+            for m in proposal_mixtures(&mut rng, dim) {
+                assert_in_place_matches(
+                    &rng.split(2),
+                    dim,
+                    |r| m.sample(r),
+                    |r, x| m.sample_into(r, x),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mixture_log_pdf_matches_a_vec_log_sum_exp_bit_for_bit() {
+        let mut rng = RngStream::from_seed(808);
+        for dim in [1, 6, 96] {
+            for mix in proposal_mixtures(&mut rng, dim) {
+                let log_weights: Vec<f64> = mix.weights().iter().map(|w| w.ln()).collect();
+                for _ in 0..8 {
+                    let x = mix.sample(&mut rng).scaled(1.5);
+                    let mut terms = Vec::new();
+                    for (c, lw) in mix.components().iter().zip(&log_weights) {
+                        terms.push(lw + c.log_pdf(&x).unwrap());
+                    }
+                    let max = terms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                    let sum: f64 = terms.iter().map(|t| (t - max).exp()).sum();
+                    assert_eq!(
+                        mix.log_pdf(&x).unwrap().to_bits(),
+                        (max + sum.ln()).to_bits(),
+                        "d = {dim}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample buffer has the wrong dimension")]
+    fn sample_into_rejects_a_wrong_length_buffer() {
+        MultivariateNormal::standard(3).sample_into(&mut RngStream::from_seed(1), &mut [0.0; 2]);
     }
 }

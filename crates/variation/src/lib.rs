@@ -211,12 +211,27 @@ impl VariationSpace {
     ///
     /// Panics if `z.len() != dim()`.
     pub fn to_physical(&self, z: &Vector) -> Vector {
+        let mut deltas = Vector::zeros(z.len());
+        self.to_physical_into(z.as_slice(), deltas.as_mut_slice());
+        deltas
+    }
+
+    /// Writes the physical deltas `Δ = diag(σ) · z` of the whitened point `z`
+    /// into `deltas`: the in-place form of [`VariationSpace::to_physical`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len()` or `deltas.len()` differs from `dim()`.
+    pub fn to_physical_into(&self, z: &[f64], deltas: &mut [f64]) {
         assert_eq!(z.len(), self.dim(), "dimension mismatch in to_physical");
-        self.parameters
-            .iter()
-            .zip(z.iter())
-            .map(|(p, &c)| p.std_dev * c)
-            .collect()
+        assert_eq!(
+            deltas.len(),
+            self.dim(),
+            "dimension mismatch in to_physical"
+        );
+        for ((d, p), &c) in deltas.iter_mut().zip(&self.parameters).zip(z) {
+            *d = p.std_dev * c;
+        }
     }
 
     /// Maps physical parameter deltas back to the whitened space (inverse of

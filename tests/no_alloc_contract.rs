@@ -4,7 +4,8 @@
 //! and the estimator accumulators — really perform zero steady-state heap
 //! allocations, that a full transient evaluation settles to a constant
 //! per-sample allocation count once its workspace is warm, and that an
-//! importance-sampling proposal needs memory linear in its dimension.
+//! importance-sampling proposal needs memory linear in its dimension, and
+//! that the estimators' sampling phases draw into reused batch buffers.
 //!
 //! The static analyzer rejects allocation *syntax* inside marked functions;
 //! this test closes the remaining gap (allocations reached through calls into
@@ -19,7 +20,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
 use sram_highsigma::circuit::{Circuit, MnaSystem, SimulationWorkspace, SourceWaveform};
-use sram_highsigma::highsigma::{IsAccumulator, Proposal};
+use sram_highsigma::highsigma::{
+    ConvergencePolicy, Estimator, ExecutionConfig, FailureProblem, FnModel,
+    GradientImportanceSampling, IsAccumulator, MonteCarlo, Proposal, ScaledSigmaSampling, Spec,
+};
 use sram_highsigma::linalg::Vector;
 use sram_highsigma::sram::{build_6t_cell, SramCellConfig, SramTestbench};
 use sram_highsigma::stats::RngStream;
@@ -41,6 +45,8 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those requests asked for (a `realloc` counts its new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// The largest single request among them.
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation request of `bytes` if the current thread is armed.
@@ -51,6 +57,7 @@ fn count_allocation(bytes: usize) {
     if ARMED.get() {
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
         BYTES.set(BYTES.get() + bytes as u64);
+        LARGEST.set(LARGEST.get().max(bytes as u64));
     }
 }
 
@@ -87,22 +94,35 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `f` and returns how many allocation requests it issued on this
-/// thread and how many bytes they asked for.
-fn measured<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+/// The allocation requests a [`measured`] window issued on its thread.
+#[derive(Debug, Clone, Copy)]
+struct Allocations {
+    requests: u64,
+    bytes: u64,
+    largest: u64,
+}
+
+/// Runs `f` and returns the allocation requests it issued on this thread.
+fn measured<R>(f: impl FnOnce() -> R) -> (Allocations, R) {
     ALLOCATIONS.set(0);
     BYTES.set(0);
+    LARGEST.set(0);
     ARMED.set(true);
     let result = f();
     ARMED.set(false);
-    (ALLOCATIONS.get(), BYTES.get(), result)
+    let allocations = Allocations {
+        requests: ALLOCATIONS.get(),
+        bytes: BYTES.get(),
+        largest: LARGEST.get(),
+    };
+    (allocations, result)
 }
 
 /// Runs `f` and returns how many allocation requests it issued on this
 /// thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let (allocations, _, result) = measured(f);
-    (allocations, result)
+    let (allocations, result) = measured(f);
+    (allocations.requests, result)
 }
 
 /// Builds the read-condition 6T netlist from `SramTestbench::read_session`
@@ -258,16 +278,67 @@ fn isotropic_proposal_memory_is_linear_in_dimension() {
     let shift = Vector::filled(dim, 4.0 / 24.0);
     let mut rng = RngStream::from_seed(576);
 
-    let (_, bytes, weight) = measured(|| {
+    let (allocations, weight) = measured(|| {
         let proposal = Proposal::defensive_mixture(shift, 0.1);
         let z = proposal.sample(&mut rng);
         proposal.importance_weight(&z)
     });
 
     assert!(weight.is_finite() && weight > 0.0);
+    let bytes = allocations.bytes;
     let bound = 64 * dim as u64 * 8;
     assert!(
         bytes < bound,
         "a {dim}-d defensive mixture requested {bytes} bytes, bound {bound}"
     );
+}
+
+/// The sampling phases of scaled-sigma sampling, Monte Carlo and GIS draw
+/// each batch into buffers they reuse, so their heap traffic is a few
+/// requests per batch, not one or two per point, and their largest single
+/// request is set by the batch size: doubling the budget leaves it unchanged.
+#[test]
+fn sampling_phases_reuse_their_batch_buffers() {
+    let _serial = serial();
+    let problem = FailureProblem::from_model(
+        FnModel::new("plane", 6, |z: &Vector| z[0]),
+        Spec::UpperLimit(2.5),
+    );
+    // Each base budget spans many batch buffers (scaled-sigma sampling's
+    // holds 4 096 points, Monte Carlo's 1 000, the IS loop's 500), and keeps
+    // the convergence trace, one 24-byte point per batch, smaller than the
+    // batch buffer at twice the budget.
+    let estimators: [(Box<dyn Estimator>, u64); 3] = [
+        (Box::new(ScaledSigmaSampling::default()), 200_000),
+        (Box::new(MonteCarlo::default()), 200_000),
+        (Box::new(GradientImportanceSampling::default()), 50_000),
+    ];
+    for (mut estimator, base_budget) in estimators {
+        estimator.set_execution(ExecutionConfig::serial());
+        let mut largest = Vec::new();
+        for budget in [base_budget, 2 * base_budget] {
+            // The target error is out of reach, so every run spends its
+            // whole budget.
+            estimator
+                .configure(&ConvergencePolicy::with_budget(budget).target_relative_error(1e-9));
+            let fork = problem.fork();
+            let mut rng = RngStream::from_seed(16);
+            let (allocations, outcome) = measured(|| estimator.estimate(&fork, &mut rng));
+            let name = estimator.name();
+            assert_eq!(outcome.result.sampling_evaluations, budget, "{name}");
+            let points = fork.evaluations();
+            assert!(
+                allocations.requests * 16 < points,
+                "{name}: {} allocation requests for {points} points",
+                allocations.requests
+            );
+            largest.push(allocations.largest);
+        }
+        assert_eq!(
+            largest[0],
+            largest[1],
+            "{}: the largest request grew with the budget",
+            estimator.name()
+        );
+    }
 }
