@@ -12,15 +12,18 @@
 //!
 //! # The determinism contract
 //!
-//! * [`Executor::map`] / [`Executor::map_chunks`] split the input into fixed
-//!   chunks of [`Executor::chunk_size`] items. Worker threads race only for
-//!   *which* chunk to run next; each chunk's results land at the chunk's fixed
-//!   output position, so the assembled output is always in input order.
-//! * [`Executor::map_rng`] additionally derives one RNG substream per chunk via
-//!   [`RngStream::split`], keyed by the chunk index. The substreams depend only
-//!   on the parent stream's seed and the chunk index — never on how chunks are
-//!   interleaved across threads — so randomized parallel work is reproducible
-//!   from a single seed at any thread count.
+//! * [`Executor::map`] / [`Executor::map_chunks`] cut the input into
+//!   consecutive work units of at most [`Executor::chunk_size`] items. Worker
+//!   threads race only for *which* unit to run next; each unit's results land
+//!   at the unit's fixed output position, so the assembled output is always
+//!   in input order. The unit sizes depend only on the input length, the
+//!   thread count and the chunk size, never on timing.
+//! * Units shrink toward the end of a batch (guided self-scheduling,
+//!   Polychronopoulos & Kuck 1987): each takes `ceil(rest / (2·threads))`
+//!   of the remaining items, at least 2 and at most the chunk size, so the
+//!   last units are small and no worker idles long while another finishes.
+//!   Because every item is evaluated by a pure function, the cut changes
+//!   latency only, never a result.
 //!
 //! # Picking a thread count
 //!
@@ -41,7 +44,6 @@
 //! assert_eq!(ExecutionConfig::serial().resolved_threads(), 1);
 //! ```
 
-use gis_stats::RngStream;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,13 +68,15 @@ pub const DEFAULT_CHUNK_SIZE: usize = 32;
 /// thread even when worker threads are configured.
 ///
 /// Spawning a thread scope, contending the result mutex and tearing the scope
-/// back down costs more than it recovers on tiny batches — the evaluation
-/// benchmark's small analytic problems recorded `speedup_vs_1thread` of
-/// 0.72–0.96× (pure dispatch overhead) before this cutover existed. With at
-/// most two chunks the theoretical win is ≤2× on work that is already cheap,
-/// so the executor keeps such batches inline. Inline and scoped execution
-/// assemble results in the same input order, so the cutover changes latency
-/// only — output stays bit-identical.
+/// back down costs tens of microseconds per batch: perfbench's
+/// `transient-gis` traces show the second of two workers starting 41–51 µs
+/// after the first on a 2-vCPU host. That is a few percent of a 64-point
+/// transient batch, but more than a whole 64-point batch of perfbench's
+/// `analytic-ladder` models, which evaluate in about 0.1 µs a point. A batch
+/// of at most two chunks can gain at most 2× from threads, so the executor
+/// keeps such batches inline. Inline and scoped
+/// execution assemble results in the same input order, so the cutover
+/// changes latency only — output stays bit-identical.
 pub const INLINE_CHUNK_THRESHOLD: usize = 2;
 
 /// Serializable parallelism configuration carried by every estimator.
@@ -87,9 +91,10 @@ pub struct ExecutionConfig {
     /// Number of worker threads. `0` means "resolve from the `GIS_THREADS`
     /// environment variable at run time, falling back to 1 (serial)".
     pub threads: usize,
-    /// Number of points per work chunk handed to a worker thread. Must be
-    /// positive. Results are invariant to this value for the plain batch
-    /// methods; only [`Executor::map_rng`] substreams are keyed by chunk.
+    /// Most points per work unit handed to a worker thread. Must be
+    /// positive. It bounds the batch one
+    /// [`crate::PerformanceModel::evaluate_batch`] call receives and decides
+    /// when a batch runs inline; it never changes a result.
     pub chunk_size: usize,
 }
 
@@ -156,8 +161,12 @@ impl ExecutionConfig {
 /// See the [module documentation](self) for the determinism contract. The
 /// executor holds no threads between calls: each `map` spawns scoped workers
 /// (`std::thread::scope`), which keeps it trivially `Send + Sync` and free of
-/// shutdown hazards; for the simulation-bound batches it serves, the spawn cost
-/// is noise.
+/// shutdown hazards. On perfbench's `transient-gis` (64-point batches of
+/// stopped reads at about 40 µs each, two threads, a 2-vCPU host) the spawn
+/// delays the second worker by 41–51 µs per batch, about 3% of the batch.
+/// The larger loss is the tail: read times vary by about ±20%, so four
+/// fixed 16-point chunks leave one thread idle for a mean 160–370 µs at the
+/// end of each batch, and the guided units hold that to 50–80 µs.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -196,7 +205,7 @@ impl Executor {
         self.threads
     }
 
-    /// Number of items per work chunk.
+    /// Most items per work unit.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
     }
@@ -230,18 +239,21 @@ impl Executor {
     ///
     /// `f` receives consecutive sub-slices of `items` (each of at most
     /// [`Executor::chunk_size`] elements) and must return exactly one result
-    /// per input element. This is the primitive behind
-    /// [`crate::FailureProblem::metrics_batch_on`]: handing whole chunks to a
+    /// per input element. Inline batches go in chunks of exactly
+    /// `chunk_size`; threaded batches go in guided units that shrink toward
+    /// the end of the batch (see the [module documentation](self)). This is
+    /// the primitive behind
+    /// [`crate::FailureProblem::metrics_batch_on`]: handing whole units to a
     /// [`crate::PerformanceModel::evaluate_batch`] override lets the model
     /// hoist per-batch setup (netlist construction, solver structure) while the
     /// executor supplies the worker threads.
     ///
     /// # Panics
     ///
-    /// Panics if `f` returns a different number of results than the chunk it
-    /// was handed. A panic raised by `f` itself is contained per chunk on the
+    /// Panics if `f` returns a different number of results than the slice it
+    /// was handed. A panic raised by `f` itself is contained per unit on the
     /// worker threads and re-raised on the calling thread — always the
-    /// panic of the *first* failing chunk in input order, so a panicking
+    /// panic of the *first* failing unit in input order, so a panicking
     /// workload fails deterministically at any thread count.
     #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
@@ -271,11 +283,26 @@ impl Executor {
             }
             return out;
         }
-        let chunks: Vec<&[T]> = items.chunks(self.chunk_size).collect();
+        // Guided units: each takes ceil(rest / (2·threads)) of the remaining
+        // items, at least 2 and at most `chunk_size`. `saturating_mul` keeps
+        // any positive `GIS_THREADS` from overflowing.
+        let mut units: Vec<&[T]> = Vec::new();
+        let mut rest = items;
+        while !rest.is_empty() {
+            let size = rest
+                .len()
+                .div_ceil(self.threads.saturating_mul(2))
+                .max(2)
+                .min(self.chunk_size)
+                .min(rest.len());
+            let (unit, tail) = rest.split_at(size);
+            units.push(unit);
+            rest = tail;
+        }
 
-        // Fault containment: each chunk runs behind `catch_unwind`, so one
-        // panicking chunk no longer tears down the scope (and poisons the
-        // slot mutex) while sibling workers are mid-chunk. Every chunk still
+        // Fault containment: each unit runs behind `catch_unwind`, so one
+        // panicking unit no longer tears down the scope (and poisons the
+        // slot mutex) while sibling workers are mid-unit. Every unit still
         // executes; the first failure *in input order* is re-raised on the
         // calling thread afterwards, so a panicking workload fails
         // deterministically at any thread count — and a caller that catches
@@ -284,18 +311,18 @@ impl Executor {
         // immutably and the panic payload is propagated, never swallowed.
         type CaughtChunk<R> = std::thread::Result<Vec<R>>;
         let slots: Mutex<Vec<Option<CaughtChunk<R>>>> =
-            Mutex::new((0..chunks.len()).map(|_| None).collect());
+            Mutex::new((0..units.len()).map(|_| None).collect());
         let next = AtomicUsize::new(0);
-        let workers = self.threads.min(chunks.len());
+        let workers = self.threads.min(units.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= chunks.len() {
+                    if index >= units.len() {
                         break;
                     }
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_chunk(chunks[index])
+                        run_chunk(units[index])
                     }));
                     // Workers cannot panic outside the caught closure, so the
                     // mutex is never poisoned; recover defensively anyway.
@@ -313,7 +340,7 @@ impl Executor {
         };
         let mut out = Vec::with_capacity(items.len());
         for slot in results {
-            match slot.expect("every chunk was executed") // gis-analyze: allow(panic-site, the worker loop fills every slot before the scope joins, by construction)
+            match slot.expect("every unit was executed") // gis-analyze: allow(panic-site, the worker loop fills every slot before the scope joins, by construction)
             {
                 Ok(chunk) => out.extend(chunk),
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -345,30 +372,6 @@ impl Executor {
             chunk_size: 1,
         }
         .map(&indices, |&i| f(i))
-    }
-
-    /// Produces `count` results from a randomized per-item function, with one
-    /// RNG substream per chunk derived via [`RngStream::split`].
-    ///
-    /// Chunk `c` (items `c·chunk_size ..`) draws from `rng.split(c)`; `f` is
-    /// called as `f(&mut substream, item_index)` with the items of a chunk in
-    /// ascending order. Because the substream assignment depends only on the
-    /// parent stream's seed and the chunk index, the output is bit-identical
-    /// at every thread count. (It *does* depend on the chunk size, which is why
-    /// the estimators pin their randomness to the sequential caller-side
-    /// streams instead — this entry point serves workloads where generation
-    /// itself must scale, e.g. raw sampling throughput benchmarks.)
-    pub fn map_rng<R, F>(&self, rng: &RngStream, count: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut RngStream, usize) -> R + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        self.map_chunks(&indices, |chunk| {
-            let chunk_index = chunk[0] / self.chunk_size;
-            let mut substream = rng.split(chunk_index as u64);
-            chunk.iter().map(|&i| f(&mut substream, i)).collect()
-        })
     }
 }
 
@@ -404,45 +407,50 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_hands_out_fixed_chunks() {
-        let items: Vec<u32> = (0..100).collect();
-        let exec = Executor::new(4).with_chunk_size(7);
-        let sizes = exec.map_chunks(&items, |chunk| vec![chunk.len() as u32; chunk.len()]);
-        // Every item reports the size of the chunk it travelled in: chunks are
-        // 7 items except the last (100 = 14*7 + 2).
-        assert_eq!(sizes.len(), 100);
-        assert!(sizes[..98].iter().all(|&s| s == 7));
-        assert_eq!(sizes[98], 2);
-        assert_eq!(sizes[99], 2);
-    }
-
-    #[test]
-    fn map_rng_is_thread_count_invariant() {
-        let rng = RngStream::from_seed(42);
-        let reference = Executor::new(1)
-            .with_chunk_size(10)
-            .map_rng(&rng, 137, |stream, _| stream.standard_normal());
-        for threads in [2, 4, 8] {
-            let run = Executor::new(threads)
-                .with_chunk_size(10)
-                .map_rng(&rng, 137, |stream, _| stream.standard_normal());
-            let same = reference
-                .iter()
-                .zip(&run)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "map_rng diverged at {threads} threads");
+    fn map_chunks_hands_out_shrinking_guided_units() {
+        // Each item reports the (start, len) of the slice it travelled in.
+        let units = |exec: &Executor, len: usize| {
+            let items: Vec<usize> = (0..len).collect();
+            let tags = exec.map_chunks(&items, |unit| vec![(unit[0], unit.len()); unit.len()]);
+            let mut units: Vec<(usize, usize)> = tags;
+            units.dedup();
+            units
+        };
+        for (threads, chunk, len) in [
+            (2, 16, 64),
+            (4, 7, 100),
+            (3, 5, 11),
+            (2, 1, 9),
+            (8, 32, 997),
+        ] {
+            let exec = Executor::new(threads).with_chunk_size(chunk);
+            let units = units(&exec, len);
+            let mut next = 0;
+            for &(start, size) in &units {
+                assert_eq!(start, next, "units are consecutive");
+                assert!(
+                    (1..=chunk).contains(&size),
+                    "unit of {size} at chunk {chunk}"
+                );
+                next += size;
+            }
+            assert_eq!(next, len, "units cover the input");
+            assert!(
+                units.windows(2).all(|w| w[1].1 <= w[0].1),
+                "unit sizes never increase: {units:?}"
+            );
         }
+        // A transient GIS batch: four fixed chunks would leave a thread idle
+        // for the whole last chunk; guided units split it finer.
+        let exec = Executor::new(2).with_chunk_size(16);
+        assert!(units(&exec, 64).len() > 4);
     }
 
     #[test]
-    fn map_rng_substreams_depend_only_on_seed_and_chunk() {
-        // Advancing the parent stream does not perturb the substreams: split
-        // derives from the seed, not the stream position.
-        let mut rng = RngStream::from_seed(7);
-        let before = Executor::serial().map_rng(&rng, 20, |s, _| s.uniform());
-        let _ = rng.uniform();
-        let after = Executor::serial().map_rng(&rng, 20, |s, _| s.uniform());
-        assert_eq!(before, after);
+    fn huge_thread_counts_do_not_overflow_the_unit_size() {
+        let items: Vec<u64> = (0..100).collect();
+        let serial = Executor::serial().map(&items, |x| x * 3 + 1);
+        assert_eq!(Executor::new(usize::MAX).map(&items, |x| x * 3 + 1), serial);
     }
 
     #[test]

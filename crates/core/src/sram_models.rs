@@ -8,9 +8,10 @@
 
 use crate::model::PerformanceModel;
 use gis_linalg::Vector;
-use gis_sram::{SramSurrogate, SramTestbench, TransientKernel};
+use gis_sram::{ReadSession, SramSurrogate, SramTestbench, TransientKernel, WriteSession};
 use gis_variation::VariationSpace;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Which dynamic characteristic of the cell a model evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -152,6 +153,9 @@ impl PerformanceModel for SramSurrogateModel {
 /// the whole window, as the reference. Read disturb and write delay always
 /// run the whole window. The session makes the kernel choice in one place;
 /// [`SramTransientModel::with_kernel`] only hands it the selector.
+///
+/// The model keeps its bound sessions between calls (see
+/// [`SramTransientModel::evaluate_batch`]); a clone starts with none.
 #[derive(Debug, Clone)]
 pub struct SramTransientModel {
     testbench: SramTestbench,
@@ -159,6 +163,56 @@ pub struct SramTransientModel {
     metric: SramMetric,
     kernel: TransientKernel,
     name: String,
+    read_sessions: SessionPool<ReadSession>,
+    write_sessions: SessionPool<WriteSession>,
+}
+
+/// Idle sessions of one kind, kept between
+/// [`SramTransientModel::evaluate_batch`] calls so each call skips the
+/// session build and the workspace re-bind. Concurrent calls each take
+/// their own session, so the pool grows to the number of worker threads.
+struct SessionPool<S>(Mutex<Vec<S>>);
+
+impl<S> SessionPool<S> {
+    /// Runs `f` on an idle session, or on one from `build` if none is idle,
+    /// then returns the session to the pool. A panic in `f` drops the
+    /// session with the unwinding stack; a poisoned pool is bypassed, so
+    /// every call builds its own session and keeps none.
+    fn with<E, R>(
+        &self,
+        build: impl FnOnce() -> Result<S, E>,
+        f: impl FnOnce(&mut S) -> R,
+    ) -> Result<R, E> {
+        let idle = self.0.lock().ok().and_then(|mut idle| idle.pop());
+        let mut session = match idle {
+            Some(session) => session,
+            None => build()?,
+        };
+        let out = f(&mut session);
+        if let Ok(mut idle) = self.0.lock() {
+            idle.push(session);
+        }
+        Ok(out)
+    }
+}
+
+impl<S> Default for SessionPool<S> {
+    fn default() -> Self {
+        SessionPool(Mutex::new(Vec::new()))
+    }
+}
+
+impl<S> Clone for SessionPool<S> {
+    /// An empty pool: sessions are workspaces, not configuration.
+    fn clone(&self) -> Self {
+        SessionPool::default()
+    }
+}
+
+impl<S> std::fmt::Debug for SessionPool<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionPool").finish_non_exhaustive()
+    }
 }
 
 impl SramTransientModel {
@@ -180,6 +234,8 @@ impl SramTransientModel {
             metric,
             kernel: TransientKernel::Sparse,
             name,
+            read_sessions: SessionPool::default(),
+            write_sessions: SessionPool::default(),
         }
     }
 
@@ -188,6 +244,9 @@ impl SramTransientModel {
     /// the benchmark harness use it to assert end-to-end kernel equivalence.
     pub fn with_kernel(mut self, kernel: TransientKernel) -> Self {
         self.kernel = kernel;
+        // Idle sessions were built on the previous kernel.
+        self.read_sessions = SessionPool::default();
+        self.write_sessions = SessionPool::default();
         self
     }
 
@@ -220,14 +279,16 @@ impl PerformanceModel for SramTransientModel {
         self.evaluate_batch(std::slice::from_ref(z))[0]
     }
 
-    /// Batched transient evaluation: one [`gis_sram::testbench::Session`] (a
-    /// [`gis_sram::ReadSession`] or [`gis_sram::WriteSession`] on this model's
-    /// kernel) is built per batch, hoisting the netlist construction and
-    /// solver setup out of the per-point loop; each point then only injects
-    /// its six threshold shifts and solves the transient. The executor calls
-    /// this once per work chunk, so batches evaluate concurrently on worker
-    /// threads; failed points — rejected shifts or non-converging transients
-    /// — evaluate to `f64::INFINITY` individually.
+    /// Batched transient evaluation on a [`gis_sram::testbench::Session`] (a
+    /// [`gis_sram::ReadSession`] or [`gis_sram::WriteSession`] on this
+    /// model's kernel) taken from the model's pool: the netlist, solver setup
+    /// and bound workspace are built once per worker thread and reused by
+    /// every later call, so each point only injects its six threshold shifts
+    /// and solves the transient. Reuse keeps every bit, because a session's
+    /// results never depend on the samples it ran before. The executor calls
+    /// this once per work unit, so units evaluate concurrently on worker
+    /// threads, each on its own session; failed points — rejected shifts or
+    /// non-converging transients — evaluate to `f64::INFINITY` individually.
     ///
     /// The read access time goes through
     /// [`gis_sram::testbench::Session::access_time`], which stops each
@@ -243,28 +304,39 @@ impl PerformanceModel for SramTransientModel {
             })
             .collect();
         let delta_refs: Vec<&[f64]> = deltas.iter().map(Vector::as_slice).collect();
+        let read = || {
+            self.testbench
+                .read_session()
+                .map(|s| s.with_kernel(self.kernel))
+        };
         let metrics = match self.metric {
-            SramMetric::ReadAccessTime => self.testbench.read_session().map(|session| {
-                let mut session = session.with_kernel(self.kernel);
+            SramMetric::ReadAccessTime => self.read_sessions.with(read, |session| {
                 delta_refs
                     .iter()
                     .map(|d| session.access_time(d).unwrap_or(f64::INFINITY))
                     .collect()
             }),
-            SramMetric::ReadDisturb => self.testbench.read_session().map(|session| {
-                let results = session.with_kernel(self.kernel).run_batch(&delta_refs);
-                results
+            SramMetric::ReadDisturb => self.read_sessions.with(read, |session| {
+                session
+                    .run_batch(&delta_refs)
                     .into_iter()
                     .map(|r| r.map_or(f64::INFINITY, |r| r.disturb_peak))
                     .collect()
             }),
-            SramMetric::WriteDelay => self.testbench.write_session().map(|session| {
-                let results = session.with_kernel(self.kernel).run_batch(&delta_refs);
-                results
-                    .into_iter()
-                    .map(|w| w.map_or(f64::INFINITY, |w| w.write_delay))
-                    .collect()
-            }),
+            SramMetric::WriteDelay => self.write_sessions.with(
+                || {
+                    self.testbench
+                        .write_session()
+                        .map(|s| s.with_kernel(self.kernel))
+                },
+                |session| {
+                    session
+                        .run_batch(&delta_refs)
+                        .into_iter()
+                        .map(|w| w.map_or(f64::INFINITY, |w| w.write_delay))
+                        .collect()
+                },
+            ),
         };
         metrics.unwrap_or_else(|_| vec![f64::INFINITY; points.len()])
     }

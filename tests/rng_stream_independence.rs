@@ -1,10 +1,10 @@
 //! Property tests of `RngStream::split` substream independence — the
-//! statistical foundation under `Executor::map_rng`'s determinism contract.
+//! statistical foundation of randomized work split by chunk index.
 //!
-//! `map_rng` hands chunk `c` the substream `rng.split(c)`; if those
-//! substreams were correlated (or non-uniform), every "thread-count
-//! invariant" randomized workload would be silently biased. These tests pin
-//! the substreams used at the actual chunk boundaries with chi-square
+//! A workload that draws chunk `c` from the substream `rng.split(c)` is
+//! reproducible at any thread count; if those substreams were correlated
+//! (or non-uniform), it would be silently biased. These tests pin the
+//! substreams at chunk indices of the default chunk size with chi-square
 //! uniformity tests and cross-stream correlation bounds, using the
 //! goodness-of-fit helpers from `gis_stats` and the chi-square survival
 //! function from `gis_core::special`.
@@ -13,8 +13,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use sram_highsigma::highsigma::exec::DEFAULT_CHUNK_SIZE;
 use sram_highsigma::highsigma::special::chi_square_survival;
-use sram_highsigma::highsigma::{exec::DEFAULT_CHUNK_SIZE, Executor};
 use sram_highsigma::stats::{chi_square_statistic, pearson_correlation, RngStream};
 
 /// Chi-square uniformity p-value of `samples` over equiprobable bins.
@@ -29,7 +29,7 @@ fn uniformity_p_value(samples: &[f64], bins: usize) -> f64 {
     chi_square_survival(bins - 1, statistic)
 }
 
-/// Draws `n` uniforms from the substream `map_rng` assigns to chunk `c`.
+/// Draws `n` uniforms from the substream of chunk `c`.
 fn substream_uniforms(parent: &RngStream, chunk: u64, n: usize) -> Vec<f64> {
     let mut stream = parent.split(chunk);
     (0..n).map(|_| stream.uniform()).collect()
@@ -37,8 +37,7 @@ fn substream_uniforms(parent: &RngStream, chunk: u64, n: usize) -> Vec<f64> {
 
 #[test]
 fn substreams_at_map_rng_chunk_boundaries_are_uniform() {
-    // The exact substreams a default-chunked map_rng over 10 × chunk_size
-    // items uses: chunk indices 0..10. Each must individually pass a
+    // The substreams of 10 default-sized chunks: chunk indices 0..10. Each must individually pass a
     // chi-square uniformity test at a comfortable significance level.
     let parent = RngStream::from_seed(20180319);
     for chunk in 0..10u64 {
@@ -49,8 +48,8 @@ fn substreams_at_map_rng_chunk_boundaries_are_uniform() {
             "substream for chunk {chunk} fails uniformity (p = {p:.2e})"
         );
     }
-    // The *concatenation* in chunk order — exactly what a map_rng consumer
-    // observes across chunk boundaries — must also be uniform.
+    // The *concatenation* in chunk order — what a consumer observes across
+    // chunk boundaries — must also be uniform.
     let concatenated: Vec<f64> = (0..10u64)
         .flat_map(|c| substream_uniforms(&parent, c, DEFAULT_CHUNK_SIZE))
         .collect();
@@ -90,7 +89,7 @@ fn adjacent_and_distant_substreams_are_uncorrelated() {
 #[test]
 fn lagged_self_correlation_within_a_substream_is_bounded() {
     // A weak generator can pass marginal uniformity while successive draws
-    // correlate; map_rng consumers draw vectors, so serial correlation would
+    // correlate; substream consumers draw vectors, so serial correlation would
     // bias whole sample points.
     let parent = RngStream::from_seed(99);
     let samples = substream_uniforms(&parent, 3, 8_001);
@@ -106,12 +105,19 @@ fn lagged_self_correlation_within_a_substream_is_bounded() {
 
 #[test]
 fn map_rng_output_is_statistically_sound_end_to_end() {
-    // Run map_rng the way estim-style workloads do (normal variates, default
-    // chunking, parallel executor) and test the *moments* of the assembled
-    // output: mean ~ 0, variance ~ 1 within 4-sigma Monte Carlo bounds.
+    // Draw normal variates chunk by chunk, each default-sized chunk `c` from
+    // `rng.split(c)`, and test the *moments* of the concatenated output:
+    // mean ~ 0, variance ~ 1 within 4-sigma Monte Carlo bounds.
     let rng = RngStream::from_seed(42);
-    let n = 20_000;
-    let normals = Executor::new(4).map_rng(&rng, n, |stream, _| stream.standard_normal());
+    let n: usize = 20_000;
+    let normals: Vec<f64> = (0..n.div_ceil(DEFAULT_CHUNK_SIZE))
+        .flat_map(|c| {
+            let mut stream = rng.split(c as u64);
+            let len = DEFAULT_CHUNK_SIZE.min(n - c * DEFAULT_CHUNK_SIZE);
+            (0..len).map(move |_| stream.standard_normal())
+        })
+        .collect();
+    assert_eq!(normals.len(), n);
     let nf = n as f64;
     let mean = normals.iter().sum::<f64>() / nf;
     let variance = normals.iter().map(|z| z * z).sum::<f64>() / nf - mean * mean;
@@ -129,7 +135,7 @@ fn map_rng_output_is_statistically_sound_end_to_end() {
     let p = uniformity_p_value(&transformed, 24);
     assert!(
         p > 1e-4,
-        "PIT of map_rng normals fails uniformity (p = {p:.2e})"
+        "PIT of the chunked normals fails uniformity (p = {p:.2e})"
     );
 }
 
