@@ -17,8 +17,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use gis_core::{
-    default_sram_variation_space, AnalysisReport, FailureProblem, PerformanceModel, Spec,
-    SramMetric, SramSurrogateModel, SramTransientModel,
+    default_sram_variation_space, FailureProblem, PerformanceModel, Spec, SramMetric,
+    SramSurrogateModel, SramTransientModel,
 };
 use gis_sram::{SramCellConfig, SramSurrogate, SramTestbench};
 use gis_variation::PelgromModel;
@@ -117,13 +117,6 @@ pub fn surrogate_read_model() -> SramSurrogateModel {
     )
 }
 
-/// Builds the default surrogate-backed write-delay model.
-pub fn surrogate_write_model() -> SramSurrogateModel {
-    let cell = SramCellConfig::typical_45nm();
-    let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
-    SramSurrogateModel::new(SramSurrogate::typical_45nm(), space, SramMetric::WriteDelay)
-}
-
 /// Builds the default transient-simulation-backed model for `metric` on the
 /// sparse kernel.
 pub fn transient_model(metric: SramMetric) -> SramTransientModel {
@@ -171,14 +164,6 @@ pub fn print_comparison_table(title: &str, rows: &[ComparisonRow]) {
             row.threads,
             row.wall_time_seconds
         );
-    }
-}
-
-/// Prints every problem of a [`gis_core::YieldAnalysis`] report as a
-/// comparison table.
-pub fn print_analysis_report(report: &AnalysisReport) {
-    for problem in &report.problems {
-        print_comparison_table(&problem.problem, &problem.rows());
     }
 }
 
@@ -271,11 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_models_have_sane_nominals() {
+    fn surrogate_read_model_has_a_sane_nominal() {
         let read = surrogate_read_model();
-        let write = surrogate_write_model();
         assert!(read.nominal_metric() > 1e-11 && read.nominal_metric() < 1e-8);
-        assert!(write.nominal_metric() > 1e-11 && write.nominal_metric() < 1e-8);
     }
 
     #[test]
@@ -312,7 +295,9 @@ mod tests {
                 GisConfig::default(),
             )))
             .run();
-        print_analysis_report(&report);
+        for problem in &report.problems {
+            print_comparison_table(&problem.problem, &problem.rows());
+        }
         let scratch = TempArtifactDir::new("report");
         write_json_artifact_in(scratch.path(), "unit_test_report", &report);
         assert!(scratch.path().join("unit_test_report.json").exists());

@@ -284,14 +284,6 @@ impl Circuit {
         self.devices.len()
     }
 
-    /// Number of independent voltage sources (each adds one MNA branch unknown).
-    pub fn num_voltage_sources(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| matches!(d, Device::VoltageSource { .. }))
-            .count()
-    }
-
     fn check_node(&self, node: NodeId) -> Result<(), CircuitError> {
         if node >= self.num_nodes() {
             Err(CircuitError::UnknownNode {
@@ -479,7 +471,6 @@ mod tests {
         ckt.add_mosfet("M1", a, b, GROUND, GROUND, MosfetParams::nmos_45nm())
             .unwrap();
         assert_eq!(ckt.num_devices(), 5);
-        assert_eq!(ckt.num_voltage_sources(), 1);
         assert!(ckt.validate().is_ok());
         assert_eq!(ckt.devices()[0].name(), "R1");
         assert_eq!(ckt.devices()[4].terminals().len(), 4);

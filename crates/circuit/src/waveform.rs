@@ -116,11 +116,6 @@ impl<'a> WaveformView<'a> {
         self.values
     }
 
-    /// First time point.
-    pub fn start_time(&self) -> f64 {
-        self.times[0]
-    }
-
     /// Last time point.
     #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn end_time(&self) -> f64 {
@@ -131,11 +126,6 @@ impl<'a> WaveformView<'a> {
     #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn final_value(&self) -> f64 {
         *self.values.last().expect("waveform is never empty")
-    }
-
-    /// Minimum value over the whole waveform.
-    pub fn min_value(&self) -> f64 {
-        self.values.iter().cloned().fold(f64::INFINITY, f64::min)
     }
 
     /// Maximum value over the whole waveform.
@@ -240,10 +230,8 @@ mod tests {
         assert!(!w.is_empty());
         assert_eq!(w.times(), &RAMP_TIMES);
         assert_eq!(w.values(), &RAMP_VALUES);
-        assert_eq!(w.start_time(), 0.0);
         assert_eq!(w.end_time(), 4.0);
         assert_eq!(w.final_value(), 0.0);
-        assert_eq!(w.min_value(), 0.0);
         assert_eq!(w.max_value(), 2.0);
     }
 

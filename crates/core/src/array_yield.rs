@@ -121,11 +121,6 @@ impl ArrayYield {
         log_sum.min(0.0)
     }
 
-    /// Expected number of failing cells in the array.
-    pub fn expected_failures(&self, per_cell_failure_probability: f64) -> f64 {
-        self.cells as f64 * per_cell_failure_probability
-    }
-
     /// The largest per-cell failure probability that still achieves the target
     /// array yield, found by bisection.
     ///
@@ -189,7 +184,6 @@ mod tests {
             ArrayYield::without_redundancy(0).yield_probability(0.5),
             1.0
         );
-        assert!((array.expected_failures(p) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -43,21 +43,13 @@
 //! assert!(row.coverage >= 0.0 && row.coverage <= 1.0);
 //! ```
 
-use crate::analysis::{assert_unique, configure_estimators, fnv1a};
+use crate::analysis::{assert_unique, configure_estimators};
 use crate::estimator::{ConvergencePolicy, Estimator};
 use crate::exec::ExecutionConfig;
 use crate::problems::BenchmarkProblem;
+use gis_stats::rng::{fnv1a, splitmix64};
 use gis_stats::{binomial_acceptance_band, normal, RngStream};
 use serde::{Deserialize, Serialize};
-
-/// SplitMix64 finalizer used to mix the replication index into the seed
-/// derivation without disturbing the name hashes.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One replication of one estimator on one problem, reduced to the fields
 /// the calibration statistics need.

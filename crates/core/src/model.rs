@@ -249,11 +249,6 @@ impl FailureProblem {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// Resets the evaluation counter to zero.
-    pub fn reset_evaluations(&self) {
-        self.evaluations.store(0, Ordering::Relaxed);
-    }
-
     /// Creates a handle to the same model and spec with an *independent*
     /// evaluation counter — used when several methods must be charged
     /// separately against the same problem.
@@ -510,8 +505,6 @@ mod tests {
         assert_eq!(fork.evaluations(), 1);
         assert_eq!(problem.evaluations(), 4);
 
-        problem.reset_evaluations();
-        assert_eq!(problem.evaluations(), 0);
         assert_eq!(problem.dim(), 2);
         assert_eq!(problem.model_name(), "linear-limit-state");
         assert!(format!("{problem:?}").contains("linear-limit-state"));

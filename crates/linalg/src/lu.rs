@@ -193,8 +193,8 @@ mod tests {
     use super::*;
 
     fn random_like_matrix(n: usize, seed: u64) -> Matrix {
-        // Simple deterministic pseudo-random fill (xorshift) — keeps the test
-        // independent of the rand crate.
+        // Simple deterministic pseudo-random fill (xorshift): gis-linalg sits
+        // below gis-stats, so its tests cannot draw from an RngStream.
         let mut state = seed.max(1);
         let mut next = move || {
             state ^= state << 13;

@@ -10,6 +10,7 @@ use crate::protocol::{
     DEFAULT_MAX_REPLY_BYTES, PROTOCOL_VERSION,
 };
 use gis_core::{AnalysisReport, MethodReport};
+use gis_stats::rng::splitmix64;
 use std::io::BufReader;
 use std::net::TcpStream;
 
@@ -287,13 +288,15 @@ impl RetryPolicy {
             .base_delay_ms
             .saturating_mul(1u64 << doublings)
             .min(self.max_delay_ms.max(1));
-        // splitmix64-style hash of (seed, attempt): well-spread, std-only.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // SplitMix64 output number `attempt` of the stream seeded with
+        // `jitter_seed`: well-spread, no OS randomness.
+        let z = splitmix64(
+            self.jitter_seed.wrapping_add(
+                u64::from(attempt)
+                    .wrapping_sub(1)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ),
+        );
         // Map the hash to [-nominal/4, +nominal/4].
         let half_span = (nominal / 2).max(1);
         let jitter = (z % half_span) as i64 - (half_span / 2) as i64;

@@ -21,21 +21,22 @@ use gis_core::{
     SweepPlan, YieldAnalysis,
 };
 use gis_sram::{SramCellConfig, SramSurrogate, SramTestbench, TestbenchTiming};
+use gis_stats::rng::fnv1a;
 use gis_variation::PelgromModel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// FNV-1a hash, used to derive short content-addressed job ids from the
-/// canonical job JSON. (Cell cache keys stay full canonical JSON — they
-/// must be validatable on journal replay, not merely unique.)
-fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// Most padded variation parameters a [`ProblemSpec::SurrogateSram`] may ask
+/// for: seven times the 576-d top of the dimensionality ladder. Larger
+/// requests are refused before any model is built, because a failed
+/// allocation aborts the daemon instead of unwinding.
+const MAX_PADDED_DIMENSIONS: usize = 4096;
+
+/// Most integration steps, `ceil(stop_time / time_step)`, in the window of a
+/// [`ProblemSpec::TransientSram`] timing override. The default window is 500
+/// steps and table 2's is 1 500; waveform storage grows with the window, so
+/// a larger request is refused before any model is built.
+const MAX_WINDOW_STEPS: u32 = 20_000;
 
 /// A family of failure problems the server can rebuild deterministically
 /// from the specification alone.
@@ -62,7 +63,8 @@ pub enum ProblemSpec {
         /// Spec limit as a multiple of the nominal metric (upper limit).
         spec_factor: f64,
         /// Extra padded variation parameters (peripheral devices), as in
-        /// the dimensionality-scaling experiments. 0 = bare 6T cell.
+        /// the dimensionality-scaling experiments. 0 = bare 6T cell; at most
+        /// 4 096.
         padded_dimensions: usize,
     },
     /// A single problem on the transient 6T testbench, integrated on the
@@ -72,7 +74,8 @@ pub enum ProblemSpec {
         metric: SramMetric,
         /// Spec limit as a multiple of the nominal metric (upper limit).
         spec_factor: f64,
-        /// Testbench timing override (`None` = the typical 45 nm timing).
+        /// Testbench timing override (`None` = the typical 45 nm timing); its
+        /// window holds at most 20 000 steps.
         timing: Option<TestbenchTiming>,
     },
 }
@@ -92,8 +95,9 @@ pub struct BuiltProblem {
 impl ProblemSpec {
     /// Rebuilds the problem family, in deterministic registration order.
     ///
-    /// All validation is typed: an unknown suite name, an invalid timing
-    /// override or an operating point outside the model's domain returns a
+    /// All validation is typed: an unknown suite name, an invalid or
+    /// oversized timing override, too many padded dimensions or an
+    /// operating point outside the model's domain returns a
     /// [`JobError`] instead of panicking the connection thread.
     pub fn build(&self) -> Result<Vec<BuiltProblem>, JobError> {
         match self {
@@ -161,6 +165,14 @@ impl ProblemSpec {
                 padded_dimensions,
             } => {
                 validate_spec_factor(*spec_factor)?;
+                if *padded_dimensions > MAX_PADDED_DIMENSIONS {
+                    return Err(JobError::BadSpec {
+                        detail: format!(
+                            "{padded_dimensions} padded dimensions exceed the limit of \
+                             {MAX_PADDED_DIMENSIONS}"
+                        ),
+                    });
+                }
                 let cell = SramCellConfig::typical_45nm();
                 let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
                 let mut model =
@@ -195,6 +207,15 @@ impl ProblemSpec {
                     }
                     None => SramTestbench::typical_45nm(),
                 };
+                let window = testbench.timing();
+                let steps = (window.stop_time / window.time_step).ceil();
+                if !(steps <= f64::from(MAX_WINDOW_STEPS)) {
+                    return Err(JobError::BadSpec {
+                        detail: format!(
+                            "a window of {steps} steps exceeds the limit of {MAX_WINDOW_STEPS}"
+                        ),
+                    });
+                }
                 let space = default_sram_variation_space(&cell, &PelgromModel::typical_45nm());
                 let model = SramTransientModel::new(testbench, space, *metric);
                 let nominal = guarded(|| model.nominal_metric())?;
@@ -381,8 +402,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Content-addressed job id: identical specs — same problems, same
-    /// estimator configs, same seed and policy — get identical ids.
+    /// Content-addressed job id, the FNV-1a hash of the canonical spec JSON:
+    /// identical specs — same problems, same estimator configs, same seed
+    /// and policy — get identical ids.
     pub fn job_id(&self) -> String {
         // Serializing an in-memory spec cannot fail.
         let canonical = serde_json::to_string(self).unwrap_or_else(|_| format!("{self:?}"));

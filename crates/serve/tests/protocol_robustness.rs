@@ -7,13 +7,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gis_core::{
-    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig, SssConfig,
+    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig,
+    SramMetric, SssConfig,
 };
 use gis_serve::protocol::{
     encode_request, parse_reply, parse_request, read_frame, write_request, ProtocolError, Reply,
     Request, PROTOCOL_VERSION,
 };
 use gis_serve::{plan_job, EstimatorSpec, JobSpec, ProblemSpec, Server, ServerConfig};
+use gis_sram::TestbenchTiming;
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Write};
 use std::net::TcpStream;
@@ -373,6 +375,32 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
             ..gis_job(GisConfig::default())
         },
     });
+    // Specs whose models would not fit in memory; a failed allocation
+    // aborts the process, so they must be refused before anything is built.
+    let huge_padding = encode_request(&Request::Submit {
+        job: JobSpec {
+            problem: ProblemSpec::SurrogateSram {
+                metric: SramMetric::ReadAccessTime,
+                spec_factor: 1.5,
+                padded_dimensions: 1 << 40,
+            },
+            ..gis_job(GisConfig::default())
+        },
+    });
+    let huge_window = encode_request(&Request::Submit {
+        job: JobSpec {
+            problem: ProblemSpec::TransientSram {
+                metric: SramMetric::ReadAccessTime,
+                spec_factor: 1.5,
+                timing: Some(TestbenchTiming {
+                    stop_time: 1.0,
+                    time_step: 1e-15,
+                    ..TestbenchTiming::default()
+                }),
+            },
+            ..gis_job(GisConfig::default())
+        },
+    });
 
     for line in [
         unknown_suite,
@@ -381,6 +409,8 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
         legacy_rule,
         sss_without_failures,
         zero_budget_policy,
+        huge_padding,
+        huge_window,
     ] {
         writer.write_all(line.as_bytes()).expect("write");
         writer.flush().expect("flush");

@@ -208,11 +208,6 @@ impl GaussianMixture {
         })
     }
 
-    /// Number of mixture components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Dimensionality of the mixture.
     pub fn dim(&self) -> usize {
         self.components[0].dim()
@@ -432,7 +427,6 @@ mod tests {
         let x = Vector::from_slice(&[1.0]);
         let expected = 0.25 * c1.pdf(&x).unwrap() + 0.75 * c2.pdf(&x).unwrap();
         assert!((mix.pdf(&x).unwrap() - expected).abs() < 1e-14);
-        assert_eq!(mix.num_components(), 2);
         assert_eq!(mix.dim(), 1);
         assert!((mix.weights()[0] - 0.25).abs() < 1e-15);
     }

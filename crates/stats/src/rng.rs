@@ -13,13 +13,39 @@
 //! in the same order.
 
 use gis_linalg::Vector;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+
+/// The golden-ratio increment of SplitMix64's Weyl sequence.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): one step of the Weyl
+/// sequence from `z`, then the variant-13 finalizer. It expands a stream's
+/// seed into the generator state, derives child seeds in
+/// [`RngStream::split`], and mixes the replication index into calibration
+/// seeds.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a hash of `text`. It derives seeds from problem and
+/// estimator names independently of registration order, and short
+/// content-addressed job ids from canonical job JSON.
+pub fn fnv1a(text: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in text.bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// A seeded, splittable random number stream.
 ///
-/// Internally wraps [`rand::rngs::StdRng`] (ChaCha-based) and adds the normal
-/// variate generation and stream-splitting conveniences used across the suite.
+/// The generator is xoshiro256++ (Blackman & Vigna, *ACM TOMS* 2021), whose
+/// 256-bit state is expanded from the 64-bit seed by [`splitmix64`]. On top of
+/// it the stream provides uniform and normal variates and stream splitting.
 ///
 /// # Examples
 ///
@@ -37,7 +63,8 @@ use rand::{Rng, RngCore, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RngStream {
-    rng: StdRng,
+    /// xoshiro256++ state.
+    state: [u64; 4],
     seed: u64,
     /// Cached second Box–Muller variate.
     cached_normal: Option<f64>,
@@ -46,8 +73,14 @@ pub struct RngStream {
 impl RngStream {
     /// Creates a stream from a 64-bit seed.
     pub fn from_seed(seed: u64) -> Self {
+        let mut state = [0; 4];
+        let mut z = seed;
+        for word in &mut state {
+            *word = splitmix64(z);
+            z = z.wrapping_add(GOLDEN_GAMMA);
+        }
         RngStream {
-            rng: StdRng::seed_from_u64(seed),
+            state,
             seed,
             cached_normal: None,
         }
@@ -60,23 +93,35 @@ impl RngStream {
 
     /// Derives an independent child stream identified by `index`.
     ///
-    /// The child seed mixes the parent seed and the index through a
-    /// SplitMix64-style finalizer, so `split(0)`, `split(1)`, … are
+    /// The child seed is [`splitmix64`] of the parent seed plus `index`
+    /// times an odd constant, so `split(0)`, `split(1)`, … are
     /// statistically independent of each other and of the parent.
     pub fn split(&self, index: u64) -> RngStream {
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        RngStream::from_seed(z)
+        RngStream::from_seed(splitmix64(
+            self.seed
+                .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+        ))
     }
 
-    /// Uniform random number in `[0, 1)`.
+    /// Next 64 bits of the xoshiro256++ sequence.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.state;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform random number in `[0, 1)`: the top 53 bits of the next
+    /// output, scaled by 2⁻⁵³.
     pub fn uniform(&mut self) -> f64 {
-        self.rng.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform random number in `[low, high)`.
@@ -89,14 +134,23 @@ impl RngStream {
         low + (high - low) * self.uniform()
     }
 
-    /// Uniform integer in `[0, n)`.
+    /// Uniform integer in `[0, n)`, without bias: Lemire's widening
+    /// multiply, rejecting the low products that would over-represent some
+    /// values.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn uniform_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "uniform_index requires n > 0");
-        self.rng.gen_range(0..n)
+        let bound = n as u64;
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            if m as u64 >= threshold {
+                return (m >> 64) as usize;
+            }
+        }
     }
 
     /// Standard normal variate via the Box–Muller transform (with caching of
@@ -115,16 +169,6 @@ impl RngStream {
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.cached_normal = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Normal variate with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev < 0`.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-        mean + std_dev * self.standard_normal()
     }
 
     /// Overwrites `out` with independent standard normal variates, drawn in
@@ -179,24 +223,6 @@ impl RngStream {
             }
         }
         weights.len() - 1
-    }
-}
-
-impl RngCore for RngStream {
-    fn next_u32(&mut self) -> u32 {
-        self.rng.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.rng.fill_bytes(dest)
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-        self.rng.try_fill_bytes(dest)
     }
 }
 
@@ -266,6 +292,128 @@ mod tests {
     }
 
     #[test]
+    fn uniform_index_is_unbiased_enough() {
+        let mut rng = RngStream::from_seed(3);
+        let mut counts = [0usize; 5];
+        for _ in 0..50_000 {
+            counts[rng.uniform_index(5)] += 1;
+        }
+        for &c in &counts {
+            assert!((c as f64 - 10_000.0).abs() < 600.0, "counts = {counts:?}");
+        }
+    }
+
+    /// Pins the stream's own output, so a change to the generator, its
+    /// seeding, the index sampler, Box–Muller or splitting shows up here
+    /// before it shows up as a moved golden estimate.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn stream_output_is_pinned() {
+        struct Pin {
+            seed: u64,
+            uniforms: [u64; 4],
+            indices: [usize; 5],
+            normals: [u64; 3],
+            split_seed: u64,
+            split_uniform: u64,
+        }
+        let pins = [
+            Pin {
+                seed: 0,
+                uniforms: [
+                    0x3fd4c5d7585242c8,
+                    0x3fd8769bcf70e034,
+                    0x3fd703f7e47b269e,
+                    0x3f8775fc61ddf2c0,
+                ],
+                indices: [0, 1, 2, 11, 9136120204379184873],
+                normals: [0xbff1b9fe5de16e94, 0x3ff02edd6bb4b03a, 0x3ff6d2df1cdbcf62],
+                split_seed: 3768759642134115001,
+                split_uniform: 0x3fe8f9938e175418,
+            },
+            Pin {
+                seed: 1,
+                uniforms: [
+                    0x3fe9f8ba0fede078,
+                    0x3fe7e8482652c7fc,
+                    0x3fb9a37d5757aaf0,
+                    0x3fe7e10233e0b9aa,
+                ],
+                indices: [0, 3, 0, 746, 3406718355780431779],
+                normals: [0xbf8812140a29bbcd, 0xbfe4ac1a702eeceb, 0xbfaa1b2454243d07],
+                split_seed: 1033284918006472414,
+                split_uniform: 0x3feec7c6b94a3c63,
+            },
+            Pin {
+                seed: 7,
+                uniforms: [
+                    0x3fac583400555d20,
+                    0x3fc607e46efd274c,
+                    0x3fe6f66236761a8b,
+                    0x3fdb5767da98c600,
+                ],
+                indices: [0, 0, 5, 427, 17776380574336353141],
+                normals: [0x3ff21805dbb01b35, 0x4000fcc51eab333d, 0xbfe7642aac8d9be3],
+                split_seed: 13757315976164597679,
+                split_uniform: 0x3fef7425960f4746,
+            },
+            Pin {
+                seed: 20180319,
+                uniforms: [
+                    0x3fd1d8f60c5eeea4,
+                    0x3fe112dc6df4e018,
+                    0x3feb41dfa7407c69,
+                    0x3fcf258f5723ab80,
+                ],
+                indices: [0, 2, 5, 243, 14130766017099912274],
+                normals: [0xbff9010a7f4ce33b, 0xbfd5672ca39d19cd, 0x3f98496ec08c33f0],
+                split_seed: 16441682848830326983,
+                split_uniform: 0x3fcb7d078cef9b4c,
+            },
+            Pin {
+                seed: u64::MAX,
+                uniforms: [
+                    0x3fd5b33e33a52388,
+                    0x3fecd0b10865cb4b,
+                    0x3fec7d36b4902339,
+                    0x3fd183c652554caa,
+                ],
+                indices: [0, 4, 6, 273, 12093889312535503840],
+                normals: [0x3ff3143e7e338dbd, 0xbfeb8cc55c7896fa, 0xbfb2493e64d7c020],
+                split_seed: 11883330800029047368,
+                split_uniform: 0x3fe6b4406d0276b5,
+            },
+        ];
+        for pin in pins {
+            let mut rng = RngStream::from_seed(pin.seed);
+            let uniforms = [(); 4].map(|_| rng.uniform().to_bits());
+            assert_eq!(uniforms, pin.uniforms, "uniforms, seed {}", pin.seed);
+
+            let mut rng = RngStream::from_seed(pin.seed);
+            let indices = [1, 5, 7, 1000, usize::MAX].map(|n| rng.uniform_index(n));
+            assert_eq!(indices, pin.indices, "indices, seed {}", pin.seed);
+
+            let mut rng = RngStream::from_seed(pin.seed);
+            let normals = [(); 3].map(|_| rng.standard_normal().to_bits());
+            assert_eq!(normals, pin.normals, "normals, seed {}", pin.seed);
+
+            let mut child = RngStream::from_seed(pin.seed).split(3);
+            assert_eq!(
+                child.seed(),
+                pin.split_seed,
+                "split seed, seed {}",
+                pin.seed
+            );
+            assert_eq!(
+                child.uniform().to_bits(),
+                pin.split_uniform,
+                "split uniform, seed {}",
+                pin.seed
+            );
+        }
+    }
+
+    #[test]
     fn normal_vector_has_right_length() {
         let mut rng = RngStream::from_seed(5);
         let v = rng.standard_normal_vector(12);
@@ -326,18 +474,5 @@ mod tests {
     #[should_panic(expected = "weights must not all be zero")]
     fn weighted_index_rejects_all_zero() {
         RngStream::from_seed(1).weighted_index(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn normal_with_mean_and_std() {
-        let mut rng = RngStream::from_seed(77);
-        let n = 50_000;
-        let mean_target = 3.0;
-        let std_target = 0.5;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            sum += rng.normal(mean_target, std_target);
-        }
-        assert!((sum / n as f64 - mean_target).abs() < 0.02);
     }
 }

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -89,15 +89,6 @@ impl OnlineStats {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population variance (`n` denominator); 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 

@@ -259,13 +259,6 @@ impl VariationSpace {
         let physical = self.to_physical(&z);
         (z, physical)
     }
-
-    /// Euclidean norm of a whitened point — its distance from the nominal
-    /// design in sigmas, the quantity every high-sigma method tries to
-    /// minimize when hunting for the most-probable failure point.
-    pub fn sigma_distance(&self, z: &Vector) -> f64 {
-        z.norm()
-    }
 }
 
 /// Builds the canonical 6-transistor SRAM variation space: one ΔV_T parameter
@@ -343,7 +336,6 @@ mod tests {
         assert!((phys[1] + 0.05).abs() < 1e-15);
         let back = space.to_whitened(&phys);
         assert!((&back - &z).norm() < 1e-12);
-        assert!((space.sigma_distance(&z) - 5f64.sqrt()).abs() < 1e-12);
         assert_eq!(space.parameters().len(), 2);
     }
 
