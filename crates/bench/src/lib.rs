@@ -1,12 +1,13 @@
-//! Shared helpers for the experiment binaries that regenerate the tables and
-//! figures of the evaluation.
+//! The paper's evaluation and the helpers of the experiment binaries.
 //!
-//! Each table/figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see the README section "Reproducing the paper's evaluation"
-//! for the index). The helpers here build the standard problems
-//! (read/write/disturb on the surrogate or the transient testbench), format
-//! comparison rows consistently, and dump machine-readable JSON next to the
-//! printed tables so the README can reference stable artifacts.
+//! The estimator comparisons of the evaluation are data: [`paper`] holds
+//! the manifest of experiments that the `bench_paper` binary runs into the
+//! committed `BENCH_paper.json`. The figures no row holds (waveforms,
+//! metric distributions, MPFP search traces, static margins) and the
+//! calibration and sweep harnesses keep binaries of their own in
+//! `src/bin/`. The helpers here build the standard problems, print CSV
+//! blocks and write JSON artifacts (see the README section "Reproducing the
+//! paper's evaluation").
 
 // The workspace has zero unsafe code; lock that in per crate. (A crate
 // attribute rather than a workspace lint so the counting-allocator
@@ -25,7 +26,7 @@ use gis_variation::PelgromModel;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-pub use gis_core::ComparisonRow;
+pub mod paper;
 
 /// Master seed from which every experiment derives its random streams, so the
 /// whole evaluation is reproducible end to end.
@@ -57,13 +58,6 @@ pub fn parse_flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Returns the `--connect HOST:PORT` address when the binary was asked to
-/// run as a thin client against a `gis-serve` daemon.
-pub fn connect_addr() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_flag_value(&args, "--connect")
 }
 
 /// Thin-client mode shared by the experiment binaries: submits `job` to the
@@ -134,39 +128,6 @@ where
     FailureProblem::from_model(model, Spec::UpperLimit(nominal * spec_factor))
 }
 
-/// Prints a comparison table in the fixed-width format used by every
-/// table-generating binary. The rows come straight from a
-/// [`gis_core::YieldAnalysis`] report (or [`ComparisonRow::from_result`]).
-pub fn print_comparison_table(title: &str, rows: &[ComparisonRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<24} {:>12} {:>8} {:>10} {:>12} {:>12} {:>10} {:>8} {:>10}",
-        "method",
-        "P_fail",
-        "sigma",
-        "rel90[%]",
-        "#sims",
-        "speedup",
-        "converged",
-        "threads",
-        "wall[s]"
-    );
-    for row in rows {
-        println!(
-            "{:<24} {:>12.4e} {:>8.3} {:>10.1} {:>12} {:>12.1} {:>10} {:>8} {:>10.3}",
-            row.method,
-            row.failure_probability,
-            row.sigma_level,
-            row.relative_confidence_90 * 100.0,
-            row.evaluations,
-            row.speedup_vs_monte_carlo,
-            row.converged,
-            row.threads,
-            row.wall_time_seconds
-        );
-    }
-}
-
 /// Resolves the workspace root (the directory holding the top-level
 /// `Cargo.toml` and `ROADMAP.md`) regardless of the invoking cwd: this crate
 /// lives at `<workspace>/crates/bench`, so the root is two levels above the
@@ -228,7 +189,9 @@ pub fn print_csv(name: &str, header: &str, rows: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gis_core::{Estimator, GisConfig, GradientImportanceSampling, ImportanceSamplingConfig};
+    use gis_core::{
+        ComparisonRow, Estimator, GisConfig, GradientImportanceSampling, ImportanceSamplingConfig,
+    };
     use gis_stats::RngStream;
 
     /// A per-test scratch directory under the system temp dir, cleaned up on
@@ -277,11 +240,10 @@ mod tests {
         let row = ComparisonRow::from_result(&outcome.result);
         assert_eq!(row.method, "gradient-is");
         assert!(row.evaluations > 0);
-        print_comparison_table("smoke", &[row]);
     }
 
     #[test]
-    fn analysis_report_prints_and_serializes() {
+    fn analysis_report_serializes() {
         let read = surrogate_read_model();
         let nominal = read.nominal_metric();
         let report = gis_core::YieldAnalysis::new()
@@ -295,9 +257,6 @@ mod tests {
                 GisConfig::default(),
             )))
             .run();
-        for problem in &report.problems {
-            print_comparison_table(&problem.problem, &problem.rows());
-        }
         let scratch = TempArtifactDir::new("report");
         write_json_artifact_in(scratch.path(), "unit_test_report", &report);
         assert!(scratch.path().join("unit_test_report.json").exists());

@@ -90,7 +90,10 @@ pub struct ComparisonRow {
     /// same probability at 10% relative error; `NaN` when the method produced
     /// no usable estimate.
     pub speedup_vs_monte_carlo: f64,
-    /// Whether the method converged to its accuracy target.
+    /// The result's [`ExtractionResult::converged`] flag: the stopping rule
+    /// met the accuracy target for the sequential methods, while for
+    /// scaled-sigma sampling, which has no target, it only means that the
+    /// extrapolation produced a finite error bar.
     pub converged: bool,
     /// Whether the method's diagnostics suggest more than one dominant
     /// failure region (see

@@ -63,8 +63,19 @@ pub struct ExtractionResult {
     pub sampling_evaluations: u64,
     /// Number of observed failing samples.
     pub failures_observed: u64,
-    /// Whether the configured accuracy target was reached before the evaluation
-    /// budget ran out.
+    /// The estimator's own convergence claim, which means different things
+    /// for different estimators:
+    ///
+    /// * Monte Carlo, GIS, minimum-norm IS and spherical sampling: the
+    ///   sequential stopping rule of [`crate::stopping`] stopped the run
+    ///   before its budget ran out, so the relative error met the target
+    ///   with at least the minimum number of failures (effective failures
+    ///   for the importance-sampling methods). Minimum-norm IS
+    ///   whose search found no failure reports `false`.
+    /// * Scaled-sigma sampling has no accuracy target. The flag is `true`
+    ///   whenever at least three scales saw enough failures and the
+    ///   extrapolation's variance is finite, however wide the error bar; it
+    ///   says nothing about accuracy.
     pub converged: bool,
     /// Convergence trace (running estimate vs evaluations).
     pub trace: Vec<ConvergencePoint>,
