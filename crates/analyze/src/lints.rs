@@ -536,8 +536,9 @@ fn no_alloc_regions(
 }
 
 /// From token `from`, finds the next `fn`, its name, and its body's token
-/// range: the first `{` at paren depth 0 after the name through its matching
-/// `}`.
+/// range: the first `{` outside parentheses and brackets after the name
+/// through its matching `}`. (A `;` inside brackets belongs to an array
+/// type such as `-> [f64; L]`.)
 fn resolve_fn_body(tokens: &[Token], from: usize) -> Option<(String, usize, usize)> {
     let fn_idx = tokens[from..]
         .iter()
@@ -548,8 +549,8 @@ fn resolve_fn_body(tokens: &[Token], from: usize) -> Option<(String, usize, usiz
     let mut body_start = None;
     for (j, t) in tokens.iter().enumerate().skip(fn_idx + 2) {
         match t.text.as_str() {
-            "(" => paren += 1,
-            ")" => paren -= 1,
+            "(" | "[" => paren += 1,
+            ")" | "]" => paren -= 1,
             "{" if paren == 0 => {
                 body_start = Some(j);
                 break;
@@ -919,6 +920,14 @@ fn hot(&mut self) -> Vec<f64> { self.buf.to_vec() }
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LINT_NO_ALLOC);
         assert!(f[0].message.contains("hot"));
+        // An array in the signature is not the end of a bodiless fn.
+        let src = "\
+/// gis-analyze: no_alloc
+fn hot<const L: usize>(x: [f64; L]) -> [f64; L] { x.to_vec(); x }
+";
+        let f = run("crates/linalg/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].lint, LINT_NO_ALLOC);
     }
 
     #[test]

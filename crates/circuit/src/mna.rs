@@ -23,10 +23,23 @@
 //! Both kernels stamp through the same generic assembly walk, so every sum is
 //! accumulated in the same order and fixed-seed results are bit-identical
 //! regardless of the kernel.
+//!
+//! # Sample lanes
+//!
+//! The sparse kernel's Newton iteration runs on `L` samples of one topology
+//! at once, lane-major: every value slot holds one value per lane, the
+//! stamp program and the recorded elimination program are replayed once for
+//! all lanes ([`gis_linalg::sparse::LaneLu`]), and each lane performs
+//! exactly the operations of a one-lane iteration, so its bits do not
+//! depend on its neighbours. [`MnaSystem::solve_newton_in`] is the one-lane
+//! instance; [`crate::transient::transient_lanes`] drives
+//! [`crate::transient::LANES`] lanes.
 
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, Device, NodeId, GROUND};
-use gis_linalg::sparse::{PatternBuilder, SparseLu, SymbolicLu};
+use crate::transient::TransientResult;
+use gis_linalg::sparse::{LaneLu, PatternBuilder, SparseLu, SymbolicLu};
+use gis_linalg::LinalgError;
 use gis_linalg::{LuDecomposition, Matrix, Vector};
 
 /// Minimum conductance tied from every non-ground node to ground. Prevents
@@ -174,20 +187,31 @@ struct MosfetEvalSpec {
     b: u32,
 }
 
-/// Output of one MOSFET evaluation, consumed by the stamp replay.
+/// Output of one MOSFET's evaluation on `L` lanes, consumed by the stamp
+/// replay, lane-major.
 ///
 /// Evaluating all transistors *before* stamping lets their independent
 /// floating-point dependency chains overlap in the out-of-order window; the
 /// stamp replay then applies the results in exact netlist order, so the
 /// assembled system is bit-identical to the interleaved walk.
-#[derive(Debug, Clone, Copy, Default)]
-struct MosfetScratch {
+#[derive(Debug, Clone, Copy)]
+struct MosfetScratch<const L: usize> {
     /// The 8 Jacobian stamp values in `stamp_mosfet`'s order.
-    values: [f64; 8],
+    values: [[f64; L]; 8],
     /// Norton equivalent current.
-    ieq: f64,
+    ieq: [f64; L],
     /// Whether the symmetric-conduction swap is active this iterate.
-    swapped: bool,
+    swapped: [bool; L],
+}
+
+impl<const L: usize> Default for MosfetScratch<L> {
+    fn default() -> Self {
+        MosfetScratch {
+            values: [[0.0; L]; 8],
+            ieq: [0.0; L],
+            swapped: [false; L],
+        }
+    }
 }
 
 /// Compact per-device topology signature used to detect whether a workspace's
@@ -223,6 +247,12 @@ fn device_signature(device: &Device) -> DeviceSignature {
 /// samples that only change device *values* — reuses the plan and the numeric
 /// buffers without touching the heap.
 ///
+/// One plan serves any number of samples in flight: the one-lane buffers
+/// behind [`SimulationWorkspace::state`] and
+/// [`crate::transient_analysis_until`], and the
+/// [`LANES`](crate::transient::LANES)-wide buffers of
+/// [`crate::transient::transient_lanes`], allocated on first use.
+///
 /// The SRAM sessions hold one workspace each, so an executor work chunk
 /// carries exactly one plan for its whole batch.
 #[derive(Debug, Clone, Default)]
@@ -232,6 +262,18 @@ pub struct SimulationWorkspace {
 
 #[derive(Debug, Clone)]
 struct WorkspaceCore {
+    plan: Plan,
+    /// One sample in flight: [`MnaSystem::solve_newton_in`] and the
+    /// one-lane transient.
+    single: Lanes<1>,
+    /// [`crate::transient::LANES`] samples in flight.
+    wide: Option<Lanes<{ crate::transient::LANES }>>,
+}
+
+/// What every sample of one topology shares: the compiled stamp program and
+/// the sparse LU plan with its recorded elimination program.
+#[derive(Debug, Clone)]
+pub(crate) struct Plan {
     num_nodes: usize,
     dim: usize,
     signature: Vec<DeviceSignature>,
@@ -239,15 +281,57 @@ struct WorkspaceCore {
     program: Vec<StampOp>,
     /// Evaluation inputs of every MOSFET, in netlist order.
     mosfet_evals: Vec<MosfetEvalSpec>,
-    /// Per-iteration outputs of the batched MOSFET evaluation pass.
-    mosfet_scratch: Vec<MosfetScratch>,
+    /// The recorded elimination program, and the scalar factorization of a
+    /// lane whose replay leaves it.
     lu: SparseLu,
-    /// Right-hand side of the linearized system.
-    z: Vec<f64>,
-    /// Newton iterate (the solution after a successful solve).
-    x: Vec<f64>,
-    /// Raw solution of one linearized system before damping.
-    x_new: Vec<f64>,
+    /// Right-hand side and solution of a lane finished on `lu`.
+    scalar_z: Vec<f64>,
+    scalar_x: Vec<f64>,
+}
+
+/// The numeric state of `L` samples in flight on one [`Plan`], lane-major:
+/// each slot holds one value per lane.
+#[derive(Debug, Clone)]
+pub(crate) struct Lanes<const L: usize> {
+    lu: LaneLu<L>,
+    /// Right-hand side of each lane's linearized system.
+    z: Vec<[f64; L]>,
+    /// Each lane's Newton iterate (its solution after convergence).
+    pub(crate) x: Vec<[f64; L]>,
+    /// Raw solution of each lane's linearized system before damping.
+    x_new: Vec<[f64; L]>,
+    /// Node voltages (index = node id) of each lane's previous accepted time
+    /// point: the history of the capacitor companion models.
+    pub(crate) previous: Vec<[f64; L]>,
+    /// Per-iteration outputs of the batched MOSFET evaluation pass.
+    mosfet_scratch: Vec<MosfetScratch<L>>,
+    /// The points each lane's sample has recorded.
+    pub(crate) results: [TransientResult; L],
+}
+
+/// Where one lane stands in its Newton iteration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneClock {
+    /// Time of the point being solved.
+    pub(crate) time: f64,
+    /// Backward-Euler step to that point, or `None` for a DC solve
+    /// (capacitors open).
+    pub(crate) dt: Option<f64>,
+    /// Iterations already spent on this point (sets the relaxation).
+    pub(crate) iteration: usize,
+    /// The iteration limit of this point.
+    pub(crate) max_iterations: usize,
+}
+
+/// How one lane's Newton iteration ended.
+#[derive(Debug, Clone)]
+pub(crate) enum NewtonStep {
+    /// Not converged yet; the damped update's largest node-voltage change.
+    Pending(f64),
+    /// Converged: the lane's iterate is the solution.
+    Converged,
+    /// The linearized system is singular.
+    Failed(LinalgError),
 }
 
 impl SimulationWorkspace {
@@ -259,17 +343,11 @@ impl SimulationWorkspace {
     /// Returns `true` if the workspace's symbolic plan matches `system`'s
     /// topology (same dimension, node count, and device connectivity).
     fn matches(&self, system: &MnaSystem) -> bool {
-        let Some(core) = &self.core else {
-            return false;
-        };
-        core.dim == system.dim
-            && core.num_nodes == system.num_nodes
-            && core.signature.len() == system.circuit.num_devices()
-            && core
-                .signature
-                .iter()
-                .zip(system.circuit.devices())
-                .all(|(sig, dev)| *sig == device_signature(dev))
+        self.core.as_ref().is_some_and(|core| {
+            core.plan.dim == system.dim
+                && core.plan.num_nodes == system.num_nodes
+                && core.plan.matches(system.circuit)
+        })
     }
 
     /// Binds the workspace to `system`, rebuilding the symbolic plan only if
@@ -279,6 +357,72 @@ impl SimulationWorkspace {
         if self.matches(system) {
             return;
         }
+        let plan = Plan::new(system);
+        let single = Lanes::new(&plan);
+        self.core = Some(WorkspaceCore {
+            plan,
+            single,
+            wide: None,
+        });
+    }
+
+    /// The current solution/iterate vector (length = system dimension).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace has never been bound.
+    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    pub fn state(&self) -> &[f64] {
+        self.core
+            .as_ref()
+            .expect("workspace is bound")
+            .single
+            .x
+            .as_flattened()
+    }
+
+    /// Seeds the Newton iterate. Entries beyond `x0.len()` are zeroed, which
+    /// mirrors the dense kernel's zero-padding of short initial guesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace has never been bound.
+    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    pub fn set_state(&mut self, x0: &[f64]) {
+        let core = self.core.as_mut().expect("workspace is bound");
+        let x = core.single.x.as_flattened_mut();
+        let n = x.len().min(x0.len());
+        x[..n].copy_from_slice(&x0[..n]);
+        for v in &mut x[n..] {
+            *v = 0.0;
+        }
+    }
+
+    /// The symbolic plan, if the workspace is bound (for diagnostics/tests).
+    pub fn symbolic(&self) -> Option<&SymbolicLu> {
+        self.core.as_ref().map(|c| c.plan.lu.symbolic())
+    }
+
+    /// The plan and one-lane buffers of a bound workspace.
+    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    pub(crate) fn single(&mut self) -> (&mut Plan, &mut Lanes<1>) {
+        let core = self.core.as_mut().expect("caller bound the workspace");
+        (&mut core.plan, &mut core.single)
+    }
+
+    /// The plan and [`crate::transient::LANES`]-wide buffers of a bound
+    /// workspace, allocating the buffers on first use.
+    #[allow(clippy::expect_used)] // invariants stated in the expect messages
+    pub(crate) fn wide(&mut self) -> (&mut Plan, &mut Lanes<{ crate::transient::LANES }>) {
+        let core = self.core.as_mut().expect("caller bound the workspace");
+        let wide = core.wide.get_or_insert_with(|| Lanes::new(&core.plan));
+        (&mut core.plan, wide)
+    }
+}
+
+impl Plan {
+    /// Compiles `system`'s stamp program and analyzes its pattern.
+    fn new(system: &MnaSystem) -> Self {
         let dim = system.dim;
         let mut builder = PatternBuilder::new(dim);
         // Symbolic pre-pass over the same assembly walk as the numeric
@@ -301,8 +445,7 @@ impl SimulationWorkspace {
         );
         let symbolic = SymbolicLu::analyze(&builder.build());
         let (program, mosfet_evals) = compile_program(system);
-        let mosfet_scratch = vec![MosfetScratch::default(); mosfet_evals.len()];
-        self.core = Some(WorkspaceCore {
+        Plan {
             num_nodes: system.num_nodes,
             dim,
             signature: system
@@ -313,43 +456,157 @@ impl SimulationWorkspace {
                 .collect(),
             program,
             mosfet_evals,
-            mosfet_scratch,
             lu: SparseLu::new(symbolic),
-            z: vec![0.0; dim],
-            x: vec![0.0; dim],
-            x_new: vec![0.0; dim],
-        });
-    }
-
-    /// The current solution/iterate vector (length = system dimension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never been bound.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn state(&self) -> &[f64] {
-        &self.core.as_ref().expect("workspace is bound").x
-    }
-
-    /// Seeds the Newton iterate. Entries beyond `x0.len()` are zeroed, which
-    /// mirrors the dense kernel's zero-padding of short initial guesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never been bound.
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub fn set_state(&mut self, x0: &[f64]) {
-        let core = self.core.as_mut().expect("workspace is bound");
-        let n = core.x.len().min(x0.len());
-        core.x[..n].copy_from_slice(&x0[..n]);
-        for v in &mut core.x[n..] {
-            *v = 0.0;
+            scalar_z: vec![0.0; dim],
+            scalar_x: vec![0.0; dim],
         }
     }
 
-    /// The symbolic plan, if the workspace is bound (for diagnostics/tests).
-    pub fn symbolic(&self) -> Option<&SymbolicLu> {
-        self.core.as_ref().map(|c| c.lu.symbolic())
+    /// Whether `circuit` has this plan's device connectivity, so its values
+    /// can be stamped through the compiled program.
+    pub(crate) fn matches(&self, circuit: &Circuit) -> bool {
+        self.signature.len() == circuit.num_devices()
+            && self
+                .signature
+                .iter()
+                .zip(circuit.devices())
+                .all(|(sig, dev)| *sig == device_signature(dev))
+    }
+
+    /// Number of nodes, ground included.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// One damped Newton iteration on every lane with a clock; a lane
+    /// without one is idle and its outcome is meaningless. `devices[l]` is
+    /// lane `l`'s netlist, with this plan's topology.
+    ///
+    /// Each lane performs exactly the arithmetic of a one-lane iteration:
+    /// the batched MOSFET evaluation, the stamp replay, the factorization,
+    /// the solve and the damped update. The lanes share the recorded
+    /// elimination program; a lane whose pivots leave it (or go singular)
+    /// is re-assembled and finished on the scalar plan, which re-records,
+    /// so its bits do not depend on which program was recorded.
+    /// gis-analyze: no_alloc
+    pub(crate) fn newton_iteration<const L: usize>(
+        &mut self,
+        lanes: &mut Lanes<L>,
+        devices: &[&[Device]; L],
+        clocks: &[Option<LaneClock>; L],
+    ) -> [NewtonStep; L] {
+        self.assemble_lanes(lanes, devices, clocks);
+        let factored = lanes.lu.factorize(&self.lu);
+        lanes.lu.solve(&self.lu, &lanes.z, &mut lanes.x_new);
+        let left: [bool; L] = std::array::from_fn(|l| clocks[l].is_some() && !factored[l]);
+        let failed = left
+            .contains(&true)
+            .then(|| self.solve_on_plan(lanes, devices, clocks, &left));
+        let relaxation =
+            clocks.map(|clock| clock.map_or(1.0, |c| relaxation(c.iteration, c.max_iterations)));
+        let (max_delta, norm_inf) =
+            newton_update(&mut lanes.x, &lanes.x_new, self.num_nodes - 1, relaxation);
+        let mut steps = std::array::from_fn(|l| {
+            if newton_converged(max_delta[l], norm_inf[l]) {
+                NewtonStep::Converged
+            } else {
+                NewtonStep::Pending(max_delta[l])
+            }
+        });
+        for (step, error) in steps.iter_mut().zip(failed.into_iter().flatten()) {
+            if let Some(error) = error {
+                *step = NewtonStep::Failed(error);
+            }
+        }
+        steps
+    }
+
+    /// The cold path of [`Plan::newton_iteration`] for the lanes marked in
+    /// `left`, whose replay left the recorded program: the assembly is
+    /// repeated (same inputs, same bits) and each such lane is factored and
+    /// solved on the scalar plan, which re-records. Returns each lane's
+    /// singular-system error.
+    #[cold]
+    fn solve_on_plan<const L: usize>(
+        &mut self,
+        lanes: &mut Lanes<L>,
+        devices: &[&[Device]; L],
+        clocks: &[Option<LaneClock>; L],
+        left: &[bool; L],
+    ) -> [Option<LinalgError>; L] {
+        self.assemble_lanes(lanes, devices, clocks);
+        std::array::from_fn(|l| {
+            if !left[l] {
+                return None;
+            }
+            self.lu.load_lane(&lanes.lu, l);
+            for (dst, src) in self.scalar_z.iter_mut().zip(&lanes.z) {
+                *dst = src[l];
+            }
+            let solved = self
+                .lu
+                .factorize()
+                .and_then(|()| self.lu.solve(&self.scalar_z, &mut self.scalar_x));
+            for (dst, src) in lanes.x_new.iter_mut().zip(&self.scalar_x) {
+                dst[l] = *src;
+            }
+            solved.err()
+        })
+    }
+
+    /// Clears the lanes' systems and assembles each lane's linearization
+    /// around its iterate: the batched MOSFET evaluation, then the stamp
+    /// replay. Idle lanes skip the evaluation.
+    /// gis-analyze: no_alloc
+    fn assemble_lanes<const L: usize>(
+        &self,
+        lanes: &mut Lanes<L>,
+        devices: &[&[Device]; L],
+        clocks: &[Option<LaneClock>; L],
+    ) {
+        lanes.lu.clear(&self.lu);
+        lanes.z.fill([0.0; L]);
+        let active = clocks.map(|clock| clock.is_some());
+        evaluate_mosfets(
+            &self.mosfet_evals,
+            devices,
+            &active,
+            &lanes.x,
+            &mut lanes.mosfet_scratch,
+        );
+        execute_program(
+            &self.program,
+            &lanes.mosfet_scratch,
+            devices,
+            clocks,
+            &lanes.previous,
+            self.num_nodes - 1,
+            &mut lanes.lu,
+            &mut lanes.z,
+        );
+    }
+}
+
+impl<const L: usize> Lanes<L> {
+    fn new(plan: &Plan) -> Self {
+        Lanes {
+            lu: LaneLu::new(&plan.lu),
+            z: vec![[0.0; L]; plan.dim],
+            x: vec![[0.0; L]; plan.dim],
+            x_new: vec![[0.0; L]; plan.dim],
+            previous: vec![[0.0; L]; plan.num_nodes],
+            mosfet_scratch: vec![MosfetScratch::default(); plan.mosfet_evals.len()],
+            results: std::array::from_fn(|_| TransientResult::default()),
+        }
+    }
+
+    /// Writes lane `lane`'s node voltages (index = node id, ground 0.0)
+    /// into its previous-point slots.
+    pub(crate) fn accept_point(&mut self, lane: usize) {
+        self.previous[0][lane] = 0.0;
+        for (node, slot) in self.previous.iter_mut().enumerate().skip(1) {
+            slot[lane] = self.x[node - 1][lane];
+        }
     }
 }
 
@@ -724,12 +981,11 @@ impl<'a> MnaSystem<'a> {
                 .solve(&z)
                 .map_err(|source| CircuitError::SingularSystem { time, source })?;
 
-            let (max_delta, norm_inf) = newton_update(
-                x.as_mut_slice(),
-                x_new.as_slice(),
+            let ([max_delta], [norm_inf]) = newton_update(
+                x.as_mut_slice().as_chunks_mut::<1>().0,
+                x_new.as_slice().as_chunks::<1>().0,
                 self.num_nodes - 1,
-                iteration,
-                max_iterations,
+                [relaxation(iteration, max_iterations)],
             );
             last_delta = max_delta;
             if newton_converged(max_delta, norm_inf) {
@@ -752,13 +1008,13 @@ impl<'a> MnaSystem<'a> {
     /// The workspace binds (or re-binds) to this system's topology
     /// automatically; in the steady state — same topology, new values — the
     /// entire call is allocation-free. The arithmetic is bit-identical to
-    /// [`MnaSystem::solve_newton`].
+    /// [`MnaSystem::solve_newton`]: each iteration is the one-lane instance
+    /// of the lane kernel behind [`crate::transient::transient_lanes`].
     ///
     /// # Errors
     ///
     /// See [`MnaSystem::solve_newton`].
     /// gis-analyze: no_alloc
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
     pub fn solve_newton_in(
         &self,
         workspace: &mut SimulationWorkspace,
@@ -768,75 +1024,27 @@ impl<'a> MnaSystem<'a> {
         max_iterations: usize,
     ) -> Result<usize, CircuitError> {
         workspace.bind(self);
-        let core = workspace.core.as_mut().expect("workspace bound above");
-        self.solve_newton_bound(core, time, dynamic, analysis, max_iterations)
-    }
-
-    /// Like [`MnaSystem::solve_newton_in`] but assumes the workspace is
-    /// already bound to this system (used by the transient driver, which
-    /// binds once per analysis instead of once per time step).
-    /// gis-analyze: no_alloc
-    #[allow(clippy::expect_used)] // invariants stated in the expect messages
-    pub(crate) fn solve_newton_prebound(
-        &self,
-        workspace: &mut SimulationWorkspace,
-        time: f64,
-        dynamic: Option<&DynamicState<'_>>,
-        analysis: &'static str,
-        max_iterations: usize,
-    ) -> Result<usize, CircuitError> {
-        debug_assert!(workspace.matches(self), "workspace not bound to system");
-        let core = workspace.core.as_mut().expect("caller bound the workspace");
-        self.solve_newton_bound(core, time, dynamic, analysis, max_iterations)
-    }
-
-    /// The bound sparse Newton loop: `core` must already belong to this
-    /// system's topology (the transient driver binds once per analysis and
-    /// then skips the per-step signature check).
-    /// gis-analyze: no_alloc
-    fn solve_newton_bound(
-        &self,
-        core: &mut WorkspaceCore,
-        time: f64,
-        dynamic: Option<&DynamicState<'_>>,
-        analysis: &'static str,
-        max_iterations: usize,
-    ) -> Result<usize, CircuitError> {
-        let devices = self.circuit.devices();
-        let node_unknowns = self.num_nodes - 1;
+        let (plan, lanes) = workspace.single();
+        if let Some(state) = dynamic {
+            for (slot, &v) in lanes.previous.iter_mut().zip(state.previous_node_voltages) {
+                *slot = [v];
+            }
+        }
+        let devices = [self.circuit.devices()];
         let mut last_delta = f64::INFINITY;
         for iteration in 0..max_iterations {
-            core.lu.clear();
-            core.z.iter_mut().for_each(|v| *v = 0.0);
-            execute_program(
-                &core.program,
-                &core.mosfet_evals,
-                &mut core.mosfet_scratch,
-                devices,
-                node_unknowns,
-                &core.x,
+            let clock = LaneClock {
                 time,
-                dynamic,
-                &mut core.lu,
-                &mut core.z,
-            );
-            core.lu
-                .factorize()
-                .map_err(|source| CircuitError::SingularSystem { time, source })?;
-            core.lu
-                .solve(&core.z, &mut core.x_new)
-                .map_err(|source| CircuitError::SingularSystem { time, source })?;
-
-            let (max_delta, norm_inf) = newton_update(
-                &mut core.x,
-                &core.x_new,
-                node_unknowns,
+                dt: dynamic.map(|state| state.dt),
                 iteration,
                 max_iterations,
-            );
-            last_delta = max_delta;
-            if newton_converged(max_delta, norm_inf) {
-                return Ok(iteration + 1);
+            };
+            match plan.newton_iteration(lanes, &devices, &[Some(clock)]) {
+                [NewtonStep::Converged] => return Ok(iteration + 1),
+                [NewtonStep::Pending(delta)] => last_delta = delta,
+                [NewtonStep::Failed(source)] => {
+                    return Err(CircuitError::SingularSystem { time, source })
+                }
             }
         }
         Err(CircuitError::NewtonDidNotConverge {
@@ -867,40 +1075,47 @@ impl<'a> MnaSystem<'a> {
     }
 }
 
-/// The damped Newton update shared by both kernels: applies the step from
-/// `x_new` onto `x` in place and returns `(max_delta, norm_inf(x))` of the
+/// The relaxation of a Newton iteration: if the iteration has not settled
+/// after half the budget (typically a limit cycle between two
+/// near-solutions in weak inversion), the step shrinks progressively to
+/// force convergence.
+#[inline]
+fn relaxation(iteration: usize, max_iterations: usize) -> f64 {
+    if iteration * 2 > max_iterations {
+        0.25
+    } else {
+        1.0
+    }
+}
+
+/// The damped Newton update shared by both kernels, on `L` lanes: applies
+/// each lane's step from `x_new` onto `x` in place, limiting every
+/// node-voltage change to [`MAX_VOLTAGE_STEP`] times the lane's
+/// `relaxation`, and returns each lane's `(max_delta, norm_inf(x))` of the
 /// updated iterate. Identical arithmetic to the historical dense loop (which
 /// cloned `x` per iteration and took `norm_inf` in a second pass — `max` is a
 /// pure selection, so fusing the passes returns the same value).
 #[inline]
 /// gis-analyze: no_alloc
-fn newton_update(
-    x: &mut [f64],
-    x_new: &[f64],
+fn newton_update<const L: usize>(
+    x: &mut [[f64; L]],
+    x_new: &[[f64; L]],
     node_unknowns: usize,
-    iteration: usize,
-    max_iterations: usize,
-) -> (f64, f64) {
-    // Damped update: limit per-iteration voltage change. If the iteration has
-    // not settled after half the budget (typically a limit cycle between two
-    // near-solutions in weak inversion), shrink the step progressively to
-    // force convergence.
-    let relaxation = if iteration * 2 > max_iterations {
-        0.25
-    } else {
-        1.0
-    };
-    let mut max_delta: f64 = 0.0;
-    let mut norm_inf: f64 = 0.0;
-    for i in 0..x.len() {
-        let mut delta = x_new[i] - x[i];
-        if i < node_unknowns {
-            delta = relaxation * delta.clamp(-MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP);
-            max_delta = max_delta.max(delta.abs());
+    relaxation: [f64; L],
+) -> ([f64; L], [f64; L]) {
+    let mut max_delta = [0.0f64; L];
+    let mut norm_inf = [0.0f64; L];
+    for (i, (xi, new)) in x.iter_mut().zip(x_new).enumerate() {
+        for l in 0..L {
+            let mut delta = new[l] - xi[l];
+            if i < node_unknowns {
+                delta = relaxation[l] * delta.clamp(-MAX_VOLTAGE_STEP, MAX_VOLTAGE_STEP);
+                max_delta[l] = max_delta[l].max(delta.abs());
+            }
+            let updated = xi[l] + delta;
+            xi[l] = updated;
+            norm_inf[l] = norm_inf[l].max(updated.abs());
         }
-        let updated = x[i] + delta;
-        x[i] = updated;
-        norm_inf = norm_inf.max(updated.abs());
     }
     (max_delta, norm_inf)
 }
@@ -1022,100 +1237,137 @@ fn compile_program(system: &MnaSystem) -> (Vec<StampOp>, Vec<MosfetEvalSpec>) {
 }
 
 /// The batched MOSFET evaluation pass: runs every transistor's compact model
-/// against the current iterate and leaves the stamp values in `scratch`.
-/// Each evaluation is the identical arithmetic `stamp_mosfet` performs
-/// in-line; only the scheduling differs (all evaluations before any stamp).
+/// against each active lane's iterate and leaves the stamp values in
+/// `scratch`. Each evaluation is the identical arithmetic `stamp_mosfet`
+/// performs in-line; only the scheduling differs (all evaluations before any
+/// stamp, and one transistor's lanes side by side).
 #[inline]
-fn evaluate_mosfets(
+/// gis-analyze: no_alloc
+fn evaluate_mosfets<const L: usize>(
     evals: &[MosfetEvalSpec],
-    devices: &[Device],
-    x: &[f64],
-    scratch: &mut [MosfetScratch],
+    devices: &[&[Device]; L],
+    active: &[bool; L],
+    x: &[[f64; L]],
+    scratch: &mut [MosfetScratch<L>],
 ) {
     for (spec, out) in evals.iter().zip(scratch) {
-        let Device::Mosfet { params, .. } = &devices[spec.dev as usize] else {
-            unreachable!("program op desynchronized from netlist");
-        };
-        let volt = |i: u32| if i == NONE_SLOT { 0.0 } else { x[i as usize] };
-        let sign = params.polarity.sign();
-        let vd = volt(spec.d);
-        let vg = volt(spec.g);
-        let vs = volt(spec.s);
-        let vb = volt(spec.b);
+        for l in 0..L {
+            if !active[l] {
+                continue;
+            }
+            let Device::Mosfet { params, .. } = &devices[l][spec.dev as usize] else {
+                unreachable!("program op desynchronized from netlist");
+            };
+            let volt = |i: u32| {
+                if i == NONE_SLOT {
+                    0.0
+                } else {
+                    x[i as usize][l]
+                }
+            };
+            let sign = params.polarity.sign();
+            let vd = volt(spec.d);
+            let vg = volt(spec.g);
+            let vs = volt(spec.s);
+            let vb = volt(spec.b);
 
-        // Identical normalization as `stamp_mosfet` (see there for the sign
-        // conventions).
-        let (nvd, nvg, nvs, nvb) = (sign * vd, sign * vg, sign * vs, sign * vb);
-        let swapped = nvd < nvs;
-        let (evd, evs) = if swapped { (nvs, nvd) } else { (nvd, nvs) };
-        let vgs = nvg - evs;
-        let vds = evd - evs;
-        let vbs = nvb - evs;
-        let op_point = params.evaluate_normalized(vgs, vds, vbs);
-        let ieq =
-            sign * (op_point.id - op_point.gm * vgs - op_point.gds * vds - op_point.gmb * vbs);
+            // Identical normalization as `stamp_mosfet` (see there for the
+            // sign conventions).
+            let (nvd, nvg, nvs, nvb) = (sign * vd, sign * vg, sign * vs, sign * vb);
+            let swapped = nvd < nvs;
+            let (evd, evs) = if swapped { (nvs, nvd) } else { (nvd, nvs) };
+            let vgs = nvg - evs;
+            let vds = evd - evs;
+            let vbs = nvb - evs;
+            let op_point = params.evaluate_normalized(vgs, vds, vbs);
+            let ieq =
+                sign * (op_point.id - op_point.gm * vgs - op_point.gds * vds - op_point.gmb * vbs);
 
-        let total = op_point.gm + op_point.gds + op_point.gmb;
-        out.values = [
-            op_point.gm,
-            op_point.gds,
-            op_point.gmb,
-            -total,
-            -op_point.gm,
-            -op_point.gds,
-            -op_point.gmb,
-            total,
-        ];
-        out.ieq = ieq;
-        out.swapped = swapped;
+            let total = op_point.gm + op_point.gds + op_point.gmb;
+            let values = [
+                op_point.gm,
+                op_point.gds,
+                op_point.gmb,
+                -total,
+                -op_point.gm,
+                -op_point.gds,
+                -op_point.gmb,
+                total,
+            ];
+            for (lanes, value) in out.values.iter_mut().zip(values) {
+                lanes[l] = value;
+            }
+            out.ieq[l] = ieq;
+            out.swapped[l] = swapped;
+        }
     }
 }
 
-/// Replays a compiled stamp program: the allocation-free, dispatch-free
-/// equivalent of [`MnaSystem::assemble`] used by the sparse Newton loop.
-/// Performs the identical floating-point operations in the identical order.
+/// Replays a compiled stamp program on `L` lanes: the allocation-free,
+/// dispatch-free equivalent of [`MnaSystem::assemble`] used by the sparse
+/// Newton loop. Every lane gets the identical floating-point operations in
+/// the identical order as the generic walk on its own netlist, time and
+/// history; a lane without a clock stamps as a DC solve at `t = 0`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 /// gis-analyze: no_alloc
-fn execute_program(
+fn execute_program<const L: usize>(
     program: &[StampOp],
-    mosfet_evals: &[MosfetEvalSpec],
-    mosfet_scratch: &mut [MosfetScratch],
-    devices: &[Device],
+    mosfet_scratch: &[MosfetScratch<L>],
+    devices: &[&[Device]; L],
+    clocks: &[Option<LaneClock>; L],
+    previous: &[[f64; L]],
     num_node_unknowns: usize,
-    x: &[f64],
-    time: f64,
-    dynamic: Option<&DynamicState<'_>>,
-    lu: &mut SparseLu,
-    z: &mut [f64],
+    lu: &mut LaneLu<L>,
+    z: &mut [[f64; L]],
 ) {
-    evaluate_mosfets(mosfet_evals, devices, x, mosfet_scratch);
     let n = z.len() as u32;
+    let time = clocks.map(|clock| clock.map_or(0.0, |c| c.time));
+    // An idle lane stamps as a transient lane with an infinite step; only a
+    // DC lane leaves its capacitors open.
+    let dt = clocks.map(|clock| clock.map_or(f64::INFINITY, |c| c.dt.unwrap_or(f64::INFINITY)));
+    let any_dc = clocks.iter().flatten().any(|clock| clock.dt.is_none());
     // GMIN from every non-ground node to ground.
     for i in 0..num_node_unknowns as u32 {
-        lu.add_to_slot(i * n + i, GMIN);
+        lu.add_lanes_to_slot(i * n + i, &[GMIN; L]);
     }
-    let stamp = |lu: &mut SparseLu, slot: u32, v: f64| {
+    let stamp = |lu: &mut LaneLu<L>, slot: u32, values: &[f64; L]| {
         if slot != NONE_SLOT {
-            lu.add_to_slot(slot, v);
+            lu.add_lanes_to_slot(slot, values);
         }
     };
-    let rhs = |z: &mut [f64], row: u32, v: f64| {
+    let stamp_lane = |lu: &mut LaneLu<L>, slot: u32, lane: usize, v: f64| {
+        if slot != NONE_SLOT {
+            lu.add_to_slot(slot, lane, v);
+        }
+    };
+    let rhs = |z: &mut [[f64; L]], row: u32, lane: usize, v: f64| {
         if row != NONE_SLOT {
-            z[row as usize] += v;
+            z[row as usize][lane] += v;
+        }
+    };
+    let rhs_lanes = |z: &mut [[f64; L]], row: u32, values: &[f64; L]| {
+        if row != NONE_SLOT {
+            let entry = &mut z[row as usize];
+            for l in 0..L {
+                entry[l] += values[l];
+            }
         }
     };
     for op in program {
         match op {
             StampOp::Resistor { dev, diag, cross } => {
-                let Device::Resistor { resistance, .. } = &devices[*dev as usize] else {
-                    unreachable!("program op desynchronized from netlist");
-                };
-                let g = 1.0 / resistance;
-                stamp(lu, diag[0], g);
-                stamp(lu, diag[1], g);
-                stamp(lu, cross[0], -g);
-                stamp(lu, cross[1], -g);
+                let g: [f64; L] = std::array::from_fn(|l| {
+                    let Device::Resistor { resistance, .. } = &devices[l][*dev as usize] else {
+                        unreachable!("program op desynchronized from netlist");
+                    };
+                    1.0 / resistance
+                });
+                let minus_g = g.map(|v| -v);
+                stamp(lu, diag[0], &g);
+                stamp(lu, diag[1], &g);
+                stamp(lu, cross[0], &minus_g);
+                stamp(lu, cross[1], &minus_g);
             }
             StampOp::Capacitor {
                 dev,
@@ -1126,23 +1378,42 @@ fn execute_program(
                 rhs_into,
                 rhs_from,
             } => {
-                if let Some(state) = dynamic {
-                    let Device::Capacitor { capacitance, .. } = &devices[*dev as usize] else {
+                let capacitance: [f64; L] = std::array::from_fn(|l| {
+                    let Device::Capacitor { capacitance, .. } = &devices[l][*dev as usize] else {
                         unreachable!("program op desynchronized from netlist");
                     };
-                    // Backward-Euler companion model.
-                    let geq = capacitance / state.dt;
-                    let v_prev = state.previous_node_voltages[*node_a as usize]
-                        - state.previous_node_voltages[*node_b as usize];
-                    stamp(lu, diag[0], geq);
-                    stamp(lu, diag[1], geq);
-                    stamp(lu, cross[0], -geq);
-                    stamp(lu, cross[1], -geq);
-                    let current = geq * v_prev;
-                    rhs(z, *rhs_into, current);
-                    rhs(z, *rhs_from, -current);
+                    *capacitance
+                });
+                if !any_dc {
+                    // Backward-Euler companion model on every lane.
+                    let geq: [f64; L] = std::array::from_fn(|l| capacitance[l] / dt[l]);
+                    let (a, b) = (&previous[*node_a as usize], &previous[*node_b as usize]);
+                    let current: [f64; L] = std::array::from_fn(|l| geq[l] * (a[l] - b[l]));
+                    let minus_geq = geq.map(|v| -v);
+                    stamp(lu, diag[0], &geq);
+                    stamp(lu, diag[1], &geq);
+                    stamp(lu, cross[0], &minus_geq);
+                    stamp(lu, cross[1], &minus_geq);
+                    rhs_lanes(z, *rhs_into, &current);
+                    rhs_lanes(z, *rhs_from, &current.map(|v| -v));
+                    continue;
                 }
-                // DC: capacitor is an open circuit — nothing to stamp.
+                for (l, clock) in clocks.iter().enumerate() {
+                    // DC: capacitor is an open circuit — nothing to stamp.
+                    let Some(dt) = clock.and_then(|c| c.dt) else {
+                        continue;
+                    };
+                    // Backward-Euler companion model.
+                    let geq = capacitance[l] / dt;
+                    let v_prev = previous[*node_a as usize][l] - previous[*node_b as usize][l];
+                    stamp_lane(lu, diag[0], l, geq);
+                    stamp_lane(lu, diag[1], l, geq);
+                    stamp_lane(lu, cross[0], l, -geq);
+                    stamp_lane(lu, cross[1], l, -geq);
+                    let current = geq * v_prev;
+                    rhs(z, *rhs_into, l, current);
+                    rhs(z, *rhs_from, l, -current);
+                }
             }
             StampOp::VoltageSource {
                 dev,
@@ -1150,26 +1421,30 @@ fn execute_program(
                 plus,
                 minus,
             } => {
-                let Device::VoltageSource { waveform, .. } = &devices[*dev as usize] else {
-                    unreachable!("program op desynchronized from netlist");
-                };
-                stamp(lu, plus[0], 1.0);
-                stamp(lu, plus[1], 1.0);
-                stamp(lu, minus[0], -1.0);
-                stamp(lu, minus[1], -1.0);
-                z[*row as usize] = waveform.value_at(time);
+                stamp(lu, plus[0], &[1.0; L]);
+                stamp(lu, plus[1], &[1.0; L]);
+                stamp(lu, minus[0], &[-1.0; L]);
+                stamp(lu, minus[1], &[-1.0; L]);
+                for l in 0..L {
+                    let Device::VoltageSource { waveform, .. } = &devices[l][*dev as usize] else {
+                        unreachable!("program op desynchronized from netlist");
+                    };
+                    z[*row as usize][l] = waveform.value_at(time[l]);
+                }
             }
             StampOp::CurrentSource {
                 dev,
                 rhs_into,
                 rhs_from,
             } => {
-                let Device::CurrentSource { waveform, .. } = &devices[*dev as usize] else {
-                    unreachable!("program op desynchronized from netlist");
-                };
-                let current = waveform.value_at(time);
-                rhs(z, *rhs_into, current);
-                rhs(z, *rhs_from, -current);
+                for l in 0..L {
+                    let Device::CurrentSource { waveform, .. } = &devices[l][*dev as usize] else {
+                        unreachable!("program op desynchronized from netlist");
+                    };
+                    let current = waveform.value_at(time[l]);
+                    rhs(z, *rhs_into, l, current);
+                    rhs(z, *rhs_from, l, -current);
+                }
             }
             StampOp::Mosfet {
                 eval,
@@ -1179,16 +1454,37 @@ fn execute_program(
                 rhs_swapped,
             } => {
                 let result = &mosfet_scratch[*eval as usize];
-                let (slots, rhs_rows) = if result.swapped {
-                    (slots_swapped, rhs_swapped)
-                } else {
-                    (slots_normal, rhs_normal)
+                let orient = |swapped: bool| {
+                    if swapped {
+                        (slots_swapped, rhs_swapped)
+                    } else {
+                        (slots_normal, rhs_normal)
+                    }
                 };
-                for (&slot_id, &v) in slots.iter().zip(&result.values) {
-                    stamp(lu, slot_id, v);
+                let mut seen = [false; 2];
+                for (clock, &swapped) in clocks.iter().zip(&result.swapped) {
+                    seen[usize::from(swapped)] |= clock.is_some();
                 }
-                rhs(z, rhs_rows[0], -result.ieq);
-                rhs(z, rhs_rows[1], result.ieq);
+                if seen != [true; 2] {
+                    // Every active lane conducts the same way: one stamp
+                    // sequence for all lanes (an idle lane's values are
+                    // meaningless either way).
+                    let (slots, rhs_rows) = orient(seen[1]);
+                    for (&slot_id, values) in slots.iter().zip(&result.values) {
+                        stamp(lu, slot_id, values);
+                    }
+                    rhs_lanes(z, rhs_rows[0], &result.ieq.map(|v| -v));
+                    rhs_lanes(z, rhs_rows[1], &result.ieq);
+                } else {
+                    for l in 0..L {
+                        let (slots, rhs_rows) = orient(result.swapped[l]);
+                        for (&slot_id, values) in slots.iter().zip(&result.values) {
+                            stamp_lane(lu, slot_id, l, values[l]);
+                        }
+                        rhs(z, rhs_rows[0], l, -result.ieq[l]);
+                        rhs(z, rhs_rows[1], l, result.ieq[l]);
+                    }
+                }
             }
         }
     }

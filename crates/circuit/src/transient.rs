@@ -13,15 +13,21 @@
 //! [`crate::mna::SimulationWorkspace`]); [`transient_analysis_with`] is the
 //! Monte-Carlo hot path, reusing a caller-owned workspace across samples so
 //! even the per-call symbolic analysis disappears.
-//! [`transient_analysis_until`] is the one sparse time loop behind both: it
-//! also takes a stop predicate and returns the bit-identical prefix up to
-//! the first point the predicate accepts.
-//! [`transient_analysis_dense`] is the dense reference kernel kept for golden
-//! tests; all paths produce bit-identical results.
+//! [`transient_analysis_until`] also takes a stop predicate and returns the
+//! bit-identical prefix up to the first point the predicate accepts.
+//! [`transient_lanes`] runs a queue of samples of one topology [`LANES`] at
+//! a time, each lane advancing its own transient by one Newton iteration
+//! per pass and taking the next sample as soon as its own ends. All of them
+//! run the one sparse time loop: [`transient_analysis_until`] is its
+//! one-lane instance. [`transient_analysis_dense`] is the dense reference
+//! kernel kept for golden tests; all paths produce bit-identical results.
 
 use crate::error::CircuitError;
-use crate::mna::{DynamicState, MnaSystem, SimulationWorkspace, MAX_NEWTON_ITERATIONS};
-use crate::netlist::{Circuit, NodeId};
+use crate::mna::{
+    DynamicState, LaneClock, Lanes, MnaSystem, NewtonStep, Plan, SimulationWorkspace,
+    MAX_NEWTON_ITERATIONS,
+};
+use crate::netlist::{Circuit, Device, NodeId};
 use crate::waveform::WaveformView;
 use gis_linalg::Vector;
 use serde::{Deserialize, Serialize};
@@ -106,7 +112,7 @@ impl TransientConfig {
 ///
 /// [`TransientResult::waveform_view`] measures a node in place, without
 /// copying either axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TransientResult {
     times: Vec<f64>,
     /// `node_voltages[node][step]`.
@@ -238,92 +244,404 @@ pub fn transient_analysis_with(
 /// runs. This is SPICE's auto-stop: a measurement that is taken once an
 /// event has happened need not integrate the rest of the window.
 ///
+/// This is the one-lane instance of the lane time loop behind
+/// [`transient_lanes`], so a sample's bits are the same on either.
+///
 /// # Errors
 ///
 /// See [`transient_analysis`]. A time point after the stop is never solved,
 /// so it cannot fail the analysis.
-pub fn transient_analysis_until(
+#[allow(clippy::expect_used)] // invariants stated in the expect messages
+pub fn transient_analysis_until<S: FnMut(f64, &[f64]) -> bool>(
     circuit: &Circuit,
     config: &TransientConfig,
     workspace: &mut SimulationWorkspace,
-    mut stop: impl FnMut(f64, &[f64]) -> bool,
+    stop: S,
 ) -> Result<TransientResult, CircuitError> {
-    config.validate()?;
-    let system = MnaSystem::new(circuit)?;
-    let num_nodes = circuit.num_nodes();
-    workspace.bind(&system);
+    let mut feed = SingleFeed {
+        circuit,
+        stop: Some(stop),
+        result: None,
+    };
+    run_lanes(
+        config,
+        workspace,
+        &mut feed,
+        SimulationWorkspace::single,
+        true,
+    )?;
+    feed.result
+        .expect("the time loop finishes the sample it loads")
+}
 
-    // Initial state.
-    match &config.initial_conditions {
-        Some(ic) => {
-            let mut x0 = vec![0.0; system.dim()];
-            for node in 1..num_nodes {
-                if node < ic.len() {
-                    x0[node - 1] = ic[node];
+/// Samples in flight in the lane kernel of [`transient_lanes`]. Four lanes
+/// measured fastest on the 6T read (README, "Sample lanes"): they overlap
+/// four independent dependency chains per Newton iteration, while eight
+/// lanes lose more to half-filled lanes at the end of a batch than they
+/// gain in the elimination.
+pub const LANES: usize = 4;
+
+/// The samples a lane transient ([`transient_lanes`]) runs, and where their
+/// results go.
+///
+/// [`transient_lanes`] asks for a sample whenever a lane is free, so samples start
+/// in [`TransientFeed::load`] order and finish in whatever order their
+/// transients end; the feed keeps track of which sample is in which lane.
+pub trait TransientFeed {
+    /// The stop test of one sample, as in [`transient_analysis_until`].
+    type Stop: FnMut(f64, &[f64]) -> bool;
+
+    /// The netlist simulated in `lane`. Every lane's netlist has the
+    /// topology of lane 0's; only device values may differ.
+    fn circuit(&self, lane: usize) -> &Circuit;
+
+    /// Loads the next sample into `lane`'s netlist and returns its stop
+    /// test, or `None` once no sample is left.
+    fn load(&mut self, lane: usize) -> Option<Self::Stop>;
+
+    /// Receives the outcome of the sample in `lane`: its transient up to
+    /// the stop, or the error that ended it. The time loop reuses the result's
+    /// buffers for the lane's next sample unless the feed takes them (with
+    /// [`std::mem::take`]).
+    fn finish(&mut self, lane: usize, result: Result<&mut TransientResult, CircuitError>);
+}
+
+/// Runs every sample of `feed` through a sparse transient, [`LANES`] at a
+/// time, reusing `workspace`.
+///
+/// Each Newton iteration assembles, factors and solves all lanes together:
+/// one stamp replay, one replay of the recorded elimination program over
+/// lane-major slots ([`gis_linalg::sparse::LaneLu`]), and one damped
+/// update. Each lane keeps its own time, iteration count, history, stop test
+/// and result, and a lane is refilled from the feed as soon as its sample
+/// stops, reaches the end of the window or fails. Every lane performs
+/// exactly the arithmetic of a one-lane run, so each sample's result is
+/// bit-identical to [`transient_analysis_until`] on its netlist with its
+/// stop test. A lane whose pivots leave the shared elimination program
+/// finishes that iteration on the scalar plan, which re-records the program
+/// for all lanes.
+///
+/// # Errors
+///
+/// Returns [`CircuitError::InvalidAnalysis`] for an inconsistent
+/// configuration and the netlist errors of [`MnaSystem::new`] on lane 0's
+/// netlist, before any sample is loaded. A sample's own failure goes to
+/// [`TransientFeed::finish`].
+pub fn transient_lanes<F: TransientFeed>(
+    config: &TransientConfig,
+    workspace: &mut SimulationWorkspace,
+    feed: &mut F,
+) -> Result<(), CircuitError> {
+    run_lanes(config, workspace, feed, SimulationWorkspace::wide, false)
+}
+
+/// The feed of [`transient_analysis_until`]: one netlist, one sample.
+struct SingleFeed<'a, S> {
+    circuit: &'a Circuit,
+    stop: Option<S>,
+    result: Option<Result<TransientResult, CircuitError>>,
+}
+
+impl<S: FnMut(f64, &[f64]) -> bool> TransientFeed for SingleFeed<'_, S> {
+    type Stop = S;
+
+    fn circuit(&self, _lane: usize) -> &Circuit {
+        self.circuit
+    }
+
+    fn load(&mut self, _lane: usize) -> Option<S> {
+        self.stop.take()
+    }
+
+    fn finish(&mut self, _lane: usize, result: Result<&mut TransientResult, CircuitError>) {
+        self.result = Some(result.map(std::mem::take));
+    }
+}
+
+/// The one sparse time loop, on `L` lanes: binds `workspace` to lane 0's
+/// netlist, then advances every lane by one Newton iteration at a time
+/// until the feed is empty and every lane idle. `lanes_of` picks the
+/// workspace's `L`-lane buffers. With `reserve_window`, each sample's
+/// result reserves the whole window up front, as a result that is handed
+/// over whole should; otherwise the lanes' result buffers grow as needed
+/// and keep their capacity from sample to sample.
+fn run_lanes<const L: usize, F: TransientFeed>(
+    config: &TransientConfig,
+    workspace: &mut SimulationWorkspace,
+    feed: &mut F,
+    lanes_of: fn(&mut SimulationWorkspace) -> (&mut Plan, &mut Lanes<L>),
+    reserve_window: bool,
+) -> Result<(), CircuitError> {
+    config.validate()?;
+    workspace.bind(&MnaSystem::new(feed.circuit(0))?);
+    let (plan, lanes) = lanes_of(workspace);
+    let num_nodes = plan.num_nodes();
+    let mut time_loop = LaneLoop {
+        config,
+        num_steps: (config.stop_time / config.time_step).ceil() as usize, // gis-analyze: allow(float-cast, step count from ceil of validated positive durations)
+        reserve_window,
+        plan,
+        lanes,
+        feed,
+        runs: std::array::from_fn(|_| LaneRun::default()),
+        point: vec![0.0; num_nodes],
+    };
+    for lane in 0..L {
+        time_loop.start(lane);
+    }
+    time_loop.run();
+    Ok(())
+}
+
+/// One lane's sample: where its transient stands and what it recorded.
+struct LaneRun<S> {
+    /// The sample's stop test; `None` while the lane is idle.
+    stop: Option<S>,
+    /// The time point being solved; 0 is the DC operating point.
+    step: usize,
+    /// Time of that point and the step to it.
+    time: f64,
+    dt: f64,
+    /// Newton iterations spent on that point so far.
+    iteration: usize,
+}
+
+impl<S> Default for LaneRun<S> {
+    fn default() -> Self {
+        LaneRun {
+            stop: None,
+            step: 0,
+            time: 0.0,
+            dt: 0.0,
+            iteration: 0,
+        }
+    }
+}
+
+/// The state of [`run_lanes`].
+struct LaneLoop<'a, const L: usize, F: TransientFeed> {
+    config: &'a TransientConfig,
+    num_steps: usize,
+    reserve_window: bool,
+    plan: &'a mut Plan,
+    lanes: &'a mut Lanes<L>,
+    feed: &'a mut F,
+    runs: [LaneRun<F::Stop>; L],
+    /// One lane's node voltages at its last accepted point.
+    point: Vec<f64>,
+}
+
+impl<const L: usize, F: TransientFeed> LaneLoop<'_, L, F> {
+    /// Newton iterations until every lane is idle.
+    /// gis-analyze: no_alloc
+    fn run(&mut self) {
+        loop {
+            let clocks: [Option<LaneClock>; L] = std::array::from_fn(|l| self.clock(l));
+            if clocks.iter().all(Option::is_none) {
+                return;
+            }
+            let feed = &*self.feed;
+            let devices: [&[Device]; L] = std::array::from_fn(|l| feed.circuit(l).devices());
+            let steps = self.plan.newton_iteration(self.lanes, &devices, &clocks);
+            for (lane, step) in steps.into_iter().enumerate() {
+                let Some(clock) = clocks[lane] else {
+                    continue;
+                };
+                match step {
+                    NewtonStep::Converged => self.converged(lane),
+                    NewtonStep::Failed(source) => self.finish(
+                        lane,
+                        Err(CircuitError::SingularSystem {
+                            time: clock.time,
+                            source,
+                        }),
+                    ),
+                    NewtonStep::Pending(residual)
+                        if clock.iteration + 1 == clock.max_iterations =>
+                    {
+                        let analysis = if clock.dt.is_some() {
+                            "transient"
+                        } else {
+                            "dc"
+                        };
+                        self.finish(
+                            lane,
+                            Err(CircuitError::NewtonDidNotConverge {
+                                analysis,
+                                time: clock.time,
+                                iterations: clock.max_iterations,
+                                residual,
+                            }),
+                        );
+                    }
+                    NewtonStep::Pending(_) => self.runs[lane].iteration += 1,
                 }
             }
-            // Solve the t = 0 system with the capacitors holding their initial
-            // voltages (treated as ideal voltage history) so branch currents of
-            // the voltage sources start consistent.
-            workspace.set_state(&x0);
-        }
-        None => {
-            workspace.set_state(&[]);
-            system.solve_newton_in(workspace, 0.0, None, "dc", MAX_NEWTON_ITERATIONS)?;
         }
     }
 
-    let num_steps = (config.stop_time / config.time_step).ceil() as usize; // gis-analyze: allow(float-cast, step count from ceil of validated positive durations)
-    let mut times = Vec::with_capacity(num_steps + 1);
-    let mut node_voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(num_steps + 1); num_nodes];
+    /// The clock of `lane`'s current Newton iteration, `None` when idle.
+    fn clock(&self, lane: usize) -> Option<LaneClock> {
+        let run = &self.runs[lane];
+        run.stop.as_ref()?;
+        Some(if run.step == 0 {
+            LaneClock {
+                time: 0.0,
+                dt: None,
+                iteration: run.iteration,
+                max_iterations: MAX_NEWTON_ITERATIONS,
+            }
+        } else {
+            LaneClock {
+                time: run.time,
+                dt: Some(run.dt),
+                iteration: run.iteration,
+                max_iterations: self.config.max_newton_iterations,
+            }
+        })
+    }
 
-    let record = |t: f64, voltages: &[f64], times: &mut Vec<f64>, store: &mut Vec<Vec<f64>>| {
-        times.push(t);
-        for (node, value) in voltages.iter().enumerate() {
-            store[node].push(*value);
-        }
-    };
-
-    let mut previous = vec![0.0; num_nodes];
-    system.node_voltages_into(workspace.state(), &mut previous);
-    // If explicit initial conditions were given they take precedence over the
-    // (zero-filled) solution vector for the recorded t = 0 point.
-    if let Some(ic) = &config.initial_conditions {
-        for node in 0..num_nodes {
-            if node < ic.len() {
-                previous[node] = ic[node];
+    /// Loads the feed's next sample into the idle `lane`: its initial
+    /// state, and its `t = 0` point unless that comes from a DC solve. A
+    /// sample that stops at `t = 0` finishes at once and the next is
+    /// loaded; the lane stays idle once the feed is empty.
+    fn start(&mut self, lane: usize) {
+        while let Some(mut stop) = self.feed.load(lane) {
+            if !self.plan.matches(self.feed.circuit(lane)) {
+                self.feed.finish(
+                    lane,
+                    Err(CircuitError::InvalidAnalysis(
+                        "lane netlist differs in topology from lane 0's".to_string(),
+                    )),
+                );
+                continue;
+            }
+            let run = &mut self.runs[lane];
+            run.step = 0;
+            run.iteration = 0;
+            let reserve = if self.reserve_window {
+                self.num_steps + 1
+            } else {
+                0
+            };
+            let result = &mut self.lanes.results[lane];
+            result.times.clear();
+            result.times.reserve(reserve);
+            result.node_voltages.resize_with(self.point.len(), Vec::new);
+            for values in &mut result.node_voltages {
+                values.clear();
+                values.reserve(reserve);
+            }
+            result.newton_iterations_total = 0;
+            let Some(ic) = &self.config.initial_conditions else {
+                // The t = 0 point is the DC operating point, solved from zero.
+                for x in self.lanes.x.iter_mut() {
+                    x[lane] = 0.0;
+                }
+                self.runs[lane].stop = Some(stop);
+                return;
+            };
+            // Capacitors start at their initial voltages (ideal voltage
+            // history), branch currents at zero.
+            let num_nodes = self.point.len();
+            for (unknown, x) in self.lanes.x.iter_mut().enumerate() {
+                let node = unknown + 1;
+                x[lane] = if node < num_nodes && node < ic.len() {
+                    ic[node]
+                } else {
+                    0.0
+                };
+            }
+            self.lanes.accept_point(lane);
+            // Explicit initial conditions take precedence over the
+            // (zero-filled) solution vector for the recorded t = 0 point.
+            for (slot, &value) in self.lanes.previous.iter_mut().zip(ic) {
+                slot[lane] = value;
+            }
+            if self.record(lane, 0.0, &mut stop) {
+                self.deliver(lane, Ok(()));
+            } else {
+                self.runs[lane].stop = Some(stop);
+                self.advance(lane);
+                return;
             }
         }
     }
-    record(0.0, &previous, &mut times, &mut node_voltages);
 
-    let mut newton_total = 0usize;
-    let steps = if stop(0.0, &previous) { 0 } else { num_steps };
-    for step in 1..=steps {
-        let t = (step as f64 * config.time_step).min(config.stop_time);
-        let dynamic = DynamicState {
-            previous_node_voltages: &previous,
-            dt: config.time_step,
+    /// Records `lane`'s accepted point at `t` and returns whether its
+    /// sample is done: when `stop` accepts the point, or (after `t = 0`)
+    /// at the end of the window.
+    fn record(&mut self, lane: usize, t: f64, stop: &mut F::Stop) -> bool {
+        for (value, slot) in self.point.iter_mut().zip(&self.lanes.previous) {
+            *value = slot[lane];
+        }
+        let result = &mut self.lanes.results[lane];
+        result.times.push(t);
+        for (values, &v) in result.node_voltages.iter_mut().zip(&self.point) {
+            values.push(v);
+        }
+        let run = &self.runs[lane];
+        if run.step == 0 {
+            return stop(t, &self.point);
+        }
+        t >= self.config.stop_time || stop(t, &self.point) || run.step == self.num_steps
+    }
+
+    /// Moves `lane` on to its next time point.
+    fn advance(&mut self, lane: usize) {
+        let run = &mut self.runs[lane];
+        run.step += 1;
+        run.iteration = 0;
+        (run.time, run.dt) = step_time(self.config, run.step);
+    }
+
+    /// Accepts `lane`'s converged iterate as its current point: the DC
+    /// operating point at `t = 0`, or the point at its clock's time.
+    fn converged(&mut self, lane: usize) {
+        let run = &mut self.runs[lane];
+        let t = if run.step == 0 {
+            0.0
+        } else {
+            self.lanes.results[lane].newton_iterations_total += run.iteration + 1;
+            run.time
         };
-        newton_total += system.solve_newton_prebound(
-            workspace,
-            t,
-            Some(&dynamic),
-            "transient",
-            config.max_newton_iterations,
-        )?;
-        system.node_voltages_into(workspace.state(), &mut previous);
-        record(t, &previous, &mut times, &mut node_voltages);
-        if t >= config.stop_time || stop(t, &previous) {
-            break;
+        let Some(mut stop) = run.stop.take() else {
+            return;
+        };
+        self.lanes.accept_point(lane);
+        if self.record(lane, t, &mut stop) {
+            self.finish(lane, Ok(()));
+        } else {
+            self.runs[lane].stop = Some(stop);
+            self.advance(lane);
         }
     }
 
-    Ok(TransientResult {
-        times,
-        node_voltages,
-        newton_iterations_total: newton_total,
-    })
+    /// Hands `lane`'s sample to the feed and loads the next one.
+    fn finish(&mut self, lane: usize, outcome: Result<(), CircuitError>) {
+        self.deliver(lane, outcome);
+        self.start(lane);
+    }
+
+    /// Hands `lane`'s sample to the feed, leaving the lane idle.
+    fn deliver(&mut self, lane: usize, outcome: Result<(), CircuitError>) {
+        self.runs[lane].stop = None;
+        let result = &mut self.lanes.results[lane];
+        self.feed.finish(lane, outcome.map(|()| result));
+    }
+}
+
+/// Time of point `step` of the window and the backward-Euler step to it:
+/// `step · time_step`, except that a point past the stop time is clamped
+/// to it and integrates only the rest of the window.
+fn step_time(config: &TransientConfig, step: usize) -> (f64, f64) {
+    let t = step as f64 * config.time_step;
+    if t > config.stop_time {
+        let t_prev = (step - 1) as f64 * config.time_step;
+        (config.stop_time, config.stop_time - t_prev)
+    } else {
+        (t, config.time_step)
+    }
 }
 
 /// Runs a transient analysis on the dense reference kernel.
@@ -382,10 +700,10 @@ pub fn transient_analysis_dense(
     let mut x = x0;
     let mut newton_total = 0usize;
     for step in 1..=num_steps {
-        let t = (step as f64 * config.time_step).min(config.stop_time);
+        let (t, dt) = step_time(config, step);
         let dynamic = DynamicState {
             previous_node_voltages: &previous,
-            dt: config.time_step,
+            dt,
         };
         let (x_next, iterations) = system.solve_newton_counted(
             x,
@@ -415,6 +733,7 @@ mod tests {
     use super::*;
     use crate::mosfet::MosfetParams;
     use crate::netlist::{SourceWaveform, GROUND};
+    use crate::Device;
 
     #[test]
     fn config_validation() {
@@ -605,6 +924,132 @@ mod tests {
                 }
             }
             assert!(stopped.newton_iterations_total() <= full.newton_iterations_total());
+        }
+    }
+
+    #[test]
+    fn clamped_last_step_integrates_only_the_rest_of_the_window() {
+        // RC charging toward 1 V over a window of 10.3 steps. Backward Euler
+        // gives v' = (v + a) / (1 + a) with a = dt / RC per step, where the
+        // clamped last step's dt is the 0.3 step left of the window (GMIN
+        // moves the simulated values by about 1e-10; a full last step would
+        // move the last one by about 0.03).
+        let (r, c) = (1e3, 1e-9);
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_voltage_source("V1", vin, GROUND, SourceWaveform::dc(1.0));
+        ckt.add_resistor("R1", vin, out, r).unwrap();
+        ckt.add_capacitor("C1", out, GROUND, c).unwrap();
+        let (stop, step) = (1.03e-6, 0.1e-6);
+        let cfg = TransientConfig::new(stop, step).with_initial_conditions(vec![0.0, 1.0, 0.0]);
+        let mut expected = vec![0.0];
+        for k in 1..=11 {
+            let t_prev = (k - 1) as f64 * step;
+            let dt = (k as f64 * step).min(stop) - t_prev;
+            let a = dt / (r * c);
+            let v = expected[k - 1];
+            expected.push((v + a) / (1.0 + a));
+        }
+        for result in [
+            transient_analysis(&ckt, &cfg).unwrap(),
+            transient_analysis_dense(&ckt, &cfg).unwrap(),
+        ] {
+            assert_eq!(result.times().len(), 12);
+            assert_eq!(result.times()[11], stop);
+            let got = result.node_voltage_samples(out).unwrap();
+            for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert!((g - e).abs() < 1e-8, "point {k}: {g} vs {e}");
+            }
+        }
+    }
+
+    /// A feed of RC netlists whose series resistance differs per sample:
+    /// 0.1 Ω pivots the input column on its node row, 1 kΩ on the source's
+    /// branch row, so lanes holding both leave each other's recorded program.
+    struct ResistorFeed {
+        circuits: Vec<Circuit>,
+        resistances: Vec<f64>,
+        next: usize,
+        in_lane: Vec<usize>,
+        results: Vec<Option<Result<TransientResult, CircuitError>>>,
+    }
+
+    impl TransientFeed for ResistorFeed {
+        type Stop = fn(f64, &[f64]) -> bool;
+
+        fn circuit(&self, lane: usize) -> &Circuit {
+            &self.circuits[lane]
+        }
+
+        fn load(&mut self, lane: usize) -> Option<Self::Stop> {
+            let r = *self.resistances.get(self.next)?;
+            if let Device::Resistor { resistance, .. } = &mut self.circuits[lane].devices_mut()[1] {
+                *resistance = r;
+            }
+            self.in_lane[lane] = self.next;
+            self.next += 1;
+            Some(|_, _| false)
+        }
+
+        fn finish(&mut self, lane: usize, result: Result<&mut TransientResult, CircuitError>) {
+            self.results[self.in_lane[lane]] = Some(result.map(|r| r.clone()));
+        }
+    }
+
+    fn rc(r: f64) -> Circuit {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_voltage_source("V1", vin, GROUND, SourceWaveform::dc(1.0));
+        ckt.add_resistor("R1", vin, out, r).unwrap();
+        ckt.add_capacitor("C1", out, GROUND, 1e-9).unwrap();
+        ckt
+    }
+
+    #[test]
+    fn lanes_match_one_lane_runs_through_pivot_deviations() {
+        let resistances: Vec<f64> = (0..2 * LANES + 3)
+            .map(|i| {
+                if i % 3 == 1 {
+                    0.1
+                } else {
+                    1e3 * (1.0 + i as f64)
+                }
+            })
+            .collect();
+        let cfg = TransientConfig::new(2e-6, 2e-8).with_initial_conditions(vec![0.0, 1.0, 0.0]);
+        let mut feed = ResistorFeed {
+            circuits: vec![rc(1e3); LANES],
+            resistances: resistances.clone(),
+            next: 0,
+            in_lane: vec![0; LANES],
+            results: vec![None; resistances.len()],
+        };
+        let mut ws = SimulationWorkspace::new();
+        transient_lanes(&cfg, &mut ws, &mut feed).unwrap();
+        for (r, lane) in resistances.iter().zip(feed.results) {
+            let single = transient_analysis(&rc(*r), &cfg).unwrap();
+            assert_eq!(lane.unwrap().unwrap(), single, "R = {r}");
+        }
+    }
+
+    #[test]
+    fn lanes_solve_the_dc_point_without_initial_conditions() {
+        let resistances = vec![1e3, 0.1, 4.7e3];
+        let cfg = TransientConfig::new(1e-6, 5e-8);
+        let mut feed = ResistorFeed {
+            circuits: vec![rc(1e3); LANES],
+            resistances: resistances.clone(),
+            next: 0,
+            in_lane: vec![0; LANES],
+            results: vec![None; resistances.len()],
+        };
+        transient_lanes(&cfg, &mut SimulationWorkspace::new(), &mut feed).unwrap();
+        for (r, lane) in resistances.iter().zip(feed.results) {
+            let single = transient_analysis(&rc(*r), &cfg).unwrap();
+            assert_eq!(lane.unwrap().unwrap(), single, "R = {r}");
+            assert_eq!(single, transient_analysis_dense(&rc(*r), &cfg).unwrap());
         }
     }
 

@@ -66,6 +66,15 @@ impl MnisConfig {
         }
         self.sampling.validate()
     }
+
+    /// Bytes a run preallocates on a `dim`-dimensional problem: the larger
+    /// of a presampling round (the Latin hypercube's uniform cloud, its
+    /// normal image and the scaled copy, three clouds at once) and one
+    /// sampling batch.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        let round = (self.presamples_per_round as u64).saturating_mul(3);
+        crate::estimator::batch_bytes(round, dim).max(self.sampling.working_set(dim))
+    }
 }
 
 /// Outcome of the MNIS search phase (exposed for the comparison figures).

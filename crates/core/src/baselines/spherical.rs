@@ -72,6 +72,14 @@ impl SphericalSamplingConfig {
         }
         Ok(())
     }
+
+    /// Bytes a run preallocates on a `dim`-dimensional problem: one block
+    /// of 20 directions with their probe points (the
+    /// directions, the far points and the bisection midpoints). It does not
+    /// grow with [`SphericalSamplingConfig::directions`].
+    pub fn working_set(&self, dim: usize) -> u64 {
+        crate::estimator::batch_bytes(3 * DIRECTION_BLOCK as u64, dim)
+    }
 }
 
 /// The spherical-sampling estimator.

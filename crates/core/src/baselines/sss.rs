@@ -76,6 +76,12 @@ impl SssConfig {
         }
         Ok(())
     }
+
+    /// Bytes a run preallocates on a `dim`-dimensional problem: one
+    /// streamed batch of at most 4 096 points of a scale's cloud.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        crate::estimator::batch_bytes(BATCH_POINTS.min(self.samples_per_scale), dim)
+    }
 }
 
 /// Per-scale measurement, exposed for the diagnostic figures.

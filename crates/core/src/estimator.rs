@@ -376,6 +376,17 @@ impl std::fmt::Debug for dyn Estimator {
     }
 }
 
+/// Bytes of `points` sample points of `dim` coordinates and one weight or
+/// outcome each: the unit of the estimators' `working_set` bounds, which
+/// count the buffers a run preallocates before it evaluates anything.
+/// Saturates instead of overflowing, so every configuration has a bound.
+pub(crate) fn batch_bytes(points: u64, dim: usize) -> u64 {
+    let values = (dim as u64).saturating_add(1);
+    points
+        .saturating_mul(values)
+        .saturating_mul(std::mem::size_of::<f64>() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -162,11 +162,14 @@ impl ExecutionConfig {
 /// executor holds no threads between calls: each `map` spawns scoped workers
 /// (`std::thread::scope`), which keeps it trivially `Send + Sync` and free of
 /// shutdown hazards. On perfbench's `transient-gis` (64-point batches of
-/// stopped reads at about 40 µs each, two threads, a 2-vCPU host) the spawn
-/// delays the second worker by 41–51 µs per batch, about 3% of the batch.
-/// The larger loss is the tail: read times vary by about ±20%, so four
-/// fixed 16-point chunks leave one thread idle for a mean 160–370 µs at the
-/// end of each batch, and the guided units hold that to 50–80 µs.
+/// stopped reads, two threads, a 2-vCPU host) a unit's reads run on four
+/// sample lanes at about 30 µs each, against about 40 µs one at a time, so
+/// the 41–51 µs by which the spawn delays the second worker is about 4% of
+/// a batch. The larger loss is the tail: read times vary by about ±20%, so
+/// four fixed 16-point chunks left one thread idle for a mean 160–370 µs at
+/// the end of each batch before the lanes, and the guided units held that
+/// to 50–80 µs. Guided units also shrink to two points at a batch's end,
+/// where half of a unit's lanes idle; the lanes still gain there.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,

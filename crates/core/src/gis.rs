@@ -106,6 +106,13 @@ impl GisConfig {
         self.mpfp.validate()?;
         self.sampling.validate()
     }
+
+    /// Bytes a run preallocates on a `dim`-dimensional problem: the larger
+    /// of one gradient's `dim + 1` points and one sampling batch.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        let gradient = crate::estimator::batch_bytes(dim as u64 + 1, dim);
+        gradient.max(self.sampling.working_set(dim))
+    }
 }
 
 /// The Gradient Importance Sampling estimator.

@@ -390,6 +390,12 @@ impl ImportanceSamplingConfig {
         }
         Ok(())
     }
+
+    /// Bytes the sampling loop preallocates on a `dim`-dimensional problem:
+    /// one batch of points and their weights.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        crate::estimator::batch_bytes(self.batch_size.min(self.max_samples), dim)
+    }
 }
 
 /// Diagnostics of an importance-sampling run, reported alongside the estimate.

@@ -65,6 +65,12 @@ impl MonteCarloConfig {
         }
         Ok(())
     }
+
+    /// Bytes a run preallocates on a `dim`-dimensional problem: one batch
+    /// of points and their outcomes.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        crate::estimator::batch_bytes(self.batch_size.min(self.max_samples), dim)
+    }
 }
 
 /// Brute-force Monte Carlo estimator.

@@ -152,7 +152,10 @@ impl PerformanceModel for SramSurrogateModel {
 /// now reports its access time instead of `f64::INFINITY`. The dense kernel runs
 /// the whole window, as the reference. Read disturb and write delay always
 /// run the whole window. The session makes the kernel choice in one place;
-/// [`SramTransientModel::with_kernel`] only hands it the selector.
+/// [`SramTransientModel::with_kernel`] only hands it the selector. On the
+/// sparse kernel the points of one work unit share four sample lanes, each
+/// refilled with the unit's next point as soon as its transient ends (see
+/// [`SramTransientModel::evaluate_batch`]).
 ///
 /// The model keeps its bound sessions between calls (see
 /// [`SramTransientModel::evaluate_batch`]); a clone starts with none.
@@ -290,8 +293,15 @@ impl PerformanceModel for SramTransientModel {
     /// threads, each on its own session; failed points — rejected shifts or
     /// non-converging transients — evaluate to `f64::INFINITY` individually.
     ///
+    /// A unit of two or more points runs on the session's sample lanes
+    /// ([`gis_sram::testbench::Session::run_batch`]): the unit's points
+    /// queue for four lanes that advance together one Newton iteration at a
+    /// time, and a lane takes the next
+    /// point as soon as its own transient senses, reaches the end of the
+    /// window or fails. Each point keeps the bits of a one-lane run.
+    ///
     /// The read access time goes through
-    /// [`gis_sram::testbench::Session::access_time`], which stops each
+    /// [`gis_sram::testbench::Session::access_times`], which stops each
     /// transient at its sense event with the same bits as the full window.
     /// The read-disturb peak is a maximum over the whole window and the write
     /// delay reads the latched state at its end, so both run the full window.
@@ -311,9 +321,10 @@ impl PerformanceModel for SramTransientModel {
         };
         let metrics = match self.metric {
             SramMetric::ReadAccessTime => self.read_sessions.with(read, |session| {
-                delta_refs
-                    .iter()
-                    .map(|d| session.access_time(d).unwrap_or(f64::INFINITY))
+                session
+                    .access_times(&delta_refs)
+                    .into_iter()
+                    .map(|t| t.unwrap_or(f64::INFINITY))
                     .collect()
             }),
             SramMetric::ReadDisturb => self.read_sessions.with(read, |session| {

@@ -25,6 +25,17 @@
 //!    a topology's plan is warm, refactorization performs zero heap
 //!    allocations.
 //!
+//! # Lanes
+//!
+//! [`LaneLu`] replays the same recorded program on `L` matrices of one
+//! pattern at once, each slot a `[f64; L]`, so the lanes' independent
+//! dependency chains overlap and the divisions issue as vector operations.
+//! Each lane keeps its own singularity scale and pivot-scan guard, and a
+//! per-lane select stands in for the zero-multiplier skip, so every lane
+//! performs exactly the operations of a scalar replay. A lane that leaves
+//! the program is finished on the scalar [`SparseLu`] ([`SparseLu::load_lane`]),
+//! which re-records; the scalar replay is itself the one-lane instance.
+//!
 //! # Bit-exact equivalence with the dense kernel
 //!
 //! The numeric phase performs *the same partial-pivot arithmetic in the same
@@ -554,7 +565,8 @@ impl SparseLu {
     /// Performs the identical partial-pivot elimination as
     /// [`crate::LuDecomposition::new`] restricted to the fill pattern, so the
     /// factors, permutation, and singularity verdicts match the dense kernel
-    /// bit for bit.
+    /// bit for bit. A recorded program is replayed by the same code that
+    /// replays it for [`LaneLu`], with one lane.
     ///
     /// # Errors
     ///
@@ -568,107 +580,68 @@ impl SparseLu {
             *r = pos as u32;
         }
         self.permutation_sign = 1.0;
+        let [scale] = lane_scales(&self.symbolic.stamp_slots, as_lanes(&self.work));
 
-        // Same singularity scale as the dense kernel: the maximum absolute
-        // entry of the assembled matrix (structural zeros contribute 0).
-        // `f64::max` is a pure selection, so folding in four interleaved
-        // chains returns the identical value as the dense kernel's single
-        // left fold while breaking the latency chain.
-        let mut m0 = 0.0f64;
-        let mut m1 = 0.0f64;
-        let mut m2 = 0.0f64;
-        let mut m3 = 0.0f64;
-        let mut chunks = self.symbolic.stamp_slots.chunks_exact(4);
-        for c in &mut chunks {
-            m0 = m0.max(self.work[c[0] as usize].abs());
-            m1 = m1.max(self.work[c[1] as usize].abs());
-            m2 = m2.max(self.work[c[2] as usize].abs());
-            m3 = m3.max(self.work[c[3] as usize].abs());
-        }
-        for &slot in chunks.remainder() {
-            m0 = m0.max(self.work[slot as usize].abs());
-        }
-        let scale = m0.max(m1).max(m2).max(m3).max(1.0);
-
-        if self.has_program {
-            self.replay(scale)
-        } else {
+        if !self.has_program {
             self.program.clear();
             let outcome = self.record_from(0, scale);
             self.has_program = outcome.is_ok();
-            outcome
+            return outcome;
         }
-    }
-
-    /// Replays the recorded elimination program: a straight-line schedule
-    /// with every slot address resolved. Each step's pivot scan performs the
-    /// identical comparisons as the recording pass; if the winning position
-    /// deviates from the recorded one (values moved enough to change the
-    /// pivot), the validated prefix is kept and the suffix re-recorded.
-    /// gis-analyze: no_alloc
-    fn replay(&mut self, scale: f64) -> Result<()> {
         let n = self.symbolic.n;
-        for k in 0..n {
-            let scan_start = self.program.scan_off[k] as usize;
-            let window = &self.program.scan_slots[scan_start..scan_start + (n - k)];
-            let mut rel = 0usize;
-            let mut pivot_value = self.work[window[0] as usize].abs();
-            for (i, &slot) in window.iter().enumerate().skip(1) {
-                let v = self.work[slot as usize].abs();
-                if v > pivot_value {
-                    pivot_value = v;
-                    rel = i;
-                }
+        let [outcome] = replay_program(&self.program, n, as_lanes_mut(&mut self.work), [scale]);
+        match outcome {
+            Replay::Factored => {
+                self.apply_recorded_swaps(n);
+                self.factored = true;
+                Ok(())
             }
-            if pivot_value < SINGULARITY_TOLERANCE * scale {
+            Replay::Singular { step, value } => {
                 self.has_program = false;
-                return Err(LinalgError::Singular {
-                    pivot: k,
-                    value: pivot_value,
-                });
+                Err(LinalgError::Singular { pivot: step, value })
             }
-            if rel as u32 != self.program.expected_rel[k] {
+            Replay::Deviated { step } => {
                 // Pivot deviation: the steps replayed so far are identical to
                 // what the recording path would have done, so recording can
                 // resume mid-elimination.
-                self.program.truncate_at(k);
+                self.apply_recorded_swaps(step);
+                self.program.truncate_at(step);
                 self.has_program = false;
-                let outcome = self.record_from(k, scale);
+                let outcome = self.record_from(step, scale);
                 self.has_program = outcome.is_ok();
-                return outcome;
-            }
-            if rel != 0 {
-                self.row_at.swap(k, k + rel);
-                self.permutation_sign = -self.permutation_sign;
-            }
-            let pivot = self.work[window[rel] as usize];
-
-            let mut cursor = self.program.factor_off[k] as usize;
-            let ops = &self.program.factor_ops;
-            let ncand = ops[cursor] as usize;
-            cursor += 1;
-            for _ in 0..ncand {
-                let mslot = ops[cursor] as usize;
-                let npairs = ops[cursor + 1] as usize;
-                cursor += 2;
-                let multiplier = self.work[mslot] / pivot;
-                self.work[mslot] = multiplier;
-                // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
-                if multiplier != 0.0 {
-                    for _ in 0..npairs {
-                        let dst = ops[cursor] as usize;
-                        let src = ops[cursor + 1] as usize;
-                        cursor += 2;
-                        let delta = multiplier * self.work[src];
-                        self.work[dst] -= delta;
-                    }
-                } else {
-                    cursor += 2 * npairs;
-                }
+                outcome
             }
         }
-        self.factored = true;
-        Ok(())
+    }
+
+    /// Applies the recorded pivot swaps of steps `0..steps` to the row
+    /// order and the permutation sign, as the replayed elimination did.
+    fn apply_recorded_swaps(&mut self, steps: usize) {
+        for (k, &rel) in self.program.expected_rel[..steps].iter().enumerate() {
+            if rel != 0 {
+                self.row_at.swap(k, k + rel as usize);
+                self.permutation_sign = -self.permutation_sign;
+            }
+        }
+    }
+
+    /// Copies lane `lane` of the freshly assembled `lanes` (not yet
+    /// factored, which overwrites its values) into this workspace, slot for
+    /// slot, in place of a fresh assembly. This is the scalar path of a lane
+    /// whose replay left the recorded program: [`SparseLu::factorize`] then
+    /// re-records and [`SparseLu::solve`] solves, with the bits the lane
+    /// would have had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` was not made for this plan's dimension or `lane`
+    /// is not below `L`.
+    pub fn load_lane<const L: usize>(&mut self, lanes: &LaneLu<L>, lane: usize) {
+        assert_eq!(lanes.work.len(), self.work.len(), "lane workspace size");
+        for &slot in &self.symbolic.fill_slots {
+            self.work[slot as usize] = lanes.work[slot as usize][lane];
+        }
+        self.factored = false;
     }
 
     /// Elimination starting at step `k0`, recording the schedule into the
@@ -824,40 +797,12 @@ impl SparseLu {
                 "sparse LU must be factorized before solving".to_string(),
             ));
         }
-        // Apply the permutation, x = P b, then forward substitution with
-        // unit-diagonal L and backward substitution with U.
-        for (pos, &r) in self.program.perm.iter().enumerate() {
-            x[pos] = b[r as usize];
-        }
-        let mut cursor = 0usize;
-        let ops = &self.program.fwd_ops;
-        for xi in 1..n {
-            let cnt = ops[cursor] as usize;
-            cursor += 1;
-            let mut acc = x[xi];
-            for _ in 0..cnt {
-                let slot = ops[cursor] as usize;
-                let j = ops[cursor + 1] as usize;
-                cursor += 2;
-                acc -= self.work[slot] * x[j];
-            }
-            x[xi] = acc;
-        }
-        let mut cursor = 0usize;
-        let ops = &self.program.bwd_ops;
-        for xi in (0..n).rev() {
-            let diag = ops[cursor] as usize;
-            let cnt = ops[cursor + 1] as usize;
-            cursor += 2;
-            let mut acc = x[xi];
-            for _ in 0..cnt {
-                let slot = ops[cursor] as usize;
-                let j = ops[cursor + 1] as usize;
-                cursor += 2;
-                acc -= self.work[slot] * x[j];
-            }
-            x[xi] = acc / self.work[diag];
-        }
+        solve_program(
+            &self.program,
+            as_lanes(&self.work),
+            as_lanes(b),
+            as_lanes_mut(x),
+        );
         Ok(())
     }
 
@@ -876,6 +821,291 @@ impl SparseLu {
             det *= self.work[self.row_at[i] as usize * n + i];
         }
         det
+    }
+}
+
+/// A scalar buffer viewed as one-lane slots, so the scalar [`SparseLu`]
+/// runs the same lane-generic replay and solve as [`LaneLu`].
+#[inline]
+fn as_lanes(values: &[f64]) -> &[[f64; 1]] {
+    values.as_chunks::<1>().0
+}
+
+/// Mutable form of [`as_lanes`].
+#[inline]
+fn as_lanes_mut(values: &mut [f64]) -> &mut [[f64; 1]] {
+    values.as_chunks_mut::<1>().0
+}
+
+/// How one lane's replay of a recorded program ended.
+#[derive(Debug, Clone, Copy)]
+enum Replay {
+    /// Every step matched the recording: the lane holds valid factors.
+    Factored,
+    /// The pivot at `step` fell below the singularity threshold.
+    Singular { step: usize, value: f64 },
+    /// The pivot scan at `step` chose another row than the recording.
+    Deviated { step: usize },
+}
+
+/// Each lane's singularity scale: the largest absolute stamped entry, at
+/// least 1, as the dense kernel computes it. `f64::max` is a pure
+/// selection, so folding in four interleaved chains returns the identical
+/// value as the dense kernel's single left fold while breaking the latency
+/// chain.
+/// gis-analyze: no_alloc
+#[inline]
+fn lane_scales<const L: usize>(stamp_slots: &[u32], work: &[[f64; L]]) -> [f64; L] {
+    let mut chains = [[0.0f64; L]; 4];
+    let mut quads = stamp_slots.chunks_exact(4);
+    for quad in &mut quads {
+        for (chain, &slot) in chains.iter_mut().zip(quad) {
+            let values = &work[slot as usize];
+            for l in 0..L {
+                chain[l] = chain[l].max(values[l].abs());
+            }
+        }
+    }
+    for &slot in quads.remainder() {
+        let values = &work[slot as usize];
+        for l in 0..L {
+            chains[0][l] = chains[0][l].max(values[l].abs());
+        }
+    }
+    let [c0, c1, c2, c3] = chains;
+    std::array::from_fn(|l| c0[l].max(c1[l]).max(c2[l]).max(c3[l]).max(1.0))
+}
+
+/// Replays `program` on `L` lanes at once: the straight-line elimination
+/// with every slot address resolved. Each lane performs exactly the
+/// operations of a one-lane replay, so its bits do not depend on its
+/// neighbours. Each lane's pivot scan makes the identical comparisons as the
+/// recording pass and is guarded against the recorded choice and against
+/// its own singularity scale. A lane that fails a guard leaves the program:
+/// its later values are meaningless, and the replay returns once no lane is
+/// left (at once for one lane, so its workspace holds the validated prefix
+/// that recording resumes from).
+/// gis-analyze: no_alloc
+fn replay_program<const L: usize>(
+    program: &EliminationProgram,
+    n: usize,
+    work: &mut [[f64; L]],
+    scale: [f64; L],
+) -> [Replay; L] {
+    let mut outcome = [Replay::Factored; L];
+    let mut live = L;
+    for k in 0..n {
+        let scan_start = program.scan_off[k] as usize;
+        let window = &program.scan_slots[scan_start..scan_start + (n - k)];
+        let mut rel = [0u64; L];
+        let mut pivot_value = work[window[0] as usize].map(f64::abs);
+        for (i, &slot) in window.iter().enumerate().skip(1) {
+            let values = &work[slot as usize];
+            for l in 0..L {
+                let v = values[l].abs();
+                let better = v > pivot_value[l];
+                pivot_value[l] = if better { v } else { pivot_value[l] };
+                rel[l] = if better { i as u64 } else { rel[l] };
+            }
+        }
+        let expected = program.expected_rel[k];
+        let mut leaves = false;
+        for l in 0..L {
+            leaves |= (pivot_value[l] < SINGULARITY_TOLERANCE * scale[l])
+                | (rel[l] != u64::from(expected));
+        }
+        if leaves {
+            for l in 0..L {
+                if !matches!(outcome[l], Replay::Factored) {
+                    continue;
+                }
+                if pivot_value[l] < SINGULARITY_TOLERANCE * scale[l] {
+                    outcome[l] = Replay::Singular {
+                        step: k,
+                        value: pivot_value[l],
+                    };
+                    live -= 1;
+                } else if rel[l] != u64::from(expected) {
+                    outcome[l] = Replay::Deviated { step: k };
+                    live -= 1;
+                }
+            }
+            if live == 0 {
+                return outcome;
+            }
+        }
+        let pivot = work[window[expected as usize] as usize];
+
+        let mut cursor = program.factor_off[k] as usize;
+        let ops = &program.factor_ops;
+        let ncand = ops[cursor] as usize;
+        cursor += 1;
+        for _ in 0..ncand {
+            let mslot = ops[cursor] as usize;
+            let npairs = ops[cursor + 1] as usize;
+            cursor += 2;
+            let entry = work[mslot];
+            let multiplier: [f64; L] = std::array::from_fn(|l| entry[l] / pivot[l]);
+            work[mslot] = multiplier;
+            let pairs = &ops[cursor..cursor + 2 * npairs];
+            cursor += 2 * npairs;
+            // A zero multiplier leaves its row untouched, as the dense
+            // kernel's skip does; per lane that is a select.
+            // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
+            if multiplier.iter().all(|&m| m == 0.0) {
+                continue;
+            }
+            for pair in pairs.chunks_exact(2) {
+                let src = work[pair[1] as usize];
+                let dst = &mut work[pair[0] as usize];
+                for l in 0..L {
+                    let updated = dst[l] - multiplier[l] * src[l];
+                    // gis-analyze: allow(float-eq, structural-zero skip keeps sparse elimination bit-identical to dense)
+                    dst[l] = if multiplier[l] != 0.0 {
+                        updated
+                    } else {
+                        dst[l]
+                    };
+                }
+            }
+        }
+    }
+    outcome
+}
+
+/// Runs the recorded substitutions of `program` on `L` lanes: `x = P b`,
+/// forward substitution with unit-diagonal L, then backward substitution
+/// with U, each lane exactly as a one-lane solve.
+/// gis-analyze: no_alloc
+fn solve_program<const L: usize>(
+    program: &EliminationProgram,
+    work: &[[f64; L]],
+    b: &[[f64; L]],
+    x: &mut [[f64; L]],
+) {
+    let n = x.len();
+    for (pos, &r) in program.perm.iter().enumerate() {
+        x[pos] = b[r as usize];
+    }
+    let mut cursor = 0usize;
+    let ops = &program.fwd_ops;
+    for xi in 1..n {
+        let cnt = ops[cursor] as usize;
+        cursor += 1;
+        let mut acc = x[xi];
+        for pair in ops[cursor..cursor + 2 * cnt].chunks_exact(2) {
+            let (factor, xj) = (&work[pair[0] as usize], x[pair[1] as usize]);
+            for l in 0..L {
+                acc[l] -= factor[l] * xj[l];
+            }
+        }
+        cursor += 2 * cnt;
+        x[xi] = acc;
+    }
+    let mut cursor = 0usize;
+    let ops = &program.bwd_ops;
+    for xi in (0..n).rev() {
+        let diag = &work[ops[cursor] as usize];
+        let cnt = ops[cursor + 1] as usize;
+        cursor += 2;
+        let mut acc = x[xi];
+        for pair in ops[cursor..cursor + 2 * cnt].chunks_exact(2) {
+            let (factor, xj) = (&work[pair[0] as usize], x[pair[1] as usize]);
+            for l in 0..L {
+                acc[l] -= factor[l] * xj[l];
+            }
+        }
+        cursor += 2 * cnt;
+        x[xi] = std::array::from_fn(|l| acc[l] / diag[l]);
+    }
+}
+
+/// `L` independent matrices on the pattern of one [`SparseLu`], factored
+/// and solved together by replaying that plan's recorded program.
+///
+/// Each slot holds one value per lane (`[f64; L]`, lane-major), so the
+/// lanes' independent dependency chains run side by side and the
+/// elimination's divisions can issue as vector operations. Every lane
+/// performs exactly the operations of a scalar replay, so each lane's
+/// factors and solution are bit-identical to [`SparseLu`]'s on the same
+/// matrix. A lane whose pivot scan leaves the recorded program, or goes
+/// singular, is reported by [`LaneLu::factorize`]; its caller finishes that
+/// lane on the scalar plan ([`SparseLu::load_lane`]), which re-records.
+///
+/// The lifecycle mirrors the scalar one: [`clear`](LaneLu::clear) →
+/// [`add_to_slot`](LaneLu::add_to_slot)… → [`factorize`](LaneLu::factorize)
+/// → [`solve`](LaneLu::solve), with no allocation after [`LaneLu::new`].
+#[derive(Debug, Clone)]
+pub struct LaneLu<const L: usize> {
+    /// Lane-major factor workspace, `n × n` slots; only fill-pattern slots
+    /// are ever touched.
+    work: Vec<[f64; L]>,
+}
+
+impl<const L: usize> LaneLu<L> {
+    /// Creates the lane workspace for the pattern of `plan`.
+    pub fn new(plan: &SparseLu) -> Self {
+        LaneLu {
+            work: vec![[0.0; L]; plan.work.len()],
+        }
+    }
+
+    /// Resets every fill-pattern slot of every lane to `+0.0` (see
+    /// [`SparseLu::clear`]).
+    /// gis-analyze: no_alloc
+    pub fn clear(&mut self, plan: &SparseLu) {
+        for &slot in &plan.symbolic.fill_slots {
+            self.work[slot as usize] = [0.0; L];
+        }
+    }
+
+    /// Adds `value` to `lane` at a slot from [`SparseLu::slot`].
+    #[inline]
+    /// gis-analyze: no_alloc
+    pub fn add_to_slot(&mut self, slot: u32, lane: usize, value: f64) {
+        self.work[slot as usize][lane] += value;
+    }
+
+    /// Adds one value per lane at a slot from [`SparseLu::slot`].
+    #[inline]
+    /// gis-analyze: no_alloc
+    pub fn add_lanes_to_slot(&mut self, slot: u32, values: &[f64; L]) {
+        let entry = &mut self.work[slot as usize];
+        for l in 0..L {
+            entry[l] += values[l];
+        }
+    }
+
+    /// Factors every lane in place by replaying `plan`'s recorded program.
+    /// Returns, per lane, whether its factors are valid. A lane is `false`
+    /// when its pivot scan chose another row than the recording, when its
+    /// pivot is singular, or when `plan` holds no recording yet (before its
+    /// first [`SparseLu::factorize`], or after a singular one); such a lane
+    /// is finished on the scalar plan with [`SparseLu::load_lane`].
+    /// gis-analyze: no_alloc
+    pub fn factorize(&mut self, plan: &SparseLu) -> [bool; L] {
+        if !plan.has_program {
+            return [false; L];
+        }
+        let scale = lane_scales(&plan.symbolic.stamp_slots, &self.work);
+        replay_program(&plan.program, plan.symbolic.n, &mut self.work, scale)
+            .map(|outcome| matches!(outcome, Replay::Factored))
+    }
+
+    /// Solves every lane's `A x = b` with the factors of the last
+    /// [`LaneLu::factorize`]; a lane it reported `false` gets a meaningless
+    /// `x`, and without a recorded program `x` is left as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `x` is shorter than the plan's dimension.
+    /// gis-analyze: no_alloc
+    pub fn solve(&self, plan: &SparseLu, b: &[[f64; L]], x: &mut [[f64; L]]) {
+        if !plan.has_program {
+            return;
+        }
+        let n = plan.symbolic.n;
+        solve_program(&plan.program, &self.work, &b[..n], &mut x[..n]);
     }
 }
 
@@ -1184,6 +1414,79 @@ mod tests {
         // clear() invalidates the factors.
         sparse.clear();
         assert!(sparse.solve(&[0.0; 4], &mut x).is_err());
+    }
+
+    /// Stamps `matrices[l]` into lane `l` of `lanes`.
+    fn stamp_lanes<const L: usize>(
+        lanes: &mut LaneLu<L>,
+        plan: &SparseLu,
+        pattern: &SparsityPattern,
+        matrices: &[Matrix; L],
+    ) {
+        lanes.clear(plan);
+        for r in 0..pattern.n() {
+            for &c in pattern.row_cols(r) {
+                let slot = plan.slot(r, c as usize);
+                for (l, matrix) in matrices.iter().enumerate() {
+                    lanes.add_to_slot(slot, l, matrix[(r, c as usize)]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_replay_the_scalar_program_bit_for_bit() {
+        let (pattern, dense) = random_system(9, 0.35, 77);
+        let n = pattern.n();
+        let mut plan = sparse_from_dense(&pattern, &dense);
+        let mut lanes = LaneLu::<4>::new(&plan);
+        let matrices = [0.5, 1.0, 2.0, 7.0].map(|f| dense.scaled(f));
+        // No recording yet: every lane goes to the scalar plan.
+        stamp_lanes(&mut lanes, &plan, &pattern, &matrices);
+        assert_eq!(lanes.factorize(&plan), [false; 4]);
+        plan.factorize().unwrap();
+
+        // The first column's largest entry moves to another row in lane 2
+        // only, so that lane leaves the recorded program.
+        let mut flipped = matrices.clone();
+        let (r, c) = (1..n)
+            .find_map(|r| pattern.contains(r, 0).then_some((r, 0)))
+            .unwrap();
+        flipped[2][(r, c)] = 1e3;
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
+        let lane_b: Vec<[f64; 4]> = b.iter().map(|&v| [v; 4]).collect();
+        for set in [&matrices, &flipped] {
+            stamp_lanes(&mut lanes, &plan, &pattern, set);
+            let factored = lanes.factorize(&plan);
+            let mut x = vec![[0.0; 4]; n];
+            lanes.solve(&plan, &lane_b, &mut x);
+            for (l, matrix) in set.iter().enumerate() {
+                let dense_x = LuDecomposition::new(matrix)
+                    .unwrap()
+                    .solve(&Vector::from_slice(&b))
+                    .unwrap();
+                let lane_x: Vec<f64> = if factored[l] {
+                    x.iter().map(|v| v[l]).collect()
+                } else {
+                    assert!(
+                        std::ptr::eq(set, &flipped) && l == 2,
+                        "lane {l} left the program"
+                    );
+                    // The replay overwrote the lane: assemble it again.
+                    let mut assembled = LaneLu::<4>::new(&plan);
+                    stamp_lanes(&mut assembled, &plan, &pattern, set);
+                    let mut scalar = plan.clone();
+                    scalar.load_lane(&assembled, l);
+                    scalar.factorize().unwrap();
+                    let mut x = vec![0.0; n];
+                    scalar.solve(&b, &mut x).unwrap();
+                    x
+                };
+                for i in 0..n {
+                    assert_eq!(lane_x[i].to_bits(), dense_x[i].to_bits(), "lane {l} x[{i}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,13 @@ const MAX_PADDED_DIMENSIONS: usize = 4096;
 /// a larger request is refused before any model is built.
 const MAX_WINDOW_STEPS: u32 = 20_000;
 
+/// Largest estimator working set ([`EstimatorSpec::working_set`]) a job may
+/// ask for: 1 GiB of preallocated sample buffers. The largest standard or
+/// paper-manifest estimator needs a few hundred MB at the 4 096 padded
+/// dimensions a problem may have, while a batch of 2⁵⁰ points would abort
+/// the daemon.
+pub const MAX_WORKING_SET_BYTES: u64 = 1 << 30;
+
 /// A family of failure problems the server can rebuild deterministically
 /// from the specification alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -348,6 +355,18 @@ impl EstimatorSpec {
         }
     }
 
+    /// Bytes the estimator preallocates on a `dim`-dimensional problem
+    /// (see [`MAX_WORKING_SET_BYTES`]), from its validated configuration.
+    pub fn working_set(&self, dim: usize) -> u64 {
+        match self {
+            EstimatorSpec::GradientIs { config } => config.working_set(dim),
+            EstimatorSpec::MonteCarlo { config } => config.working_set(dim),
+            EstimatorSpec::MinimumNormIs { config } => config.working_set(dim),
+            EstimatorSpec::SphericalSampling { config } => config.working_set(dim),
+            EstimatorSpec::ScaledSigmaSampling { config } => config.working_set(dim),
+        }
+    }
+
     /// Builds the live estimator.
     ///
     /// # Panics
@@ -551,6 +570,21 @@ pub fn plan_job(spec: &JobSpec, execution: ExecutionConfig) -> Result<JobPlan, J
                     detail: format!("duplicate problem name {:?}", p.name),
                 });
             }
+        }
+    }
+    // A failed allocation aborts the process, which no unwinding contains,
+    // so an estimator whose buffers would not fit is refused here.
+    let dim = problems.iter().map(|p| p.problem.dim()).max().unwrap_or(0);
+    for estimator in &spec.estimators {
+        let bytes = estimator.working_set(dim);
+        if bytes > MAX_WORKING_SET_BYTES {
+            return Err(JobError::BadSpec {
+                detail: format!(
+                    "{}: preallocates {bytes} bytes on {dim} dimensions, above the \
+                     {MAX_WORKING_SET_BYTES}-byte bound",
+                    estimator.method_name()
+                ),
+            });
         }
     }
 

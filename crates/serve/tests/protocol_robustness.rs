@@ -7,14 +7,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gis_core::{
-    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MpfpConfig,
-    SramMetric, SssConfig,
+    ConvergencePolicy, ExecutionConfig, GisConfig, ImportanceSamplingConfig, MnisConfig,
+    MonteCarloConfig, MpfpConfig, SphericalSamplingConfig, SramMetric, SssConfig,
 };
+use gis_serve::job::MAX_WORKING_SET_BYTES;
 use gis_serve::protocol::{
     encode_request, parse_reply, parse_request, read_frame, write_request, ProtocolError, Reply,
     Request, PROTOCOL_VERSION,
 };
-use gis_serve::{plan_job, EstimatorSpec, JobSpec, ProblemSpec, Server, ServerConfig};
+use gis_serve::{plan_job, EstimatorSpec, JobError, JobSpec, ProblemSpec, Server, ServerConfig};
 use gis_sram::TestbenchTiming;
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Write};
@@ -315,6 +316,108 @@ fn gis_job(config: GisConfig) -> JobSpec {
     }
 }
 
+/// A fast-suite job running `estimator` alone.
+fn job_with(estimator: EstimatorSpec) -> JobSpec {
+    JobSpec {
+        estimators: vec![estimator],
+        ..gis_job(GisConfig::default())
+    }
+}
+
+/// GIS, Monte Carlo and MNIS asking for batches of 2⁵⁰ points and of
+/// `u64::MAX` points: each would preallocate more than any machine holds.
+fn oversized_estimators() -> Vec<EstimatorSpec> {
+    [1u64 << 50, u64::MAX]
+        .into_iter()
+        .flat_map(|points| {
+            let sampling = ImportanceSamplingConfig {
+                max_samples: points,
+                batch_size: points,
+                ..ImportanceSamplingConfig::default()
+            };
+            [
+                EstimatorSpec::GradientIs {
+                    config: GisConfig {
+                        sampling,
+                        ..GisConfig::default()
+                    },
+                },
+                EstimatorSpec::MonteCarlo {
+                    config: MonteCarloConfig {
+                        max_samples: points,
+                        batch_size: points,
+                        ..MonteCarloConfig::default()
+                    },
+                },
+                EstimatorSpec::MinimumNormIs {
+                    config: MnisConfig {
+                        presamples_per_round: usize::try_from(points).unwrap_or(usize::MAX),
+                        ..MnisConfig::default()
+                    },
+                },
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn working_sets_are_bounded_before_anything_is_built() {
+    for estimator in oversized_estimators() {
+        assert!(estimator.working_set(6) > MAX_WORKING_SET_BYTES);
+        match plan_job(&job_with(estimator.clone()), ExecutionConfig::serial()) {
+            Err(JobError::BadSpec { detail }) => {
+                assert!(detail.contains(estimator.method_name()), "{detail}")
+            }
+            Err(other) => panic!(
+                "{}: expected BadSpec, got {other:?}",
+                estimator.method_name()
+            ),
+            Ok(_) => panic!(
+                "{}: an oversized estimator planned",
+                estimator.method_name()
+            ),
+        }
+    }
+    // Spherical sampling probes blocks of directions and scaled-sigma
+    // sampling streams its clouds, so neither preallocates more for a
+    // larger budget: both plan at any budget.
+    for budget in [1u64 << 50, u64::MAX] {
+        let bounded = [
+            EstimatorSpec::SphericalSampling {
+                config: SphericalSamplingConfig {
+                    directions: usize::try_from(budget).unwrap_or(usize::MAX),
+                    ..SphericalSamplingConfig::default()
+                },
+            },
+            EstimatorSpec::ScaledSigmaSampling {
+                config: SssConfig {
+                    samples_per_scale: budget,
+                    ..SssConfig::default()
+                },
+            },
+        ];
+        for estimator in bounded {
+            let default = EstimatorSpec::standard()
+                .into_iter()
+                .find(|s| s.method_name() == estimator.method_name())
+                .unwrap();
+            assert_eq!(estimator.working_set(576), default.working_set(576));
+            assert!(plan_job(&job_with(estimator), ExecutionConfig::serial()).is_ok());
+        }
+    }
+    // The standard line-up fits at the largest problem a job may ask for.
+    let widest = JobSpec {
+        problem: ProblemSpec::SurrogateSram {
+            metric: SramMetric::ReadAccessTime,
+            spec_factor: 1.5,
+            padded_dimensions: 4096,
+        },
+        estimators: EstimatorSpec::standard(),
+        ..gis_job(GisConfig::default())
+    };
+    assert!(plan_job(&widest, ExecutionConfig::serial()).is_ok());
+}
+
 #[test]
 fn invalid_job_gets_typed_error_and_connection_survives() {
     let addr = start_server(ServerConfig::default());
@@ -402,7 +505,7 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
         },
     });
 
-    for line in [
+    let mut lines = vec![
         unknown_suite,
         zero_batch,
         zero_mpfp_step,
@@ -411,7 +514,15 @@ fn invalid_job_gets_typed_error_and_connection_survives() {
         zero_budget_policy,
         huge_padding,
         huge_window,
-    ] {
+    ];
+    // Estimators whose first batch would not fit in memory.
+    lines.extend(oversized_estimators().into_iter().map(|estimator| {
+        encode_request(&Request::Submit {
+            job: job_with(estimator),
+        })
+    }));
+
+    for line in lines {
         writer.write_all(line.as_bytes()).expect("write");
         writer.flush().expect("flush");
         match read_one_reply(&mut reader) {

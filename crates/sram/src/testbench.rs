@@ -29,8 +29,18 @@
 //! one private solve step injects the shifts and picks the kernel. The
 //! scalar [`SramTestbench::read`]/[`SramTestbench::write`] entry points are
 //! thin wrappers over a fresh session, so both paths produce bit-identical
-//! metrics. [`Session::run_batch`] runs the samples one after another on the
-//! session's workspace.
+//! metrics.
+//!
+//! A batch ([`Session::run_batch`], or [`Session::access_times`] for the
+//! read access time) runs on sample lanes: the session keeps one netlist
+//! per lane, and [`gis_circuit::transient::transient_lanes`] advances
+//! [`LANES`] transients by one Newton iteration per pass, sharing the stamp
+//! program and the recorded elimination program. A lane is refilled from
+//! the batch as soon as its sample senses, reaches the end of the window or
+//! fails, so lanes retire at different steps and the batch keeps them full
+//! until its last samples. Every result keeps the bits of the one-lane
+//! [`Session::run`] or [`Session::access_time`]. A single sample, and the
+//! dense reference kernel, run one lane at a time.
 //!
 //! Only the read access time stops early. [`Session::access_time`] ends the
 //! transient at the first recorded point where the bitline has crossed the
@@ -50,6 +60,7 @@
 
 use crate::cell::{build_6t_cell, CellNodes, CellTransistor, SramCellConfig};
 use crate::error::SramError;
+use gis_circuit::transient::{transient_lanes, TransientFeed, LANES};
 use gis_circuit::{
     segment_crossing, transient_analysis_dense, transient_analysis_until, Circuit, CircuitError,
     CrossingDirection, Device, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig,
@@ -297,6 +308,7 @@ impl SramTestbench {
             vdd,
             kernel: TransientKernel::Sparse,
             workspace: SimulationWorkspace::new(),
+            lane_circuits: Vec::new(),
             bench,
         })
     }
@@ -368,7 +380,9 @@ impl CellParameterInjector {
 /// vector. The session owns a [`SimulationWorkspace`], so the sparse
 /// kernel's symbolic plan and numeric buffers are shared by every sample of
 /// a batch; metric extraction measures zero-copy
-/// [`gis_circuit::WaveformView`]s.
+/// [`gis_circuit::WaveformView`]s. A batch runs on [`LANES`] sample lanes,
+/// each refilled from the batch as soon as its sample ends, with one
+/// netlist per lane cloned by the first batch.
 ///
 /// [`Session::access_time`] is the read's fast path for the access time
 /// alone: it stops the transient at the sense event and returns the same
@@ -383,6 +397,9 @@ pub struct Session<B> {
     vdd: f64,
     kernel: TransientKernel,
     workspace: SimulationWorkspace,
+    /// One netlist per lane of a batch, cloned from `circuit` by the first
+    /// batch that runs on lanes.
+    lane_circuits: Vec<Circuit>,
     bench: B,
 }
 
@@ -447,12 +464,70 @@ impl<B: Bench> Session<B> {
         B::measure(self, &result)
     }
 
-    /// Runs one transient per ΔV_T sample, in order. Each sample's result
-    /// slot is independent: a rejected shift vector or a non-converging
-    /// transient yields an `Err` in its own slot without disturbing its
-    /// neighbours.
+    /// Runs one full-window transient per ΔV_T sample; the results come
+    /// back in sample order, each bit-identical to [`Session::run`]. Each
+    /// sample's result slot is independent: a rejected shift vector or a
+    /// non-converging transient yields an `Err` in its own slot without
+    /// disturbing its neighbours.
+    ///
+    /// On the sparse kernel a batch of two or more samples runs on
+    /// [`LANES`] lanes ([`gis_circuit::transient::transient_lanes`]): each
+    /// Newton iteration advances every lane's transient, and a lane whose
+    /// sample finishes or fails takes the next sample of the batch at once.
     pub fn run_batch(&mut self, samples: &[&[f64]]) -> Vec<Result<B::Output, SramError>> {
-        samples.iter().map(|deltas| self.run(deltas)).collect()
+        self.batch(samples, |_| |_: f64, _: &[f64]| false, B::measure)
+    }
+
+    /// Runs `samples` with a stop test from `stop` each, and measures each
+    /// stopped transient with `measure`: one after another through
+    /// [`Session::solve`] for a single sample or on the dense kernel, else
+    /// on the lanes, filled in sample order.
+    fn batch<T, S>(
+        &mut self,
+        samples: &[&[f64]],
+        stop: impl Fn(&Self) -> S,
+        measure: impl Fn(&Self, &TransientResult) -> Result<T, SramError>,
+    ) -> Vec<Result<T, SramError>>
+    where
+        S: FnMut(f64, &[f64]) -> bool,
+    {
+        if samples.len() < 2 || self.kernel == TransientKernel::Dense {
+            return samples
+                .iter()
+                .map(|deltas| {
+                    let stop = stop(self);
+                    let result = self.solve(deltas, stop)?;
+                    measure(self, &result)
+                })
+                .collect();
+        }
+        if self.lane_circuits.is_empty() {
+            self.lane_circuits = vec![self.circuit.clone(); LANES];
+        }
+        let mut circuits = std::mem::take(&mut self.lane_circuits);
+        let mut workspace = std::mem::take(&mut self.workspace);
+        let mut feed = LaneFeed {
+            session: &*self,
+            circuits: &mut circuits,
+            samples,
+            next: 0,
+            in_lane: [0; LANES],
+            outputs: samples.iter().map(|_| None).collect(),
+            stop: &stop,
+            measure: &measure,
+        };
+        let setup = transient_lanes(&self.config, &mut workspace, &mut feed);
+        let outputs = feed.outputs;
+        self.workspace = workspace;
+        self.lane_circuits = circuits;
+        outputs
+            .into_iter()
+            .map(|output| match (output, &setup) {
+                (Some(output), _) => output,
+                (None, Err(error)) => Err(error.clone().into()),
+                (None, Ok(())) => unreachable!("the lanes finish every sample they load"),
+            })
+            .collect()
     }
 
     /// Injects the sample's threshold shifts and solves the transient. The
@@ -470,6 +545,58 @@ impl<B: Bench> Session<B> {
             }
             TransientKernel::Dense => transient_analysis_dense(&self.circuit, &self.config)?,
         })
+    }
+}
+
+/// The [`TransientFeed`] of [`Session::batch`]: injects each sample into a
+/// lane's netlist and measures each finished transient into the sample's
+/// output slot.
+struct LaneFeed<'a, B, T, MS, MM> {
+    session: &'a Session<B>,
+    circuits: &'a mut [Circuit],
+    samples: &'a [&'a [f64]],
+    /// Index of the next sample to load.
+    next: usize,
+    /// Index of the sample in each lane.
+    in_lane: [usize; LANES],
+    outputs: Vec<Option<Result<T, SramError>>>,
+    stop: &'a MS,
+    measure: &'a MM,
+}
+
+impl<B, T, S, MS, MM> TransientFeed for LaneFeed<'_, B, T, MS, MM>
+where
+    S: FnMut(f64, &[f64]) -> bool,
+    MS: Fn(&Session<B>) -> S,
+    MM: Fn(&Session<B>, &TransientResult) -> Result<T, SramError>,
+{
+    type Stop = S;
+
+    fn circuit(&self, lane: usize) -> &Circuit {
+        &self.circuits[lane]
+    }
+
+    fn load(&mut self, lane: usize) -> Option<S> {
+        while let Some(deltas) = self.samples.get(self.next) {
+            let sample = self.next;
+            self.next += 1;
+            match self.session.cell.inject(&mut self.circuits[lane], deltas) {
+                Ok(()) => {
+                    self.in_lane[lane] = sample;
+                    return Some((self.stop)(self.session));
+                }
+                Err(error) => self.outputs[sample] = Some(Err(error)),
+            }
+        }
+        None
+    }
+
+    fn finish(&mut self, lane: usize, result: Result<&mut TransientResult, CircuitError>) {
+        let output = match result {
+            Ok(result) => (self.measure)(self.session, result),
+            Err(error) => Err(error.into()),
+        };
+        self.outputs[self.in_lane[lane]] = Some(output);
     }
 }
 
@@ -543,9 +670,26 @@ impl ReadSession {
         Ok(self.measure_access(&result)?.0)
     }
 
+    /// [`Session::access_time`] of each ΔV_T sample, in sample order and
+    /// with the same bits, each in its own result slot. On the sparse
+    /// kernel a batch runs on the lanes as [`Session::run_batch`] does, and
+    /// each lane stops its transient at the sample's sense event.
+    pub fn access_times(&mut self, samples: &[&[f64]]) -> Vec<Result<f64, SramError>> {
+        self.batch(samples, Self::sense_stop, |session, result| {
+            Ok(session.measure_access(result)?.0)
+        })
+    }
+
     /// The transient behind [`Session::access_time`]: on the sparse kernel,
     /// the prefix of the window up to the sense event.
     fn run_until_sensed(&mut self, vth_deltas: &[f64]) -> Result<TransientResult, SramError> {
+        let stop = self.sense_stop();
+        self.solve(vth_deltas, stop)
+    }
+
+    /// The stop test of one read: true at the first point where the bitline
+    /// has crossed the sense level after the wordline's half-rise.
+    fn sense_stop(&self) -> impl FnMut(f64, &[f64]) -> bool {
         use CrossingDirection::{Falling, Rising};
         let (wordline, bitline) = (self.nodes.wordline, self.nodes.bitline);
         let (half_rise, sense_level) = (self.vdd / 2.0, self.bench.sense_level);
@@ -553,7 +697,7 @@ impl ReadSession {
         // time once it has been seen.
         let mut previous: Option<(f64, f64, f64)> = None;
         let mut t_wl: Option<f64> = None;
-        self.solve(vth_deltas, |t, voltages| {
+        move |t, voltages| {
             let (wl, bl) = (voltages[wordline], voltages[bitline]);
             let mut sensed = false;
             if let Some((t0, wl0, bl0)) = previous {
@@ -567,7 +711,7 @@ impl ReadSession {
             }
             previous = Some((t, wl, bl));
             sensed
-        })
+        }
     }
 
     /// Measures the access time of a solved (possibly stopped) transient:
@@ -902,6 +1046,78 @@ mod tests {
         let (censored, post_sense_failures) = assert_access_time_matches_run(10_000);
         eprintln!("{censored} censored reads, {post_sense_failures} post-sense failures");
         assert!(censored > 1);
+    }
+
+    /// Runs the seeded cloud of [`assert_access_time_matches_run`] (and
+    /// its special vectors) through the lanes of every metric, in queues of
+    /// 1 to 3·[`LANES`] + 1 samples, and checks each result against the
+    /// one-lane `access_time` and `run` bit for bit, errors included.
+    fn assert_lanes_match_one_lane(samples: usize) {
+        let tb = SramTestbench::typical_45nm();
+        let mut rng = gis_stats::RngStream::from_seed(17);
+        let mut cloud: Vec<Vec<f64>> = vec![
+            vec![0.0; 6],
+            vec![0.6, 0.6, 0.0, 0.0, 0.0, 0.0],
+            vec![f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0; 5],
+        ];
+        cloud.extend((0..samples).map(|i| {
+            let sigma = 0.3 * i as f64 / samples as f64;
+            (0..6).map(|_| sigma * rng.standard_normal()).collect()
+        }));
+        let (mut lanes, mut single) = (tb.read_session().unwrap(), tb.read_session().unwrap());
+        let (mut lanes_w, mut single_w) =
+            (tb.write_session().unwrap(), tb.write_session().unwrap());
+        let same = |a: String, b: String, at: &[f64]| assert_eq!(a, b, "diverged at {at:?}");
+        let mut rest = cloud.as_slice();
+        for len in (1..=3 * LANES + 1).cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (queue, tail) = rest.split_at(len.min(rest.len()));
+            rest = tail;
+            let refs: Vec<&[f64]> = queue.iter().map(Vec::as_slice).collect();
+            let bits =
+                |r: &Result<f64, SramError>| format!("{:?}", r.as_ref().map(|t| t.to_bits()));
+            for (d, lane) in refs.iter().zip(lanes.access_times(&refs)) {
+                same(bits(&lane), bits(&single.access_time(d)), d);
+            }
+            let read_bits = |r: &Result<ReadResult, SramError>| {
+                format!(
+                    "{:?}",
+                    r.as_ref().map(|r| (
+                        r.access_time.to_bits(),
+                        r.disturb_peak.to_bits(),
+                        r.sensed
+                    ))
+                )
+            };
+            for (d, lane) in refs.iter().zip(lanes.run_batch(&refs)) {
+                same(read_bits(&lane), read_bits(&single.run(d)), d);
+            }
+            let write_bits = |w: &Result<WriteResult, SramError>| {
+                format!(
+                    "{:?}",
+                    w.as_ref().map(|w| (w.write_delay.to_bits(), w.flipped))
+                )
+            };
+            for (d, lane) in refs.iter().zip(lanes_w.run_batch(&refs)) {
+                same(write_bits(&lane), write_bits(&single_w.run(d)), d);
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_one_lane_on_a_seeded_cloud() {
+        assert_lanes_match_one_lane(40);
+    }
+
+    /// The lane check on 10 000 samples; run with
+    /// `cargo test --release -p gis-sram -- --ignored`.
+    #[test]
+    #[ignore = "about 60 000 transients; run in release with --ignored"]
+    fn lanes_match_one_lane_at_scale() {
+        assert_lanes_match_one_lane(10_000);
     }
 
     #[test]

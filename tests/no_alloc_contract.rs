@@ -3,7 +3,8 @@
 //! that the paths *marked* `gis-analyze: no_alloc` — the sparse Newton kernel
 //! and the estimator accumulators — really perform zero steady-state heap
 //! allocations, that a full transient evaluation settles to a constant
-//! per-sample allocation count once its workspace is warm, and that an
+//! per-sample allocation count once its workspace is warm, that a warm lane
+//! batch allocates nothing per sample, and that an
 //! importance-sampling proposal needs memory linear in its dimension, and
 //! that the estimators' sampling phases draw into reused batch buffers.
 //!
@@ -19,6 +20,7 @@ use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
+use sram_highsigma::circuit::transient::LANES;
 use sram_highsigma::circuit::{Circuit, MnaSystem, SimulationWorkspace, SourceWaveform};
 use sram_highsigma::highsigma::{
     ConvergencePolicy, Estimator, ExecutionConfig, FailureProblem, FnModel,
@@ -266,6 +268,61 @@ fn transient_sessions_have_constant_per_eval_allocations() {
         write_allocs_1, write_allocs_2,
         "per-eval allocation count of a warm write session must be constant"
     );
+}
+
+/// The lane kernel's steady state: once a session's lanes are warm (their
+/// netlists cloned, their result buffers grown to the batch's longest
+/// transient), a batch allocates only its output vectors, whatever its
+/// length. The Newton loop, the stamp and LU replays, the injection, the
+/// stop test and the measurement allocate nothing per sample, on all three
+/// metrics.
+#[test]
+fn warm_lane_batches_allocate_nothing_per_sample() {
+    let _serial = serial();
+    let tb = SramTestbench::typical_45nm();
+    let cloud: Vec<Vec<f64>> = (0..2 * LANES + 1)
+        .map(|i| {
+            let s = 0.01 * i as f64;
+            vec![s, -s, 0.5 * s, -0.5 * s, 0.0, s]
+        })
+        .collect();
+    let batch: Vec<&[f64]> = cloud.iter().map(Vec::as_slice).collect();
+    let double: Vec<&[f64]> = batch.iter().chain(&batch).copied().collect();
+    let mut read = tb.read_session().unwrap();
+    let mut write = tb.write_session().unwrap();
+    for queue in [&batch, &double] {
+        // Warm-up: each queue fills the lanes in its own order.
+        read.access_times(queue);
+        read.run_batch(queue);
+        write.run_batch(queue);
+    }
+    let (access_short, a1) = allocations_during(|| read.access_times(&batch));
+    let (access_long, a2) = allocations_during(|| read.access_times(&double));
+    let (read_short, r1) = allocations_during(|| read.run_batch(&batch));
+    let (read_long, r2) = allocations_during(|| read.run_batch(&double));
+    let (write_short, w1) = allocations_during(|| write.run_batch(&batch));
+    let (write_long, w2) = allocations_during(|| write.run_batch(&double));
+    assert_eq!(
+        access_short, access_long,
+        "access-time lanes allocated per sample"
+    );
+    assert_eq!(read_short, read_long, "read lanes allocated per sample");
+    assert_eq!(write_short, write_long, "write lanes allocated per sample");
+    // Every slot is a real result, and a repeated sample repeats its bits.
+    for (first, second) in a2[..batch.len()].iter().zip(&a2[batch.len()..]) {
+        assert_eq!(
+            first.as_ref().unwrap().to_bits(),
+            second.as_ref().unwrap().to_bits()
+        );
+    }
+    let a1: Vec<u64> = a1.iter().map(|t| t.as_ref().unwrap().to_bits()).collect();
+    let a2: Vec<u64> = a2[..batch.len()]
+        .iter()
+        .map(|t| t.as_ref().unwrap().to_bits())
+        .collect();
+    assert_eq!(a1, a2);
+    assert_eq!(r1.len() + batch.len(), r2.len());
+    assert_eq!(w1.len() + batch.len(), w2.len());
 }
 
 /// Every proposal is an isotropic normal, so building one, drawing a sample

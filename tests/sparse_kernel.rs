@@ -11,6 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use sram_highsigma::circuit::transient::LANES;
 use sram_highsigma::circuit::{
     transient_analysis, transient_analysis_dense, Circuit, CrossingDirection, MosfetParams,
     SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel, GROUND,
@@ -22,7 +23,7 @@ use sram_highsigma::highsigma::{
 };
 use sram_highsigma::linalg::sparse::{PatternBuilder, SparseLu, SymbolicLu};
 use sram_highsigma::linalg::{LuDecomposition, Matrix, Vector};
-use sram_highsigma::sram::{build_6t_cell, CellNodes, SramCellConfig, SramTestbench};
+use sram_highsigma::sram::{build_6t_cell, CellNodes, SramCellConfig, SramError, SramTestbench};
 use sram_highsigma::stats::RngStream;
 use sram_highsigma::variation::PelgromModel;
 
@@ -411,6 +412,139 @@ fn random_chain_circuit(
     ckt.add_resistor("Rend", prev, GROUND, 10e3).unwrap();
     let config = TransientConfig::new(10e-9, 50e-12);
     (ckt, config)
+}
+
+/// A read that never senses: both transistors of the read path far too weak.
+const CENSORED_READ: [f64; 6] = [0.6, 0.6, 0.0, 0.0, 0.0, 0.0];
+/// A read whose transient stops converging at 120 ps, before it senses.
+const NON_CONVERGING_READ: [f64; 6] = [
+    -0.2849444829352378,
+    0.18934646934693464,
+    0.026645392871643574,
+    0.3296846785590373,
+    -0.17995042881905712,
+    0.10261358031617059,
+];
+/// A write whose transient stops converging at 120 ps.
+const NON_CONVERGING_WRITE: [f64; 6] = [
+    0.11084935876617302,
+    -0.05780097897726894,
+    -0.06995547734607833,
+    0.10029856564664925,
+    -0.03329678854961908,
+    -0.2387551294882656,
+];
+
+/// Asserts that a lane batch slot equals the one-lane result: the same bits
+/// (compared by `bits`), or the same error.
+fn assert_same_slot<T: std::fmt::Debug>(
+    lanes: &Result<T, SramError>,
+    single: &Result<T, SramError>,
+    bits: impl Fn(&T) -> Vec<u64>,
+    label: &str,
+) {
+    match (lanes, single) {
+        (Ok(a), Ok(b)) => assert_eq!(bits(a), bits(b), "{label}: {a:?} vs {b:?}"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}"),
+        (a, b) => panic!("{label}: lanes {a:?} vs one lane {b:?}"),
+    }
+}
+
+/// Runs `queue` through the lanes of every metric — `access_times`, the
+/// read `run_batch` (access time and disturb peak) and the write
+/// `run_batch` — and checks each slot against `access_time` and `run` on a
+/// one-lane session.
+fn assert_lanes_match_one_lane(queue: &[Vec<f64>]) {
+    let tb = SramTestbench::typical_45nm();
+    let refs: Vec<&[f64]> = queue.iter().map(Vec::as_slice).collect();
+    let (mut lanes, mut single) = (tb.read_session().unwrap(), tb.read_session().unwrap());
+    let access_times = lanes.access_times(&refs);
+    let reads = lanes.run_batch(&refs);
+    let (mut lanes_w, mut single_w) = (tb.write_session().unwrap(), tb.write_session().unwrap());
+    let writes = lanes_w.run_batch(&refs);
+    assert_eq!(access_times.len(), queue.len());
+    for (i, deltas) in refs.iter().enumerate() {
+        let label = format!("sample {i} of {}: {deltas:?}", queue.len());
+        assert_same_slot(
+            &access_times[i],
+            &single.access_time(deltas),
+            |t| vec![t.to_bits()],
+            &label,
+        );
+        assert_same_slot(
+            &reads[i],
+            &single.run(deltas),
+            |r| {
+                vec![
+                    r.access_time.to_bits(),
+                    r.disturb_peak.to_bits(),
+                    u64::from(r.sensed),
+                ]
+            },
+            &label,
+        );
+        assert_same_slot(
+            &writes[i],
+            &single_w.run(deltas),
+            |w| vec![w.write_delay.to_bits(), u64::from(w.flipped)],
+            &label,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Lanes equal the one-lane path bit for bit on every metric. Queues of
+    /// 1 to 3·LANES + 1 samples fill, refill and drain the lanes unevenly;
+    /// each holds a random ΔV_T cloud (per-transistor σ up to 0.3 V) and, at
+    /// random places, a censored read, a malformed shift vector and
+    /// transients that stop converging. Pivot deviations inside a lane are
+    /// exercised on circuits built to cause them (the `transient` unit
+    /// tests), since the 6T netlists never deviate.
+    #[test]
+    fn lanes_match_the_one_lane_path_bit_for_bit(
+        len in 1usize..(3 * LANES + 2),
+        seed in 1u64..u64::MAX,
+        sigma in 0.0f64..0.3,
+        specials in prop::collection::vec(0usize..4, 0..3),
+        positions in prop::collection::vec(0usize..64, 3),
+    ) {
+        let mut rng = RngStream::from_seed(seed);
+        let mut queue: Vec<Vec<f64>> = (0..len)
+            .map(|_| (0..6).map(|_| sigma * rng.standard_normal()).collect())
+            .collect();
+        for (&special, &at) in specials.iter().zip(&positions) {
+            let deltas = match special {
+                0 => CENSORED_READ.to_vec(),
+                1 => vec![f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+                2 => NON_CONVERGING_READ.to_vec(),
+                _ => NON_CONVERGING_WRITE.to_vec(),
+            };
+            queue[at % len] = deltas;
+        }
+        assert_lanes_match_one_lane(&queue);
+    }
+}
+
+#[test]
+fn lane_batches_place_every_special_sample_like_one_lane() {
+    let mut queue = vec![
+        vec![0.0; 6],
+        CENSORED_READ.to_vec(),
+        vec![0.0; 5],
+        NON_CONVERGING_READ.to_vec(),
+        vec![0.05, -0.02, 0.01, 0.0, 0.03, -0.01],
+        NON_CONVERGING_WRITE.to_vec(),
+        vec![f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ];
+    queue.extend((0..LANES).map(|i| vec![0.02 * i as f64; 6]));
+    assert_lanes_match_one_lane(&queue);
+    // The special samples really are what their names say.
+    let tb = SramTestbench::typical_45nm();
+    assert!(!tb.read(&CENSORED_READ).unwrap().sensed);
+    assert!(tb.read(&NON_CONVERGING_READ).is_err());
+    assert!(tb.write(&NON_CONVERGING_WRITE).is_err());
 }
 
 proptest! {
