@@ -219,7 +219,7 @@ impl Device {
 /// A flat transistor-level circuit.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Circuit {
-    node_names: Vec<String>,
+    /// Node ids by name; ids are dense, so the map's size is the node count.
     name_to_node: BTreeMap<String, NodeId>,
     devices: Vec<Device>,
 }
@@ -228,11 +228,9 @@ impl Circuit {
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
         let mut ckt = Circuit {
-            node_names: Vec::new(),
             name_to_node: BTreeMap::new(),
             devices: Vec::new(),
         };
-        ckt.node_names.push("0".to_string());
         ckt.name_to_node.insert("0".to_string(), GROUND);
         ckt
     }
@@ -247,25 +245,14 @@ impl Circuit {
         if let Some(&id) = self.name_to_node.get(name) {
             return id;
         }
-        let id = self.node_names.len();
-        self.node_names.push(name.to_string());
+        let id = self.name_to_node.len();
         self.name_to_node.insert(name.to_string(), id);
         id
     }
 
-    /// Looks up a node by name without creating it.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.name_to_node.get(name).copied()
-    }
-
-    /// Name of node `id`, if it exists.
-    pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.node_names.get(id).map(|s| s.as_str())
-    }
-
     /// Total number of nodes including ground.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.name_to_node.len()
     }
 
     /// The devices of the circuit, in insertion order.
@@ -452,11 +439,7 @@ mod tests {
         let a2 = ckt.node("a");
         assert_eq!(a, a2);
         assert_eq!(ckt.num_nodes(), 2);
-        assert_eq!(ckt.node_name(a), Some("a"));
-        assert_eq!(ckt.find_node("a"), Some(a));
-        assert_eq!(ckt.find_node("missing"), None);
         assert_eq!(Circuit::ground(), 0);
-        assert_eq!(ckt.node_name(GROUND), Some("0"));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! voltage) are built on voltage-transfer curves obtained this way.
 
 use crate::error::CircuitError;
-use crate::mna::{MnaSystem, MAX_NEWTON_ITERATIONS};
+use crate::mna::{MnaSystem, SimulationWorkspace, MAX_NEWTON_ITERATIONS};
 use crate::netlist::{Circuit, Device, NodeId, SourceWaveform};
-use gis_linalg::Vector;
 
 /// Result of a DC sweep: the swept source values and the corresponding node
 /// voltages.
@@ -48,6 +47,12 @@ impl DcSweepResult {
 /// solving the operating point at every step (each solution warm-starts the
 /// next, which is what makes sweeps through bistable regions well-behaved).
 ///
+/// Every point is solved on the sparse kernel in one [`SimulationWorkspace`],
+/// so the sweep compiles its plan once. The first point starts from
+/// `initial_node_voltages` (index = node id; ground entry ignored) on the
+/// node unknowns and zeros elsewhere; the results are bit-identical to a
+/// chain of dense-reference solves.
+///
 /// # Errors
 ///
 /// * [`CircuitError::InvalidAnalysis`] if the source does not exist, is not a
@@ -77,22 +82,23 @@ pub fn dc_sweep(
     let mut working = circuit.clone();
     let mut swept_values = Vec::with_capacity(values.len());
     let mut node_voltages = Vec::with_capacity(values.len());
-    let mut guess: Option<Vector> = None;
+    let mut workspace = SimulationWorkspace::new();
 
     for &value in values {
         if let Device::VoltageSource { waveform, .. } = &mut working.devices_mut()[source_index] {
             *waveform = SourceWaveform::Dc(value);
         }
         let system = MnaSystem::new(&working)?;
-        let x = match &guess {
-            Some(previous) => {
-                system.solve_newton(previous.clone(), 0.0, None, "dc", MAX_NEWTON_ITERATIONS)?
-            }
-            None => system.dc_operating_point(initial_node_voltages)?,
-        };
+        if swept_values.is_empty() {
+            workspace.bind(&system);
+            workspace.set_state(system.dc_guess(initial_node_voltages).as_slice());
+        }
+        // Later points start from the state the previous solve left.
+        system.solve_newton_in(&mut workspace, 0.0, None, "dc", MAX_NEWTON_ITERATIONS)?;
+        let mut voltages = vec![0.0; working.num_nodes()];
+        system.node_voltages_into(workspace.state(), &mut voltages);
         swept_values.push(value);
-        node_voltages.push(system.node_voltages(&x));
-        guess = Some(x);
+        node_voltages.push(voltages);
     }
 
     Ok(DcSweepResult {

@@ -733,6 +733,7 @@ mod tests {
     use super::*;
     use crate::mosfet::MosfetParams;
     use crate::netlist::{SourceWaveform, GROUND};
+    use crate::waveform::CrossingDirection;
     use crate::Device;
 
     #[test]
@@ -817,7 +818,13 @@ mod tests {
         let win = result.waveform_view(input).unwrap();
         let wout = result.waveform_view(out).unwrap();
         // Output falls after the input rises.
-        let delay = win.delay_to(0.5, &wout, 0.5, 0.1e-9).unwrap();
+        let rise = win
+            .crossing_time(0.5, CrossingDirection::Either, 0.1e-9)
+            .unwrap();
+        let fall = wout
+            .crossing_time(0.5, CrossingDirection::Either, rise)
+            .unwrap();
+        let delay = fall - rise;
         assert!(delay > 0.0 && delay < 1e-9, "implausible delay {delay:e}");
         // Output returns high after the input falls again.
         assert!(wout.final_value() > 0.9);

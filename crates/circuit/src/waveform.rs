@@ -186,30 +186,6 @@ impl<'a> WaveformView<'a> {
             "signal never crosses {level} ({direction:?}) after t = {after:.3e}s"
         )))
     }
-
-    /// Delay from this signal crossing `level_self` to `other` crossing
-    /// `level_other`, both measured at or after `after`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::MeasurementFailed`] if either crossing is missing
-    /// or the measured delay is negative.
-    pub fn delay_to(
-        &self,
-        level_self: f64,
-        other: &WaveformView<'_>,
-        level_other: f64,
-        after: f64,
-    ) -> Result<f64, CircuitError> {
-        let t0 = self.crossing_time(level_self, CrossingDirection::Either, after)?;
-        let t1 = other.crossing_time(level_other, CrossingDirection::Either, t0)?;
-        if t1 < t0 {
-            return Err(CircuitError::MeasurementFailed(
-                "negative delay measured".to_string(),
-            ));
-        }
-        Ok(t1 - t0)
-    }
 }
 
 #[cfg(test)]
@@ -315,17 +291,6 @@ mod tests {
             let got = w.crossing_time(level, direction, 0.0).unwrap();
             assert_eq!(got.to_bits(), expected.to_bits());
         }
-    }
-
-    #[test]
-    fn delay_measurement() {
-        let a = WaveformView::new(&[0.0, 1.0], &[0.0, 1.0]);
-        let b = WaveformView::new(&[0.0, 1.0, 2.0], &[0.0, 0.0, 1.0]);
-        let d = a.delay_to(0.5, &b, 0.5, 0.0).unwrap();
-        assert!((d - 1.0).abs() < 1e-12);
-        // Missing crossing propagates an error.
-        let flat = WaveformView::new(&[0.0, 1.0], &[0.0, 0.0]);
-        assert!(a.delay_to(0.5, &flat, 0.5, 0.0).is_err());
     }
 
     #[test]

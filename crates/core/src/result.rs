@@ -116,19 +116,6 @@ impl ExtractionResult {
         figure_of_merit(self.relative_error(), self.evaluations)
     }
 
-    /// Speed-up over a reference result at equal accuracy, computed from the
-    /// figures of merit (`FOM_self / FOM_reference`). Returns `inf` when the
-    /// reference never observed a failure.
-    pub fn speedup_over(&self, reference: &ExtractionResult) -> f64 {
-        let fom_ref = reference.figure_of_merit();
-        // gis-analyze: allow(float-eq, division guard: FOM is exactly 0.0 when no failure was observed)
-        if fom_ref == 0.0 {
-            f64::INFINITY
-        } else {
-            self.figure_of_merit() / fom_ref
-        }
-    }
-
     /// Builds the sigma level from a failure probability, handling edge cases.
     pub fn sigma_from_probability(p_fail: f64) -> f64 {
         if p_fail <= 0.0 || p_fail >= 1.0 {
@@ -171,17 +158,6 @@ mod tests {
         assert!(r.relative_error().is_infinite());
         assert_eq!(r.figure_of_merit(), 0.0);
         assert!(r.sigma_level.is_nan());
-    }
-
-    #[test]
-    fn speedup_comparison() {
-        // Same accuracy, 100x fewer evaluations → 100x speed-up.
-        let fast = result(1e-6, 1e-7, 1_000);
-        let slow = result(1e-6, 1e-7, 100_000);
-        assert!((fast.speedup_over(&slow) - 100.0).abs() < 1e-9);
-        // Speed-up over a method that found nothing is infinite.
-        let nothing = result(0.0, 0.0, 100);
-        assert!(fast.speedup_over(&nothing).is_infinite());
     }
 
     #[test]

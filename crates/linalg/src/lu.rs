@@ -154,26 +154,6 @@ impl LuDecomposition {
         }
         det
     }
-
-    /// Computes the inverse of the original matrix, column by column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`], which cannot occur for
-    /// a successfully constructed decomposition but is kept in the signature for
-    /// uniformity.
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let e = Vector::basis(n, j)?;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 /// Solves `A x = b` in one call, factoring `a` internally.
@@ -268,16 +248,6 @@ mod tests {
         assert!((lu.determinant() - (-2.0)).abs() < 1e-12);
         let i = Matrix::identity(4);
         assert!((LuDecomposition::new(&i).unwrap().determinant() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = random_like_matrix(6, 7);
-        let lu = LuDecomposition::new(&a).unwrap();
-        let inv = lu.inverse().unwrap();
-        let product = a.matmul(&inv).unwrap();
-        let diff = &product - &Matrix::identity(6);
-        assert!(diff.norm_frobenius() < 1e-9);
     }
 
     #[test]

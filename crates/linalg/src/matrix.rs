@@ -88,22 +88,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidArgument`] if `data.len() != rows * cols`.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::InvalidArgument(format!(
-                "expected {} entries for a {rows}x{cols} matrix, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Builds a matrix by evaluating `f(row, col)` for every entry.
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
         let mut m = Matrix::zeros(rows, cols);
@@ -286,21 +270,6 @@ impl Matrix {
         self.data.iter().all(|x| x.is_finite())
     }
 
-    /// Returns `true` if the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Extracts the main diagonal as a [`Vector`]. For rectangular matrices the
     /// diagonal has `min(rows, cols)` entries.
     pub fn diagonal(&self) -> Vector {
@@ -417,13 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn from_row_major_validation() {
-        assert!(Matrix::from_row_major(2, 2, vec![1.0, 2.0, 3.0]).is_err());
-        let m = Matrix::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m[(0, 1)], 2.0);
-    }
-
-    #[test]
     fn matvec_and_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
         let x = Vector::from_slice(&[1.0, -1.0]);
@@ -472,14 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_symmetry() {
+    fn norms_and_finiteness() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
         assert_eq!(a.norm_frobenius(), 5.0);
         assert_eq!(a.norm_max(), 4.0);
-        assert!(a.is_symmetric(0.0));
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert!(!b.is_symmetric(1e-12));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1e-12));
         assert!(a.is_finite());
     }
 

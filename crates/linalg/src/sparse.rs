@@ -325,11 +325,6 @@ impl SymbolicLu {
         self.n
     }
 
-    /// Structural nonzeros of the assembly pattern.
-    pub fn stamp_nnz(&self) -> usize {
-        self.stamp.nnz()
-    }
-
     /// Structural nonzeros of the current fill pattern (factor pattern).
     pub fn fill_nnz(&self) -> usize {
         self.fill_cols.iter().map(Vec::len).sum()
@@ -338,15 +333,6 @@ impl SymbolicLu {
     /// The assembly pattern this plan was derived from.
     pub fn stamp_pattern(&self) -> &SparsityPattern {
         &self.stamp
-    }
-
-    /// Fraction of the dense `n²` storage the fill pattern occupies.
-    pub fn fill_fraction(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.fill_nnz() as f64 / (self.n * self.n) as f64
-        }
     }
 
     #[inline]
@@ -1198,8 +1184,7 @@ mod tests {
     fn symbolic_fill_is_superset_of_stamp() {
         let (pattern, _) = random_system(12, 0.3, 7);
         let sym = SymbolicLu::analyze(&pattern);
-        assert!(sym.fill_nnz() >= sym.stamp_nnz());
-        assert!(sym.fill_fraction() <= 1.0);
+        assert!(sym.fill_nnz() >= pattern.nnz());
         for r in 0..pattern.n() {
             for &c in pattern.row_cols(r) {
                 assert!(bit_is_set(sym.fill_row_mask(r), c as usize));
@@ -1223,7 +1208,7 @@ mod tests {
         let sym = SymbolicLu::analyze(&pattern);
         assert_eq!(
             sym.fill_nnz(),
-            sym.stamp_nnz(),
+            pattern.nnz(),
             "diagonal-pivot elimination of a tridiagonal matrix has no fill"
         );
     }

@@ -192,29 +192,6 @@ impl Vector {
         Ok(self.scaled(1.0 / n))
     }
 
-    /// Component-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "hadamard",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        Ok(Vector {
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
-    }
-
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -442,13 +419,6 @@ mod tests {
         let u = a.normalized().unwrap();
         assert!((u.norm() - 1.0).abs() < 1e-15);
         assert!(Vector::zeros(2).normalized().is_err());
-    }
-
-    #[test]
-    fn hadamard_product() {
-        let a = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let b = Vector::from_slice(&[2.0, 3.0, 4.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[2.0, 6.0, 12.0]);
     }
 
     #[test]

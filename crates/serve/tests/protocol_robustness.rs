@@ -418,6 +418,190 @@ fn working_sets_are_bounded_before_anything_is_built() {
     assert!(plan_job(&widest, ExecutionConfig::serial()).is_ok());
 }
 
+/// The integer edges every integer field is drawn from.
+const INTEGER_EDGES: [u64; 5] = [0, 1, 1 << 32, 1 << 50, u64::MAX];
+
+/// The float edges every float field is drawn from (next to its default).
+const FLOAT_EDGES: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+
+/// Turns a list of random choice indices into edge values, one index per
+/// field in declaration order.
+struct Edges<'a> {
+    picks: std::slice::Iter<'a, usize>,
+    /// Whether float fields are drawn too; otherwise they keep their
+    /// defaults, so the integer edges alone decide the plan.
+    floats: bool,
+}
+
+impl Edges<'_> {
+    fn pick(&mut self) -> usize {
+        *self.picks.next().expect("enough picks for every field")
+    }
+
+    fn u64(&mut self) -> u64 {
+        INTEGER_EDGES[self.pick() % INTEGER_EDGES.len()]
+    }
+
+    fn usize(&mut self) -> usize {
+        usize::try_from(self.u64()).unwrap_or(usize::MAX)
+    }
+
+    /// One of [`FLOAT_EDGES`] or `default`.
+    fn f64(&mut self, default: f64) -> f64 {
+        let pick = self.pick() % (FLOAT_EDGES.len() + 1);
+        if self.floats {
+            FLOAT_EDGES.get(pick).copied().unwrap_or(default)
+        } else {
+            default
+        }
+    }
+
+    fn sampling(&mut self, default: &ImportanceSamplingConfig) -> ImportanceSamplingConfig {
+        ImportanceSamplingConfig {
+            max_samples: self.u64(),
+            batch_size: self.u64(),
+            target_relative_error: self.f64(default.target_relative_error),
+            min_failures: self.u64(),
+            corrected_stopping: default.corrected_stopping,
+        }
+    }
+
+    /// Every estimator with every integer (and, if drawn, float) field at
+    /// an edge.
+    fn estimators(&mut self) -> [EstimatorSpec; 5] {
+        let gis = GisConfig::default();
+        let mc = MonteCarloConfig::default();
+        let mnis = MnisConfig::default();
+        let spherical = SphericalSamplingConfig::default();
+        let sss = SssConfig::default();
+        [
+            EstimatorSpec::GradientIs {
+                config: GisConfig {
+                    mpfp: MpfpConfig {
+                        finite_difference_step: self.f64(gis.mpfp.finite_difference_step),
+                        max_iterations: self.usize(),
+                        tolerance: self.f64(gis.mpfp.tolerance),
+                        max_step: self.f64(gis.mpfp.max_step),
+                        max_evaluations: self.u64(),
+                    },
+                    sampling: self.sampling(&gis.sampling),
+                    defensive_fraction: self.f64(gis.defensive_fraction),
+                    bridge_fraction: self.f64(gis.bridge_fraction),
+                    bridge_position: self.f64(gis.bridge_position),
+                    adaptive_recentering: gis.adaptive_recentering,
+                    recenter_every_batches: self.usize(),
+                    recenter_min_failures: self.u64(),
+                },
+            },
+            EstimatorSpec::MonteCarlo {
+                config: MonteCarloConfig {
+                    max_samples: self.u64(),
+                    batch_size: self.u64(),
+                    target_relative_error: self.f64(mc.target_relative_error),
+                    min_failures: self.u64(),
+                },
+            },
+            EstimatorSpec::MinimumNormIs {
+                config: MnisConfig {
+                    presamples_per_round: self.usize(),
+                    presample_scales: mnis.presample_scales.iter().map(|&s| self.f64(s)).collect(),
+                    bisection_steps: self.usize(),
+                    sampling: self.sampling(&mnis.sampling),
+                    defensive_fraction: self.f64(mnis.defensive_fraction),
+                },
+            },
+            EstimatorSpec::SphericalSampling {
+                config: SphericalSamplingConfig {
+                    directions: self.usize(),
+                    max_radius: self.f64(spherical.max_radius),
+                    bisection_steps: self.usize(),
+                    target_relative_error: self.f64(spherical.target_relative_error),
+                    min_failing_directions: self.usize(),
+                },
+            },
+            EstimatorSpec::ScaledSigmaSampling {
+                config: SssConfig {
+                    scales: sss.scales.iter().map(|&s| self.f64(s)).collect(),
+                    samples_per_scale: self.u64(),
+                    min_failures_per_scale: self.u64(),
+                },
+            },
+        ]
+    }
+
+    /// The fast suite, the surrogate at an edge of padded dimensions, or the
+    /// transient testbench with its window at an edge.
+    fn problem(&mut self) -> ProblemSpec {
+        let metric = SramMetric::ReadAccessTime;
+        match self.pick() % 3 {
+            0 => ProblemSpec::Suite {
+                suite: "fast".to_string(),
+            },
+            1 => ProblemSpec::SurrogateSram {
+                metric,
+                spec_factor: 1.5,
+                padded_dimensions: self.usize(),
+            },
+            _ => {
+                let default = TestbenchTiming::default();
+                // A window bound is a float drawn from the float edges or,
+                // as a duration, from the integer edges.
+                let mut window = |default: f64| match self.pick() % 3 {
+                    0 => self.f64(default),
+                    1 => self.u64() as f64,
+                    _ => default,
+                };
+                let stop_time = window(default.stop_time);
+                let time_step = window(default.time_step);
+                ProblemSpec::TransientSram {
+                    metric,
+                    spec_factor: 1.5,
+                    timing: Some(TestbenchTiming {
+                        stop_time,
+                        time_step,
+                        ..default
+                    }),
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// No estimator or problem field at an edge can make `plan_job` panic,
+    /// and a job it plans never preallocates more than the bound.
+    #[test]
+    fn edge_fields_plan_within_the_working_set_bound_or_are_refused(
+        picks in prop::collection::vec(0usize..60, 96),
+        floats in prop::bool::ANY,
+    ) {
+        let mut edges = Edges { picks: picks.iter(), floats };
+        let problem = edges.problem();
+        let dim = problem
+            .build()
+            .ok()
+            .and_then(|built| built.iter().map(|p| p.problem.dim()).max());
+        for estimator in edges.estimators() {
+            let job = JobSpec {
+                problem: problem.clone(),
+                ..job_with(estimator.clone())
+            };
+            let planned = std::panic::catch_unwind(|| plan_job(&job, ExecutionConfig::serial()))
+                .unwrap_or_else(|_| panic!("plan_job panicked on {job:?}"));
+            if planned.is_ok() {
+                let dim = dim.expect("a planned job's problem builds");
+                prop_assert!(
+                    estimator.working_set(dim) <= MAX_WORKING_SET_BYTES,
+                    "{job:?} planned with a working set of {} bytes",
+                    estimator.working_set(dim)
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn invalid_job_gets_typed_error_and_connection_survives() {
     let addr = start_server(ServerConfig::default());

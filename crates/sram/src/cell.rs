@@ -319,8 +319,10 @@ mod tests {
         assert_eq!(ckt.num_devices(), 8);
         assert!(ckt.validate().is_ok());
         assert_ne!(nodes.q, nodes.q_bar);
-        assert_eq!(ckt.find_node("q"), Some(nodes.q));
-        assert_eq!(ckt.find_node("wl"), Some(nodes.wordline));
+        let num_nodes = ckt.num_nodes();
+        assert_eq!(ckt.node("q"), nodes.q);
+        assert_eq!(ckt.node("wl"), nodes.wordline);
+        assert_eq!(ckt.num_nodes(), num_nodes, "both names already exist");
     }
 
     #[test]

@@ -44,23 +44,6 @@ impl Histogram {
         })
     }
 
-    /// Builds a histogram spanning the range of `values` with the given number
-    /// of bins. Returns `None` for empty input, zero bins or degenerate range.
-    pub fn from_values(values: &[f64], bins: usize) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
-        let low = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let high = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        // Widen slightly so the maximum falls inside the last bin.
-        let span = (high - low).max(f64::MIN_POSITIVE);
-        let mut h = Histogram::new(low, high + span * 1e-9, bins)?;
-        for &v in values {
-            h.add(v);
-        }
-        Some(h)
-    }
-
     /// Adds one value.
     pub fn add(&mut self, value: f64) {
         if value.is_nan() {
@@ -176,16 +159,6 @@ mod tests {
         // All mass in bin 1 with width 1 → density 1.0.
         assert!((h.density(1) - 1.0).abs() < 1e-12);
         assert_eq!(h.density(0), 0.0);
-    }
-
-    #[test]
-    fn from_values_covers_all_points() {
-        let values = [3.0, 1.0, 2.0, 5.0, 4.0];
-        let h = Histogram::from_values(&values, 4).unwrap();
-        assert_eq!(h.total_count(), 5);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        assert!(Histogram::from_values(&[], 4).is_none());
     }
 
     #[test]

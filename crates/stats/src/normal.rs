@@ -229,27 +229,6 @@ pub fn upper_tail_asymptotic(x: f64) -> f64 {
     pdf(x) / x * (1.0 - 1.0 / x2 + 3.0 / (x2 * x2) - 15.0 / (x2 * x2 * x2))
 }
 
-/// Density of a general normal distribution with the given `mean` and
-/// standard deviation `std_dev`.
-///
-/// # Panics
-///
-/// Panics if `std_dev <= 0`.
-pub fn pdf_general(x: f64, mean: f64, std_dev: f64) -> f64 {
-    assert!(std_dev > 0.0, "standard deviation must be positive");
-    pdf((x - mean) / std_dev) / std_dev
-}
-
-/// CDF of a general normal distribution.
-///
-/// # Panics
-///
-/// Panics if `std_dev <= 0`.
-pub fn cdf_general(x: f64, mean: f64, std_dev: f64) -> f64 {
-    assert!(std_dev > 0.0, "standard deviation must be positive");
-    cdf((x - mean) / std_dev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,14 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn general_normal_reduces_to_standard() {
-        assert!((pdf_general(1.0, 0.0, 1.0) - pdf(1.0)).abs() < 1e-15);
-        assert!((cdf_general(1.0, 0.0, 1.0) - cdf(1.0)).abs() < 1e-15);
-        // Shifted/scaled.
-        assert!((cdf_general(3.0, 1.0, 2.0) - cdf(1.0)).abs() < 1e-15);
-    }
-
-    #[test]
     fn erfc_limits() {
         assert!((erfc(0.0) - 1.0).abs() < 1e-15);
         assert!(erfc(10.0) > 0.0);
@@ -397,12 +368,6 @@ mod tests {
     #[should_panic(expected = "quantile requires p in (0, 1)")]
     fn quantile_rejects_out_of_range() {
         let _ = quantile(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "standard deviation must be positive")]
-    fn pdf_general_rejects_bad_sigma() {
-        let _ = pdf_general(0.0, 0.0, 0.0);
     }
 
     #[test]

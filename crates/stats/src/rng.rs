@@ -124,16 +124,6 @@ impl RngStream {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform random number in `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high`.
-    pub fn uniform_in(&mut self, low: f64, high: f64) -> f64 {
-        assert!(low < high, "uniform_in requires low < high");
-        low + (high - low) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`, without bias: Lemire's widening
     /// multiply, rejecting the low products that would over-represent some
     /// values.
@@ -272,15 +262,6 @@ mod tests {
         let var = sum_sq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.01, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.02, "var = {var}");
-    }
-
-    #[test]
-    fn uniform_in_respects_bounds() {
-        let mut rng = RngStream::from_seed(5);
-        for _ in 0..1000 {
-            let x = rng.uniform_in(-2.0, 3.0);
-            assert!((-2.0..3.0).contains(&x));
-        }
     }
 
     #[test]

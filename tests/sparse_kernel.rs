@@ -11,10 +11,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use sram_highsigma::circuit::mna::MAX_NEWTON_ITERATIONS;
 use sram_highsigma::circuit::transient::LANES;
 use sram_highsigma::circuit::{
-    transient_analysis, transient_analysis_dense, Circuit, CrossingDirection, MosfetParams,
-    SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel, GROUND,
+    dc_sweep, transient_analysis, transient_analysis_dense, Circuit, CrossingDirection, Device,
+    MnaSystem, MosfetParams, SimulationWorkspace, SourceWaveform, TransientConfig, TransientKernel,
+    GROUND,
 };
 use sram_highsigma::highsigma::{
     default_sram_variation_space, standard_estimators, ConvergencePolicy, Estimator,
@@ -368,6 +370,94 @@ fn workspace_is_reusable_across_topologies() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Asserts that [`dc_sweep`] equals, bit for bit at every point, a chain of
+/// dense-reference solves of `source` over `values`: the first from the
+/// node voltages `initial`, each later one warm-started from the previous
+/// point's solution.
+fn assert_sweep_matches_dense_chain(
+    circuit: &Circuit,
+    source: &str,
+    values: &[f64],
+    initial: &[f64],
+) {
+    let sweep = dc_sweep(circuit, source, values, Some(initial)).expect("sparse sweep");
+    let mut working = circuit.clone();
+    let index = working
+        .devices()
+        .iter()
+        .position(|device| device.name() == source)
+        .unwrap();
+    let mut guess: Option<Vector> = None;
+    let mut dense = Vec::new();
+    for &value in values {
+        if let Device::VoltageSource { waveform, .. } = &mut working.devices_mut()[index] {
+            *waveform = SourceWaveform::Dc(value);
+        }
+        let system = MnaSystem::new(&working).unwrap();
+        let x0 = guess.take().unwrap_or_else(|| {
+            let mut x0 = Vector::zeros(system.dim());
+            for node in 1..working.num_nodes().min(initial.len()) {
+                x0[node - 1] = initial[node];
+            }
+            x0
+        });
+        let (x, _) = system
+            .solve_newton_counted(x0, 0.0, None, "dc", MAX_NEWTON_ITERATIONS)
+            .expect("dense solve");
+        dense.push(system.node_voltages(&x));
+        guess = Some(x);
+    }
+    for node in 0..circuit.num_nodes() {
+        let sparse = sweep.node_voltage_samples(node).unwrap();
+        for (point, (a, b)) in sparse.iter().zip(&dense).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b[node].to_bits(),
+                "{source} = {}: node {node}: {a:e} vs {:e}",
+                values[point],
+                b[node]
+            );
+        }
+    }
+}
+
+#[test]
+fn dc_sweeps_match_a_chain_of_dense_solves() {
+    let vdd = 1.0;
+    let inputs: Vec<f64> = (0..=80).map(|i| vdd * f64::from(i) / 80.0).collect();
+    // A CMOS inverter, and the same inverter loaded by a pass gate with its
+    // wordline and bitline at VDD (the read half-cell of the static-noise-
+    // margin analysis), at nominal and at shifted thresholds.
+    for (shift_up, shift_down, shift_pass) in [(0.0, 0.0, 0.0), (0.08, -0.11, 0.05)] {
+        for loaded in [false, true] {
+            let mut ckt = Circuit::new();
+            let vdd_node = ckt.node("vdd");
+            let input = ckt.node("in");
+            let output = ckt.node("out");
+            ckt.add_voltage_source("V_VDD", vdd_node, GROUND, SourceWaveform::dc(vdd));
+            ckt.add_voltage_source("V_IN", input, GROUND, SourceWaveform::dc(0.0));
+            let pull_up = MosfetParams::pmos_45nm().with_vth_shift(shift_up);
+            let pull_down = MosfetParams::nmos_45nm().with_vth_shift(shift_down);
+            ckt.add_mosfet("M_PU", output, input, vdd_node, vdd_node, pull_up)
+                .unwrap();
+            ckt.add_mosfet("M_PD", output, input, GROUND, GROUND, pull_down)
+                .unwrap();
+            let mut initial = vec![0.0, vdd, 0.0, vdd];
+            if loaded {
+                let wordline = ckt.node("wl");
+                let bitline = ckt.node("bl");
+                ckt.add_voltage_source("V_WL", wordline, GROUND, SourceWaveform::dc(vdd));
+                ckt.add_voltage_source("V_BL", bitline, GROUND, SourceWaveform::dc(vdd));
+                let pass = MosfetParams::nmos_45nm().with_vth_shift(shift_pass);
+                ckt.add_mosfet("M_PG", bitline, wordline, output, GROUND, pass)
+                    .unwrap();
+                initial.extend([vdd, vdd]);
+            }
+            assert_sweep_matches_dense_chain(&ckt, "V_IN", &inputs, &initial);
         }
     }
 }
