@@ -60,7 +60,7 @@ pub use netlist::{Circuit, Device, NodeId, SourceWaveform, GROUND};
 pub use sweep::{dc_sweep, DcSweepResult};
 pub use transient::{
     transient_analysis, transient_analysis_dense, transient_analysis_until,
-    transient_analysis_with, TransientConfig, TransientKernel, TransientResult,
+    transient_analysis_with, TransientConfig, TransientKernel, TransientResult, LANES,
 };
 pub use waveform::{segment_crossing, CrossingDirection, WaveformView};
 

@@ -16,6 +16,7 @@
 //! (`g_m`, `g_ds`, `g_mb`) so that the Newton solver can stamp a consistent
 //! linearization.
 
+use gis_linalg::elementary::{exp, ln};
 use serde::{Deserialize, Serialize};
 
 /// Thermal voltage at room temperature, in volts.
@@ -168,21 +169,20 @@ pub struct MosfetOperatingPoint {
 /// logistic function).
 ///
 /// This is the hot transcendental of the whole transient kernel: one `exp`
-/// (and usually one `ln`) per MOSFET per Newton iteration. Each branch
-/// computes its `exp` exactly once; the deep-subthreshold branch used to call
-/// `t.exp()` twice (value and derivative), paying a second ~50-cycle
-/// transcendental for bit-identical output.
+/// (and usually one `ln`) per MOSFET per Newton iteration, both
+/// [`gis_linalg::elementary`]'s inlined routines rather than libm calls.
+/// Each branch computes its `exp` exactly once.
 #[inline]
 fn softplus(x: f64, s: f64) -> (f64, f64) {
     let t = x / s;
     if t > 40.0 {
         (x, 1.0)
     } else if t < -40.0 {
-        let e = t.exp();
+        let e = exp(t);
         (s * e, e)
     } else {
-        let e = t.exp();
-        (s * (1.0 + e).ln(), e / (1.0 + e))
+        let e = exp(t);
+        (s * ln(1.0 + e), e / (1.0 + e))
     }
 }
 

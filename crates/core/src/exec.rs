@@ -20,10 +20,12 @@
 //!   thread count and the chunk size, never on timing.
 //! * Units shrink toward the end of a batch (guided self-scheduling,
 //!   Polychronopoulos & Kuck 1987): each takes `ceil(rest / (2·threads))`
-//!   of the remaining items, at least 2 and at most the chunk size, so the
-//!   last units are small and no worker idles long while another finishes.
-//!   Because every item is evaluated by a pure function, the cut changes
-//!   latency only, never a result.
+//!   of the remaining items, rounded up to a multiple of the transient
+//!   kernel's sample lanes ([`gis_circuit::LANES`]) and at most the chunk
+//!   size, so the last units are small, no worker idles long while another
+//!   finishes, and every lane of a unit has a sample. Because every item is
+//!   evaluated by a pure function, the cut changes latency only, never a
+//!   result.
 //!
 //! # Picking a thread count
 //!
@@ -44,6 +46,7 @@
 //! assert_eq!(ExecutionConfig::serial().resolved_threads(), 1);
 //! ```
 
+use gis_circuit::LANES;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -166,10 +169,12 @@ impl ExecutionConfig {
 /// sample lanes at about 30 µs each, against about 40 µs one at a time, so
 /// the 41–51 µs by which the spawn delays the second worker is about 4% of
 /// a batch. The larger loss is the tail: read times vary by about ±20%, so
-/// four fixed 16-point chunks left one thread idle for a mean 160–370 µs at
-/// the end of each batch before the lanes, and the guided units held that
-/// to 50–80 µs. Guided units also shrink to two points at a batch's end,
-/// where half of a unit's lanes idle; the lanes still gain there.
+/// four fixed 16-point chunks leave one thread idle for a mean 86–229 µs at
+/// the end of each 0.9–1.0 ms batch, and guided units hold that to 57–71 µs
+/// (seeds 1–3, 8-second runs, a 2-vCPU host). Units in multiples of the
+/// four lanes (16, 12, 12, 8, 4, 4, 4, 4) idle a little longer at the end
+/// than units that shrink to two points (44–48 µs), but never leave a lane
+/// empty: their median batch was 4–14% shorter in three alternating runs.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -287,15 +292,15 @@ impl Executor {
             return out;
         }
         // Guided units: each takes ceil(rest / (2·threads)) of the remaining
-        // items, at least 2 and at most `chunk_size`. `saturating_mul` keeps
-        // any positive `GIS_THREADS` from overflowing.
+        // items rounded up to a multiple of LANES, at most `chunk_size`.
+        // `saturating_mul` keeps any positive `GIS_THREADS` from overflowing.
         let mut units: Vec<&[T]> = Vec::new();
         let mut rest = items;
         while !rest.is_empty() {
             let size = rest
                 .len()
                 .div_ceil(self.threads.saturating_mul(2))
-                .max(2)
+                .next_multiple_of(LANES)
                 .min(self.chunk_size)
                 .min(rest.len());
             let (unit, tail) = rest.split_at(size);
@@ -442,11 +447,19 @@ mod tests {
                 units.windows(2).all(|w| w[1].1 <= w[0].1),
                 "unit sizes never increase: {units:?}"
             );
+            assert!(
+                units[..units.len() - 1]
+                    .iter()
+                    .all(|&(_, size)| size % LANES == 0 || size == chunk),
+                "all but the last unit fill whole lane groups: {units:?}"
+            );
         }
         // A transient GIS batch: four fixed chunks would leave a thread idle
-        // for the whole last chunk; guided units split it finer.
+        // for the whole last chunk; guided units split it finer, and keep
+        // all four sample lanes of every unit busy.
         let exec = Executor::new(2).with_chunk_size(16);
-        assert!(units(&exec, 64).len() > 4);
+        let sizes: Vec<usize> = units(&exec, 64).iter().map(|u| u.1).collect();
+        assert_eq!(sizes, [16, 12, 12, 8, 4, 4, 4, 4]);
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl Proposal {
     /// Importance weight `f(z)/q(z)` against the nominal standard normal `f`.
     pub fn importance_weight(&self, z: &Vector) -> f64 {
         let log_f: f64 = z.iter().map(|&zi| gis_stats::normal::log_pdf(zi)).sum();
-        (log_f - self.log_pdf(z)).exp()
+        gis_linalg::elementary::exp(log_f - self.log_pdf(z))
     }
 }
 

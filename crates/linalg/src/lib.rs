@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 
 mod cholesky;
+pub mod elementary;
 mod error;
 mod lu;
 mod matrix;

@@ -19,6 +19,7 @@
 use crate::cell::{CellTransistor, SramCellConfig};
 use crate::error::SramError;
 use crate::testbench::SramTestbench;
+use gis_linalg::elementary::{exp, ln};
 use serde::{Deserialize, Serialize};
 
 /// Smooth, strictly positive drive-strength function.
@@ -32,7 +33,7 @@ fn drive(normalized_overdrive: f64, alpha: f64) -> f64 {
     let softplus = if x / s > 40.0 {
         x
     } else {
-        s * (1.0 + (x / s).exp()).ln()
+        s * ln(1.0 + exp(x / s))
     };
     softplus.powf(alpha)
 }
@@ -191,7 +192,7 @@ impl SramSurrogate {
         // Smooth barrier: as the net pull-down strength collapses the delay
         // diverges (the write fails).
         let s = 0.02;
-        let net_soft = s * (1.0 + (net / s).exp()).ln();
+        let net_soft = s * ln(1.0 + exp(net / s));
         let net_soft = if net / s > 40.0 { net } else { net_soft };
 
         // The second half of the flip is completed by the cross-coupled

@@ -13,6 +13,7 @@
 //! [`MAX_MIXTURE_COMPONENTS`] terms, so it allocates nothing either.
 
 use crate::{Result, RngStream, StatsError};
+use gis_linalg::elementary::{exp, ln};
 use gis_linalg::Vector;
 
 /// An isotropic multivariate normal distribution `N(μ, σ²·I)`.
@@ -252,8 +253,8 @@ impl GaussianMixture {
         if max == f64::NEG_INFINITY {
             return Ok(f64::NEG_INFINITY);
         }
-        let sum: f64 = terms.iter().map(|t| (t - max).exp()).sum();
-        Ok(max + sum.ln())
+        let sum: f64 = terms.iter().map(|t| exp(t - max)).sum();
+        Ok(max + ln(sum))
     }
 }
 

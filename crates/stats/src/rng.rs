@@ -12,6 +12,7 @@
 //! drawing a point costs no heap traffic, and both forms consume the stream
 //! in the same order.
 
+use gis_linalg::elementary::{ln, sin_cos};
 use gis_linalg::Vector;
 
 /// The golden-ratio increment of SplitMix64's Weyl sequence.
@@ -155,10 +156,10 @@ impl RngStream {
             u1 = self.uniform();
         }
         let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.cached_normal = Some(r * theta.sin());
-        r * theta.cos()
+        let r = (-2.0 * ln(u1)).sqrt();
+        let (sin, cos) = sin_cos(2.0 * std::f64::consts::PI * u2);
+        self.cached_normal = Some(r * sin);
+        r * cos
     }
 
     /// Overwrites `out` with independent standard normal variates, drawn in
